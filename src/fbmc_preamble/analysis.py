@@ -18,9 +18,8 @@ import numpy as np
 from scipy import special as _sp
 
 from .prototype import PrototypeFilter
-from .waveform import FbmcGrid, FrameConfig, SampledSignal, slot_data, synthesize
-
-_J = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
+from .waveform import (_J, FbmcGrid, FrameConfig, SampledSignal, checked_preamble,
+                       slot_data, synthesize)
 
 
 class AnalysisError(ValueError):
@@ -234,15 +233,24 @@ class CcdfResult:
         }, indent=2)
 
 
+def _window_slots(preamble_slot: int, overlap: int) -> range:
+    """Slots whose filter support [s/2, s/2 + K) reaches the analysis
+    window [(n+2)/2, (n+6)/2) of preamble slot n."""
+    return range(preamble_slot + 3 - 2 * overlap, preamble_slot + 6)
+
+
 class _WindowSampler:
     """Evaluates s(t) over the analysis window for many trials at once.
 
     Only the slots whose filter support intersects the window are
     synthesized; all other symbols contribute exactly zero there, so the
-    result matches full-frame synthesis sample for sample.
+    result matches full-frame synthesis sample for sample.  The window is
+    two symbol intervals long and each slot's subcarrier sum is T-periodic,
+    so one IFFT of spt points serves both halves.
     """
 
     def __init__(self, preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig):
+        preamble = checked_preamble(preamble, cfg.subcarriers)
         self.cfg = cfg
         spt = cfg.samples_per_symbol
         self.spt = spt
@@ -250,40 +258,65 @@ class _WindowSampler:
         n = cfg.preamble_slot
         m = np.arange(cfg.subcarriers)
         # e^{j2pi m t} at the window start t = (n+2)/2 is (-1)^(m n).
-        self.start_phase = np.where((m * n) % 2 == 0, 1.0, -1.0)
-        k = np.arange(2 * spt)
-        self.k_mod = k % spt
-        t_win = (n + 2) / 2.0 + k / spt
-        self._g_at = {s: self.filt(t_win - s / 2.0) for s in self._window_slots()}
-        self.data_slots = [s for s in self._window_slots() if abs(s - n) > cfg.guards]
-        pre = np.asarray(preamble, dtype=complex) * _J[(m + n) % 4] * self.start_phase
-        self.preamble_window = self._g_at[n] * self._envelope(pre[None, :])[0]
+        start_phase = np.where((m * n) % 2 == 0, 1.0, -1.0)
+        t_win = (n + 2) / 2.0 + np.arange(2 * spt) / spt
+        slots = _window_slots(n, self.filt.overlap)
+        self._g_at = {s: self.filt(t_win - s / 2.0).reshape(2, spt) for s in slots}
+        self.data_slots = [s for s in slots if abs(s - n) > cfg.guards]
+        self._phase = {s: _J[(m + s) % 4] * start_phase for s in self.data_slots}
+        # The IFFT's 1/spt scaling and the product by spt are both exact for a
+        # power-of-two spt, so the unscaled transform gives the same bits.
+        self._exact_scale = spt & (spt - 1) == 0
+        coeff = np.zeros((1, spt), dtype=complex)
+        coeff[0, :cfg.subcarriers] = preamble * _J[(m + n) % 4] * start_phase
+        self.preamble_window = np.zeros(2 * spt, dtype=complex)
+        self._accumulate(self.preamble_window[None, :], n, coeff, np.empty_like(coeff))
 
-    def _window_slots(self) -> list[int]:
-        n, k = self.cfg.preamble_slot, self.filt.overlap
-        return list(range(n + 3 - 2 * k, n + 6))
-
-    def _envelope(self, coeff: np.ndarray) -> np.ndarray:
-        base = np.fft.ifft(coeff, self.spt, axis=1) * self.spt
-        return base[:, self.k_mod]
+    def _accumulate(self, out: np.ndarray, slot: int, coeff: np.ndarray,
+                    base: np.ndarray) -> None:
+        """out (count, 2 * spt) += the slot's filter-weighted subcarrier sums,
+        from zero-padded coefficients coeff (count, spt); base is scratch."""
+        if self._exact_scale:
+            np.fft.ifft(coeff, axis=1, norm="forward", out=base)
+        else:
+            np.fft.ifft(coeff, axis=1, out=base)
+            base *= self.spt
+        halves = out.reshape(len(out), 2, self.spt)
+        halves += self._g_at[slot] * base[:, None, :]
 
     def sample_trials(self, first_trial: int, count: int) -> np.ndarray:
         """Window samples, shape (count, 2 * spt)."""
-        cfg = self.cfg
-        m = np.arange(cfg.subcarriers)
+        m = self.cfg.subcarriers
+        trials = np.arange(first_trial, first_trial + count)
+        data = slot_data(self.cfg, trials, np.array(self.data_slots, dtype=int)[:, None])
         out = np.tile(self.preamble_window, (count, 1))
-        for s in self.data_slots:
-            phase = _J[(m + s) % 4] * self.start_phase
-            a = np.empty((count, cfg.subcarriers))
-            for i in range(count):
-                a[i] = slot_data(cfg, first_trial + i, s)
-            out += self._g_at[s] * self._envelope(a * phase)
+        coeff = np.zeros((count, self.spt), dtype=complex)
+        base = np.empty_like(coeff)
+        for s, a in zip(self.data_slots, data):
+            np.multiply(a, self._phase[s], out=coeff[:, :m])
+            self._accumulate(out, s, coeff, base)
         return out
+
+
+DEFAULT_CHUNK = 16
+
+
+def _papr_db_chunks(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
+                    trials: int, chunk: int, first_trial: int = 0):
+    """Per-trial window PAPR in dB, one array per chunk of trials."""
+    if chunk < 1:
+        raise AnalysisError("chunk must be >= 1")
+    sampler = _WindowSampler(preamble, filt, cfg)
+    p_avg = average_power(cfg.subcarriers)
+    stop = first_trial + trials
+    for start in range(first_trial, stop, chunk):
+        win = sampler.sample_trials(start, min(chunk, stop - start))
+        yield 10.0 * np.log10(np.max(np.abs(win) ** 2, axis=1) / p_avg)
 
 
 def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
                      trials: int, thresholds_db: np.ndarray | None = None,
-                     chunk: int = 256) -> CcdfResult:
+                     chunk: int = DEFAULT_CHUNK) -> CcdfResult:
     """Estimate Pr{PAPR > X} over random data realizations.
 
     Deterministic given cfg.rng_seed: trial i draws its data from
@@ -294,18 +327,11 @@ def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConf
     if thresholds_db is None:
         thresholds_db = default_thresholds()
     thresholds_db = np.asarray(thresholds_db, dtype=float)
-    sampler = _WindowSampler(preamble, filt, cfg)
-    p_avg = average_power(cfg.subcarriers)
     exceed = np.zeros(len(thresholds_db), dtype=np.int64)
     max_db = float("-inf")
-    done = 0
-    while done < trials:
-        count = min(chunk, trials - done)
-        win = sampler.sample_trials(done, count)
-        peak_db = 10.0 * np.log10(np.max(np.abs(win) ** 2, axis=1) / p_avg)
+    for peak_db in _papr_db_chunks(preamble, filt, cfg, trials, chunk):
         exceed += np.sum(peak_db[:, None] > thresholds_db[None, :], axis=0)
         max_db = max(max_db, float(np.max(peak_db)))
-        done += count
     return CcdfResult(
         thresholds_db=thresholds_db,
         exceed_prob=exceed / trials,
@@ -316,23 +342,14 @@ def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConf
 
 
 def papr_samples(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
-                 trials: int, chunk: int = 256, first_trial: int = 0) -> np.ndarray:
+                 trials: int, chunk: int = DEFAULT_CHUNK, first_trial: int = 0) -> np.ndarray:
     """Per-trial preamble PAPR values in dB (same trials as monte_carlo_ccdf).
 
     Trial i of the returned array is keyed on the absolute index
     first_trial + i, so disjoint calls tile one reproducible stream.
     """
-    sampler = _WindowSampler(preamble, filt, cfg)
-    p_avg = average_power(cfg.subcarriers)
-    out = np.empty(trials)
-    done = 0
-    while done < trials:
-        count = min(chunk, trials - done)
-        win = sampler.sample_trials(first_trial + done, count)
-        out[done: done + count] = 10.0 * np.log10(
-            np.max(np.abs(win) ** 2, axis=1) / p_avg)
-        done += count
-    return out
+    chunks = list(_papr_db_chunks(preamble, filt, cfg, trials, chunk, first_trial))
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
@@ -348,15 +365,13 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     n = cfg.preamble_slot
     pre_coeff = np.asarray(preamble, dtype=complex) * _J[(m + n) % 4]
     out = np.tile((pre_coeff @ carriers) * filt(t - n / 2.0), (trials, 1))
-    window_slots = range(n + 3 - 2 * filt.overlap, n + 6)
-    for s in window_slots:
-        if abs(s - n) <= cfg.guards:
-            continue
-        g_vals = filt(t - s / 2.0)
-        phase = _J[(m + s) % 4]
-        weights = carriers * g_vals[None, :]
-        for i in range(trials):
-            out[i] += (slot_data(cfg, i, s) * phase) @ weights
+    slots = np.array([s for s in _window_slots(n, filt.overlap) if abs(s - n) > cfg.guards],
+                     dtype=int)
+    weights = [(_J[(m + s) % 4], carriers * filt(t - s / 2.0)[None, :]) for s in slots]
+    for lo in range(0, trials, DEFAULT_CHUNK):
+        rows = np.arange(lo, min(lo + DEFAULT_CHUNK, trials))
+        for a, (phase, w) in zip(slot_data(cfg, rows, slots[:, None]), weights):
+            out[rows] += (a * phase) @ w
     return out
 
 
@@ -368,9 +383,7 @@ def empirical_mean_power(subcarriers: int, n_symbols: int = 256, oversample: int
     cfg = FrameConfig(subcarriers=subcarriers, guards=0, data_span=max(12, n_symbols // 2),
                       oversample=oversample, rng_seed=seed)
     filt = phydyas_taps(4, cfg.samples_per_symbol)
-    symbols = np.zeros((subcarriers, cfg.total_slots), dtype=complex)
-    for col in range(cfg.total_slots):
-        symbols[:, col] = slot_data(cfg, 0, cfg.first_slot + col)
+    symbols = slot_data(cfg, 0, cfg.first_slot + np.arange(cfg.total_slots)).T.astype(complex)
     grid = FbmcGrid(symbols=symbols, first_slot=cfg.first_slot,
                     preamble_slot=cfg.preamble_slot)
     sig = synthesize(grid, filt, cfg)

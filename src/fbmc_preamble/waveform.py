@@ -77,16 +77,50 @@ class FrameConfig:
         return cls(**obj)
 
 
-def slot_data(cfg: FrameConfig, trial: int, slot: int) -> np.ndarray:
-    """Deterministic +-1 data for one (trial, slot) cell.
+TRIAL_BITS = 48
+SLOT_BITS = 16
 
-    Each cell owns a counter-based Philox stream keyed on
-    (seed, trial, slot), so trials and slots can be generated in any order
-    or in parallel with identical results.
+
+def _key_field(name: str, value, bits: int) -> np.ndarray:
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iu" or (arr.size and not (arr.min() >= 0
+                                                        and arr.max() < 1 << bits)):
+        raise FrameError(f"{name} must be an integer in [0, 2^{bits})")
+    return arr.astype(np.uint64)
+
+
+def slot_data(cfg: FrameConfig, trial, slot) -> np.ndarray:
+    """Deterministic +-1 data for (trial, slot) cells.
+
+    Each cell owns a counter-based Philox4x64-10 stream keyed on
+    (seed, trial << 16 | slot), so trials and slots can be generated in any
+    order or in parallel with identical results.  Its M values are the top
+    bits of the stream's little-endian uint32 words, 1 -> +1 and 0 -> -1.
+
+    `trial` and `slot` are integers or integer arrays that broadcast
+    together; the result has their broadcast shape plus a last axis of M,
+    so two scalars give shape (M,).
     """
-    key = (int(cfg.rng_seed) << 64) | ((trial & 0xFFFFFFFFFFFF) << 16) | (slot & 0xFFFF)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.integers(0, 2, cfg.subcarriers).astype(np.float64) * 2.0 - 1.0
+    seed = int(cfg.rng_seed)
+    if not 0 <= seed < 1 << 64:
+        raise FrameError(f"rng_seed {seed} outside [0, 2^64)")
+    keys = (_key_field("trial", trial, TRIAL_BITS) << SLOT_BITS) | _key_field("slot", slot,
+                                                                              SLOT_BITS)
+    m = cfg.subcarriers
+    words = (m + 1) // 2
+    # One generator, re-keyed per cell: building a Philox per cell costs
+    # several times the draw itself.
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    key = state["state"]["key"]
+    key[1] = seed
+    raw = np.empty((keys.size, words), dtype=np.uint64)
+    for i, k in enumerate(keys.ravel().tolist()):
+        key[0] = k
+        bitgen.state = state
+        raw[i] = bitgen.random_raw(words)
+    bits = raw.astype("<u8", copy=False).view("<u4")[:, :m] >> 31
+    return (bits * 2.0 - 1.0).reshape(keys.shape + (m,))
 
 
 @dataclass(frozen=True)
@@ -100,21 +134,27 @@ class FbmcGrid:
         return self.first_slot + np.arange(self.symbols.shape[1])
 
 
+def checked_preamble(preamble: np.ndarray, subcarriers: int) -> np.ndarray:
+    """The preamble as a complex array, if it has one entry per subcarrier
+    and energy M; raises FrameError otherwise."""
+    preamble = np.asarray(preamble, dtype=complex)
+    if preamble.shape != (subcarriers,):
+        raise FrameError(f"preamble length {preamble.size} != {subcarriers} subcarriers")
+    energy = float(np.sum(np.abs(preamble) ** 2))
+    if abs(energy - subcarriers) > 1e-9 * subcarriers:
+        raise FrameError(f"preamble energy {energy:g} != {subcarriers}")
+    return preamble
+
+
 def build_frame(cfg: FrameConfig, preamble: np.ndarray, trial: int = 0) -> FbmcGrid:
     """Grid with the preamble at cfg.preamble_slot, zero guards, and seeded
     +-1 data elsewhere.  Complex preambles are accepted only as a baseline
     affordance (IAM-C); OQAM symbols proper are real."""
-    preamble = np.asarray(preamble, dtype=complex)
-    m = cfg.subcarriers
-    if len(preamble) != m:
-        raise FrameError(f"preamble length {len(preamble)} != {m} subcarriers")
-    energy = float(np.sum(np.abs(preamble) ** 2))
-    if abs(energy - m) > 1e-9 * m:
-        raise FrameError(f"preamble energy {energy:g} != {m}")
-    symbols = np.zeros((m, cfg.total_slots), dtype=complex)
+    preamble = checked_preamble(preamble, cfg.subcarriers)
+    symbols = np.zeros((cfg.subcarriers, cfg.total_slots), dtype=complex)
     symbols[:, cfg.preamble_slot - cfg.first_slot] = preamble
-    for s in cfg.data_slots():
-        symbols[:, s - cfg.first_slot] = slot_data(cfg, trial, s)
+    slots = np.array(cfg.data_slots())
+    symbols[:, slots - cfg.first_slot] = slot_data(cfg, trial, slots).T
     return FbmcGrid(symbols=symbols, first_slot=cfg.first_slot,
                     preamble_slot=cfg.preamble_slot)
 

@@ -99,6 +99,13 @@ class TestPapr:
         assert rc == 1
         assert "length" in capsys.readouterr().err
 
+    def test_energy_mismatch(self, tmp_path, capsys):
+        pre = write_preamble(tmp_path, "pre.json", np.sqrt(2.0) * golay_seed(64))
+        rc = main(["papr", "--preamble-file", pre, "--subcarriers", "64"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "energy" in err
+
     def test_phase_sequence_input(self, tmp_path, capsys):
         path = tmp_path / "pre.json"
         path.write_text(json.dumps({"modulus": 2,

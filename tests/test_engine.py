@@ -1,19 +1,21 @@
-"""Golden values of the Monte Carlo engine's random data stream.
+"""The Monte Carlo engine's data stream and its boundary checks.
 
-The pinned values were produced by the original per-cell engine.  A faster
-engine must reproduce them exactly: same data bits for every (seed, trial,
-slot) cell and the same PAPR floats to the last bit, whatever the chunk
-size.
+The golden values were produced by the original per-cell engine.  A faster
+engine must reproduce them exactly: the same data bits for every (seed,
+trial, slot) cell and the same PAPR floats to the last bit, whatever the
+chunk size.  Keys outside their ranges and preambles that build_frame
+would refuse are refused here too.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmc_preamble.analysis import papr_samples
-from fbmc_preamble.prototype import make_filter
+from fbmc_preamble.analysis import monte_carlo_ccdf, papr_samples
+from fbmc_preamble.prototype import make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
-from fbmc_preamble.waveform import FrameConfig, slot_data
+from fbmc_preamble.waveform import FrameConfig, FrameError, slot_data
 
 # (subcarriers, rng_seed, trial, slot, data bits with 1 for +1)
 GOLDEN_CELLS = [
@@ -84,3 +86,55 @@ def test_chunk_size_does_not_change_papr_samples(m, guards, name, oversample, se
             for c in (1, 7, 16, 256)]
     for other in runs[1:]:
         assert np.array_equal(runs[0], other)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 40), seed=st.integers(0, 2**64 - 1),
+       trials=st.lists(st.integers(0, 2**48 - 1), min_size=1, max_size=6),
+       slot=st.integers(0, 2**16 - 1))
+def test_batched_slot_data_rows_equal_scalar_calls(m, seed, trials, slot):
+    cfg = FrameConfig(subcarriers=m, guards=1, rng_seed=seed)
+    batch = slot_data(cfg, np.array(trials), slot)
+    assert batch.shape == (len(trials), m)
+    for row, trial in zip(batch, trials):
+        assert np.array_equal(row, slot_data(cfg, trial, slot))
+    slots = slot_data(cfg, trials[0], np.array([slot, 0]))
+    assert np.array_equal(slots[0], batch[0])
+    assert np.array_equal(slots[1], slot_data(cfg, trials[0], 0))
+
+
+class TestKeyRanges:
+    """Out-of-range keys are refused instead of aliasing other cells."""
+
+    @pytest.mark.parametrize("trial, slot", [(2**48 + 3, 7), (-1, 7), (3, 2**16 + 7),
+                                             (3, -1), (np.array([0, 2**48]), 7)])
+    def test_rejects_trial_and_slot(self, trial, slot):
+        with pytest.raises(FrameError):
+            slot_data(FrameConfig(subcarriers=8, guards=1), trial, slot)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed(self, seed):
+        with pytest.raises(FrameError):
+            slot_data(FrameConfig(subcarriers=8, guards=1, rng_seed=seed), 0, 0)
+
+    def test_engine_rejects_trial_range_past_the_key(self):
+        cfg = FrameConfig(subcarriers=16, guards=1, oversample=2)
+        filt = phydyas_taps(4, cfg.samples_per_symbol)
+        with pytest.raises(FrameError):
+            papr_samples(golay_seed(16), filt, cfg, 2, first_trial=2**48 - 1)
+
+
+class TestPreambleCheck:
+    """The engine applies build_frame's preamble check."""
+
+    def setup_method(self):
+        self.cfg = FrameConfig(subcarriers=64, guards=2, oversample=4)
+        self.filt = phydyas_taps(4, self.cfg.samples_per_symbol)
+
+    @pytest.mark.parametrize("preamble", [np.sqrt(2.0) * golay_seed(64), golay_seed(32),
+                                          np.zeros(64)])
+    def test_rejects_bad_preamble(self, preamble):
+        with pytest.raises(FrameError):
+            papr_samples(preamble, self.filt, self.cfg, 1)
+        with pytest.raises(FrameError):
+            monte_carlo_ccdf(preamble, self.filt, self.cfg, 1)
