@@ -106,6 +106,13 @@ class TestPapr:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "energy" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, tmp_path, capsys, seed):
+        pre = write_preamble(tmp_path, "pre.json", golay_seed(32))
+        rc = main(["--seed", seed, "papr", "--preamble-file", pre, "--subcarriers", "32"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_phase_sequence_input(self, tmp_path, capsys):
         path = tmp_path / "pre.json"
         path.write_text(json.dumps({"modulus": 2,
