@@ -3,9 +3,8 @@
 __version__ = "0.1.0"
 
 from .analysis import (AnalysisWindow, CcdfResult, RicianPointModel, average_power,
-                       bessel_i0, iapr_exceedance, marcum_q1, monte_carlo_ccdf,
-                       nu_of_t, papr, papr_samples, rician_cdf, rician_pdf,
-                       sigma2_of_t)
+                       iapr_exceedance, marcum_q1, monte_carlo_ccdf, nu_of_t, papr,
+                       papr_samples, rician_cdf, rician_pdf, sigma2_of_t)
 from .prototype import (PrototypeFilter, hermite_poly, hermite_taps, make_filter,
                         papr_bound_sigma0, phydyas_taps)
 from .sequences import (Gbf, GbfSpec, PhaseSequence, aacf, dj_pair, evaluate_gbf,

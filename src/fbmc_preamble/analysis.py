@@ -18,8 +18,9 @@ import numpy as np
 from scipy import special as _sp
 
 from .prototype import PrototypeFilter
-from .waveform import (_J, FbmcGrid, FrameConfig, SampledSignal, checked_preamble,
-                       slot_data, synthesize)
+from .waveform import (FbmcGrid, FrameConfig, SampledSignal, add_slot_sums,
+                       carrier_phase, checked_preamble, reaching_data_slots, slot_data,
+                       slot_signal, synthesize)
 
 
 class AnalysisError(ValueError):
@@ -68,11 +69,8 @@ def nu_of_t(preamble: np.ndarray, filt: PrototypeFilter, preamble_slot: int, t) 
     magnitude because nu is the mean length of the Rician phasor.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    c = np.asarray(preamble, dtype=complex)
-    m = np.arange(len(c))
-    ct = c * _J[m % 4]
-    env = np.abs(np.exp(2j * np.pi * np.outer(t, m)) @ ct)
-    out = np.abs(filt(t - preamble_slot / 2.0)) * env
+    coeffs = np.asarray(preamble, dtype=complex)[None, :]
+    out = np.abs(slot_signal(coeffs, [preamble_slot], t, filt))
     return out if out.shape != (1,) else float(out[0])
 
 
@@ -81,12 +79,8 @@ def sigma2_of_t(guards: int, filt: PrototypeFilter, subcarriers: int,
     """Per-component variance (M/2) sum_{data slots} g^2(t - n'T/2) of the
     data interference; guard and preamble slots contribute nothing."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    lo = int(np.floor(2.0 * (t.min() - filt.overlap))) - 1
-    hi = int(np.ceil(2.0 * t.max())) + 1
     acc = np.zeros_like(t)
-    for slot in range(lo, hi + 1):
-        if abs(slot - preamble_slot) <= guards:
-            continue
+    for slot in reaching_data_slots(preamble_slot, guards, filt.overlap, t):
         acc += filt(t - slot / 2.0) ** 2
     out = 0.5 * subcarriers * acc
     return out if out.shape != (1,) else float(out[0])
@@ -117,33 +111,6 @@ class RicianPointModel:
 
 # ---------------------------------------------------------------------------
 # Special functions
-
-_I0_SERIES_CUTOFF = 18.0
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function I_0: all-positive power series for small x,
-    asymptotic expansion beyond (crossover keeps both to ~1e-13 relative)."""
-    if x < 0:
-        raise AnalysisError("argument must be >= 0")
-    if x < _I0_SERIES_CUTOFF:
-        term, total = 1.0, 1.0
-        q = 0.25 * x * x
-        k = 1
-        while term > 1e-18 * total:
-            term *= q / (k * k)
-            total += term
-            k += 1
-        return total
-    # I_0(x) ~ e^x / sqrt(2 pi x) * sum_k prod_{j<k}(2j+1)^2 / (k! (8x)^k)
-    total, term = 1.0, 1.0
-    for k in range(1, 30):
-        term *= (2 * k - 1) ** 2 / (8.0 * k * x)
-        total += term
-        if term < 1e-17 * total:
-            break
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
-
 
 def marcum_q1(a: float, b: float) -> float:
     """First-order Marcum Q-function via the Bessel series with
@@ -233,20 +200,14 @@ class CcdfResult:
         }, indent=2)
 
 
-def _window_slots(preamble_slot: int, overlap: int) -> range:
-    """Slots whose filter support [s/2, s/2 + K) reaches the analysis
-    window [(n+2)/2, (n+6)/2) of preamble slot n."""
-    return range(preamble_slot + 3 - 2 * overlap, preamble_slot + 6)
-
-
 class _WindowSampler:
     """Evaluates s(t) over the analysis window for many trials at once.
 
-    Only the slots whose filter support intersects the window are
-    synthesized; all other symbols contribute exactly zero there, so the
-    result matches full-frame synthesis sample for sample.  The window is
-    two symbol intervals long and each slot's subcarrier sum is T-periodic,
-    so one IFFT of spt points serves both halves.
+    Only the slots whose filter support reaches the window are synthesized;
+    all other symbols contribute exactly zero there, so the result matches
+    full-frame synthesis sample for sample.  The window is two symbol
+    intervals long and each slot's subcarrier sum, referenced to the window
+    start, is T-periodic, so one IFFT of spt points serves both halves.
     """
 
     def __init__(self, preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig):
@@ -254,48 +215,35 @@ class _WindowSampler:
         self.cfg = cfg
         spt = cfg.samples_per_symbol
         self.spt = spt
-        self.filt = filt.resample(spt)
+        filt = filt.resample(spt)
         n = cfg.preamble_slot
-        m = np.arange(cfg.subcarriers)
-        # e^{j2pi m t} at the window start t = (n+2)/2 is (-1)^(m n).
-        start_phase = np.where((m * n) % 2 == 0, 1.0, -1.0)
+        m = cfg.subcarriers
         t_win = (n + 2) / 2.0 + np.arange(2 * spt) / spt
-        slots = _window_slots(n, self.filt.overlap)
-        self._g_at = {s: self.filt(t_win - s / 2.0).reshape(2, spt) for s in slots}
-        self.data_slots = [s for s in slots if abs(s - n) > cfg.guards]
-        self._phase = {s: _J[(m + s) % 4] * start_phase for s in self.data_slots}
-        # The IFFT's 1/spt scaling and the product by spt are both exact for a
-        # power-of-two spt, so the unscaled transform gives the same bits.
-        self._exact_scale = spt & (spt - 1) == 0
-        coeff = np.zeros((1, spt), dtype=complex)
-        coeff[0, :cfg.subcarriers] = preamble * _J[(m + n) % 4] * start_phase
-        self.preamble_window = np.zeros(2 * spt, dtype=complex)
-        self._accumulate(self.preamble_window[None, :], n, coeff, np.empty_like(coeff))
+        self.data_slots = reaching_data_slots(n, cfg.guards, filt.overlap, t_win)
 
-    def _accumulate(self, out: np.ndarray, slot: int, coeff: np.ndarray,
-                    base: np.ndarray) -> None:
-        """out (count, 2 * spt) += the slot's filter-weighted subcarrier sums,
-        from zero-padded coefficients coeff (count, spt); base is scratch."""
-        if self._exact_scale:
-            np.fft.ifft(coeff, axis=1, norm="forward", out=base)
-        else:
-            np.fft.ifft(coeff, axis=1, out=base)
-            base *= self.spt
-        halves = out.reshape(len(out), 2, self.spt)
-        halves += self._g_at[slot] * base[:, None, :]
+        def term(s):
+            """Slot s's coefficient phase, referenced to the window start, and g."""
+            return carrier_phase(m, s, n + 2), filt(t_win - s / 2.0).reshape(2, spt)
+
+        self._terms = [term(s) for s in self.data_slots]
+        phase, g = term(n)
+        coeff = np.zeros((1, spt), dtype=complex)
+        coeff[0, :m] = preamble * phase
+        self.preamble_window = np.zeros((1, 2, spt), dtype=complex)
+        add_slot_sums(self.preamble_window, coeff, g, np.empty_like(coeff))
 
     def sample_trials(self, first_trial: int, count: int) -> np.ndarray:
         """Window samples, shape (count, 2 * spt)."""
         m = self.cfg.subcarriers
         trials = np.arange(first_trial, first_trial + count)
-        data = slot_data(self.cfg, trials, np.array(self.data_slots, dtype=int)[:, None])
-        out = np.tile(self.preamble_window, (count, 1))
+        data = slot_data(self.cfg, trials, self.data_slots[:, None])
+        out = np.tile(self.preamble_window, (count, 1, 1))
         coeff = np.zeros((count, self.spt), dtype=complex)
         base = np.empty_like(coeff)
-        for s, a in zip(self.data_slots, data):
-            np.multiply(a, self._phase[s], out=coeff[:, :m])
-            self._accumulate(out, s, coeff, base)
-        return out
+        for (phase, g), a in zip(self._terms, data):
+            np.multiply(a, phase, out=coeff[:, :m])
+            add_slot_sums(out, coeff, g, base)
+        return out.reshape(count, 2 * self.spt)
 
 
 DEFAULT_CHUNK = 16
@@ -354,24 +302,20 @@ def papr_samples(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
 
 def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
                     t: np.ndarray, trials: int) -> np.ndarray:
-    """Exact s(t) at probe times for each trial, shape (trials, len(t)).
+    """Exact s(t) at probe times for each trial, shape (trials, len(t)):
+    every data slot whose support reaches a probe time contributes.
 
     Used to validate the pointwise Rician model against simulation.
     """
     t = np.asarray(t, dtype=float)
-    m = np.arange(cfg.subcarriers)
-    carriers = np.exp(2j * np.pi * np.outer(m, t))
     filt = filt.resample(cfg.samples_per_symbol)
     n = cfg.preamble_slot
-    pre_coeff = np.asarray(preamble, dtype=complex) * _J[(m + n) % 4]
-    out = np.tile((pre_coeff @ carriers) * filt(t - n / 2.0), (trials, 1))
-    slots = np.array([s for s in _window_slots(n, filt.overlap) if abs(s - n) > cfg.guards],
-                     dtype=int)
-    weights = [(_J[(m + s) % 4], carriers * filt(t - s / 2.0)[None, :]) for s in slots]
+    preamble = np.asarray(preamble, dtype=complex)[None, :]
+    out = np.tile(slot_signal(preamble, [n], t, filt), (trials, 1))
+    slots = reaching_data_slots(n, cfg.guards, filt.overlap, t)
     for lo in range(0, trials, DEFAULT_CHUNK):
         rows = np.arange(lo, min(lo + DEFAULT_CHUNK, trials))
-        for a, (phase, w) in zip(slot_data(cfg, rows, slots[:, None]), weights):
-            out[rows] += (a * phase) @ w
+        out[rows] += slot_signal(slot_data(cfg, rows[:, None], slots), slots, t, filt)
     return out
 
 

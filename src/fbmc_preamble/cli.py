@@ -42,18 +42,23 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}")
+    if not isinstance(config, dict):
+        raise CliError(f"config file {path}: top level must be a JSON object")
+    return config
 
 
 def _opt(args, config: dict, name: str, default):
     value = getattr(args, name, None)
     if value is not None:
         return value
-    if name in config:
-        return config[name]
-    return default
+    value = config.get(name, default)
+    if type(value) is not type(default):
+        raise CliError(f"config value {name}={value!r} must be of type "
+                       f"{type(default).__name__}")
+    return value
 
 
 def _out_path(args, config: dict, filename: str) -> Path:
@@ -84,7 +89,9 @@ def _load_preamble(path: str, subcarriers: int) -> np.ndarray:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"preamble file {path} is not valid JSON: {exc}")
-    if "re" in obj:
+    if not isinstance(obj, dict):
+        raise CliError(f"preamble file {path}: expected a JSON object")
+    if {"re", "im"} <= obj.keys():
         c = complex_from_json(text)
     elif "phases" in obj:
         from .sequences import PhaseSequence
@@ -134,7 +141,7 @@ def cmd_verify_gcp(args, config: dict) -> int:
     try:
         c = complex_from_json(Path(args.file_c).read_text())
         d = complex_from_json(Path(args.file_d).read_text())
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load sequences: {exc}")
     if len(c) != len(d):
         raise CliError("sequences have different lengths")

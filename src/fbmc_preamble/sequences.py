@@ -93,7 +93,10 @@ def complex_to_json(c: np.ndarray) -> str:
 
 def complex_from_json(text: str) -> np.ndarray:
     obj = json.loads(text)
-    return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    if re.shape != im.shape:
+        raise SequenceError(f"re and im differ in length ({re.size} != {im.size})")
+    return re + 1j * im
 
 
 @dataclass(frozen=True)
@@ -185,15 +188,7 @@ def aacf(c: np.ndarray, tau: int) -> complex:
 def is_gcp(c: np.ndarray, d: np.ndarray, tol: float = 1e-9) -> bool:
     """True iff the aperiodic autocorrelations of c and d cancel at every
     nonzero shift, to within tol."""
-    c = np.asarray(c, dtype=complex)
-    d = np.asarray(d, dtype=complex)
-    if c.shape != d.shape:
-        raise SequenceError("pair members must have equal length")
-    resid = max(
-        (abs(aacf(c, tau) + aacf(d, tau)) for tau in range(1, len(c))),
-        default=0.0,
-    )
-    return resid <= tol
+    return gcp_residual(c, d) <= tol
 
 
 def gcp_residual(c: np.ndarray, d: np.ndarray) -> float:
@@ -202,7 +197,11 @@ def gcp_residual(c: np.ndarray, d: np.ndarray) -> float:
     d = np.asarray(d, dtype=complex)
     if c.shape != d.shape:
         raise SequenceError("pair members must have equal length")
-    return max((abs(aacf(c, tau) + aacf(d, tau)) for tau in range(1, len(c))), default=0.0)
+    if len(c) < 2:
+        return 0.0
+    # Entry len(c) - 1 - tau of the full correlation is aacf(., tau).
+    resid = (np.correlate(c, c, "full") + np.correlate(d, d, "full"))[:len(c) - 1]
+    return float(np.max(np.abs(resid)))
 
 
 def phase_transform(c: np.ndarray) -> np.ndarray:

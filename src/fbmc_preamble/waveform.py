@@ -7,7 +7,8 @@ binary data.  The transmitted signal is
     s(t) = sum_{m,n'} a_{m,n'} j^{m+n'} exp(j 2 pi m t / T) g(t - n' T / 2)
 
 sampled on a uniform grid with oversample * M points per symbol interval
-(T = 1 in normalized units).
+(T = 1 in normalized units).  Every evaluator of s(t) in the package is a
+thin caller of the signal core below.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ class FrameConfig:
             raise FrameError("data span must cover the filter support (>= 12)")
         if self.oversample < 2:
             raise FrameError("oversample must be >= 2")
+        if self.samples_per_symbol % 2:
+            raise FrameError("oversample * subcarriers must be even: slots start every "
+                             "half symbol, on the sample grid")
         if self.preamble_slot is None:
             n = self.guards + self.data_span
             object.__setattr__(self, "preamble_slot", n + (n % 2))
@@ -63,9 +67,9 @@ class FrameConfig:
         return 2 * (self.guards + self.data_span) + 1
 
     def data_slots(self) -> list[int]:
-        n = self.preamble_slot
-        return [s for s in range(self.first_slot, self.first_slot + self.total_slots)
-                if abs(s - n) > self.guards]
+        # A support of half a slot reaches only the slot's own start time.
+        starts = (self.first_slot + np.arange(self.total_slots)) / 2.0
+        return reaching_data_slots(self.preamble_slot, self.guards, 0.5, starts).tolist()
 
     def to_json_dict(self) -> dict:
         return {"subcarriers": self.subcarriers, "guards": self.guards,
@@ -178,6 +182,64 @@ class SampledSignal:
                             f"{abs(v) ** 2:.12g}"])
 
 
+# ---------------------------------------------------------------------------
+# Signal core
+
+def reaching_data_slots(preamble_slot: int, guards: int, overlap: float, t) -> np.ndarray:
+    """Data slots, those more than `guards` slots from the preamble, whose
+    filter support [s/2, s/2 + overlap) holds at least one of the times t."""
+    t = np.asarray(t, dtype=float).ravel()
+    slots = np.arange(int(np.floor(2.0 * (t.min() - overlap))),
+                      int(np.floor(2.0 * t.max())) + 1)
+    # The filter's own argument, so that both agree at the support edges.
+    lag = t - slots[:, None] / 2.0
+    reach = np.any((lag >= 0.0) & (lag < overlap), axis=1)
+    return slots[reach & (np.abs(slots - preamble_slot) > guards)]
+
+
+def carrier_phase(subcarriers: int, slot: int, start: int = 0) -> np.ndarray:
+    """Phase j^{m+slot} e^{j2pi m t0} of a slot's coefficients when their
+    subcarrier sum is referenced to the half-integer time t0 = start/2,
+    where e^{j2pi m t0} = (-1)^{m start}."""
+    m = np.arange(subcarriers)
+    return _J[(m + slot + 2 * m * start) % 4]
+
+
+def add_slot_sums(out: np.ndarray, coeff: np.ndarray, g: np.ndarray,
+                  base: np.ndarray) -> None:
+    """out (count, P, spt) += g (P, spt) * each row's subcarrier sum.
+
+    coeff (count, spt) holds phased coefficients zero-padded to spt, so one
+    IFFT gives a row's sum on one T-periodic symbol of spt samples, repeated
+    over the P symbol intervals of `out`; base is scratch of coeff's shape.
+    """
+    spt = coeff.shape[1]
+    # The IFFT's 1/spt scaling and the product by spt are both exact for a
+    # power-of-two spt, so the unscaled transform gives the same bits.
+    exact = spt & (spt - 1) == 0
+    np.fft.ifft(coeff, axis=1, norm="forward" if exact else "backward", out=base)
+    if not exact:
+        base *= spt
+    out += g * base[:, None, :]
+
+
+def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
+                filt: PrototypeFilter) -> np.ndarray:
+    """sum_s (a_s j^{m+s}) e^{j2pi m t} g(t - s/2) at arbitrary times t.
+
+    coeffs (..., len(slots), M) holds each slot's coefficients a_s; the
+    result has shape (..., len(t)).
+    """
+    coeffs = np.asarray(coeffs)
+    m_count = coeffs.shape[-1]
+    carriers = np.exp(2j * np.pi * np.outer(np.arange(m_count), t))
+    out = 0
+    for i, s in enumerate(slots):
+        phased = coeffs[..., i, :] * carrier_phase(m_count, s)
+        out = out + (phased @ carriers) * filt(t - s / 2.0)
+    return out
+
+
 def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> SampledSignal:
     """Accumulate every symbol's filtered subcarrier sum on the sample grid."""
     spt = cfg.samples_per_symbol
@@ -186,21 +248,17 @@ def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> Sampl
         raise FrameError("filter sample rate does not match oversample * M")
     m_count, n_cols = grid.symbols.shape
     k_len = filt.overlap * spt
-    total = (n_cols - 1) * spt // 2 + k_len
-    out = np.zeros(total, dtype=complex)
-    m_idx = np.arange(m_count)
-    # e^{j 2 pi m t} at t = first_slot/2 contributes (-1)^(m * first_slot).
-    origin_phase = np.where((m_idx * grid.first_slot) % 2 == 0, 1.0, -1.0)
-    for col in range(n_cols):
-        a = grid.symbols[:, col]
-        if not np.any(a):
-            continue
+    out = np.zeros((n_cols - 1) * spt // 2 + k_len, dtype=complex)
+    taps = filt.taps.reshape(filt.overlap, spt)
+    coeff = np.zeros((1, spt), dtype=complex)
+    base = np.empty_like(coeff)
+    for col in np.flatnonzero(np.any(grid.symbols, axis=0)):
         slot = grid.first_slot + col
-        coeff = a * _J[(m_idx + slot) % 4] * origin_phase
-        base = np.fft.ifft(coeff, spt) * spt
+        # Referenced to the slot's own start, its sum lines up with its taps.
+        coeff[0, :m_count] = grid.symbols[:, col] * carrier_phase(m_count, slot, slot)
         offset = col * spt // 2
-        tiled = np.tile(base, filt.overlap + 1)[offset % spt: offset % spt + k_len]
-        out[offset: offset + k_len] += filt.taps * tiled
+        window = out[offset: offset + k_len].reshape(1, filt.overlap, spt)
+        add_slot_sums(window, coeff, taps, base)
     return SampledSignal(samples=out, samples_per_symbol=spt, t0=grid.first_slot / 2.0)
 
 
@@ -211,16 +269,8 @@ def transmultiplexer_response(filt: PrototypeFilter, m: int, n: int, p: int, q: 
     if abs(n - q) >= 2 * filt.overlap:
         return 0.0 + 0.0j
     L = filt.samples_per_symbol
-    half = L // 2
-    start = min(n, q) * half
-    length = max(n, q) * half + filt.overlap * L - start
-    t = start / L + np.arange(length) / L
-
-    def pulse(mm: int, nn: int) -> np.ndarray:
-        w = np.zeros(length, dtype=complex)
-        i0 = nn * half - start
-        seg = slice(i0, i0 + filt.overlap * L)
-        w[seg] = filt.taps * _J[(mm + nn) % 4] * np.exp(2j * np.pi * mm * t[seg])
-        return w
-
-    return complex(np.sum(pulse(m, n) * np.conj(pulse(p, q))) / L)
+    start = min(n, q) * L // 2
+    t = (start + np.arange(max(n, q) * L // 2 + filt.overlap * L - start)) / L
+    unit = np.eye(max(m, p) + 1)
+    u, v = (slot_signal(unit[[k]], [s], t, filt) for k, s in ((m, n), (p, q)))
+    return complex(np.sum(u * np.conj(v)) / L)

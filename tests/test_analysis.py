@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, CcdfResult,
-                                    RicianPointModel, average_power, bessel_i0,
-                                    default_thresholds, empirical_mean_power,
-                                    iapr_exceedance, marcum_q1, monte_carlo_ccdf,
-                                    nu_of_t, papr, papr_samples, rician_cdf,
-                                    rician_pdf, sigma2_of_t, signal_at_times)
-from fbmc_preamble.prototype import hermite_taps, phydyas_taps
+                                    RicianPointModel, average_power, default_thresholds,
+                                    empirical_mean_power, iapr_exceedance, marcum_q1,
+                                    monte_carlo_ccdf, nu_of_t, papr, papr_samples,
+                                    rician_cdf, rician_pdf, sigma2_of_t, signal_at_times)
+from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import FbmcGrid, FrameConfig, build_frame, synthesize
 
@@ -38,28 +39,6 @@ class TestAveragePower:
         # long-run time average of an all-data frame approaches 2M/T
         measured = empirical_mean_power(128, n_symbols=256, seed=3)
         assert measured == pytest.approx(average_power(128), rel=0.01)
-
-
-class TestBesselI0:
-    def test_at_zero(self):
-        assert bessel_i0(0.0) == 1.0
-
-    def test_series_value(self):
-        assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-13)
-
-    def test_against_scipy(self):
-        for x in np.linspace(0.0, 60.0, 121):
-            assert bessel_i0(float(x)) == pytest.approx(float(special.i0(x)), rel=1e-12)
-
-    def test_monotone_and_at_least_one(self):
-        xs = np.linspace(0, 30, 200)
-        vals = [bessel_i0(float(x)) for x in xs]
-        assert all(v >= 1.0 for v in vals)
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(AnalysisError):
-            bessel_i0(-1.0)
 
 
 class TestMarcumQ1:
@@ -184,6 +163,33 @@ class TestNuSigma:
         assert per_component == pytest.approx(predicted, rel=0.02)
 
 
+class TestSignalAtTimes:
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.sampled_from([8, 12, 13, 16, 32]), guards=st.integers(0, 4),
+           name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           oversample=st.integers(2, 5), seed=st.integers(0, 2**32),
+           picks=st.lists(st.integers(0, 2**20), min_size=1, max_size=6))
+    # Probes at t - nT/2 = 0.25 and 0.75, outside the analysis window.
+    @example(m=16, guards=1, name="phydyas4", oversample=4, seed=3, picks=[208, 240])
+    def test_equals_synthesis_at_sample_times(self, m, guards, name, oversample, seed,
+                                              picks):
+        assume(m * oversample % 2 == 0)
+        cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample,
+                          rng_seed=seed)
+        filt = make_filter(name, cfg.samples_per_symbol)
+        preamble = golay_seed(m) if m & (m - 1) == 0 else np.ones(m)
+        sigs = [synthesize(build_frame(cfg, preamble, trial=k), filt, cfg) for k in range(2)]
+        # Sample times whose reaching slots all lie inside the frame: the
+        # frame's zero edges are not part of the data stream.
+        spt = cfg.samples_per_symbol
+        lo = (2 * filt.overlap - 1) * spt // 2
+        idx = lo + np.array(picks) % (cfg.total_slots * spt // 2 - lo)
+        got = signal_at_times(preamble, filt, cfg, sigs[0].times[idx], 2)
+        for k, sig in enumerate(sigs):
+            scale = np.max(np.abs(sig.samples))
+            assert np.max(np.abs(got[k] - sig.samples[idx])) <= 1e-12 * scale
+
+
 class TestIaprExceedance:
     def test_alpha_zero(self):
         model = RicianPointModel(t=0.0, nu=1.0, sigma=1.0, p_avg=2.0)
@@ -236,13 +242,24 @@ class TestPaprWindow:
         with pytest.raises(AnalysisError):
             papr(sig, AnalysisWindow(0, len(sig.samples) - 4, 8), 1.0)
 
-    def test_windowed_sampler_equals_full_synthesis(self):
-        p_avg = average_power(64)
-        fast = papr_samples(self.preamble, self.filt, self.cfg, trials=3)
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.sampled_from([8, 12, 13, 16, 32, 48]), guards=st.integers(0, 4),
+           name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           oversample=st.integers(2, 5), seed=st.integers(0, 2**32))
+    @example(m=64, guards=3, name="phydyas4", oversample=4, seed=1)
+    def test_windowed_sampler_equals_full_synthesis(self, m, guards, name, oversample,
+                                                    seed):
+        assume(m * oversample % 2 == 0)
+        cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample,
+                          rng_seed=seed)
+        filt = make_filter(name, cfg.samples_per_symbol)
+        preamble = golay_seed(m) if m & (m - 1) == 0 else np.ones(m)
+        p_avg = average_power(m)
+        fast = papr_samples(preamble, filt, cfg, trials=3)
         for trial in range(3):
-            grid = build_frame(self.cfg, self.preamble, trial=trial)
-            sig = synthesize(grid, self.filt, self.cfg)
-            win = AnalysisWindow.for_signal(sig, self.cfg.preamble_slot)
+            grid = build_frame(cfg, preamble, trial=trial)
+            sig = synthesize(grid, filt, cfg)
+            win = AnalysisWindow.for_signal(sig, cfg.preamble_slot)
             assert fast[trial] == pytest.approx(papr(sig, win, p_avg), abs=1e-9)
 
     def test_monotone_in_oversampling(self):

@@ -64,6 +64,15 @@ class TestVerifyGcp:
         assert rc == 1
         assert "NOT a GCP" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("payload", [{"re": [1.0] * 4, "im": [0.0] * 3}, [1, 2]])
+    def test_malformed_file(self, tmp_path, capsys, payload):
+        fc = write_preamble(tmp_path, "c.json", np.ones(4))
+        fd = tmp_path / "d.json"
+        fd.write_text(json.dumps(payload))
+        rc = main(["verify-gcp", "--file-c", fc, "--file-d", str(fd)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_file(self, tmp_path):
         fc = write_preamble(tmp_path, "c.json", np.ones(4))
         assert main(["verify-gcp", "--file-c", fc, "--file-d", "/nonexistent"]) == 1
@@ -110,6 +119,22 @@ class TestPapr:
     def test_seed_out_of_range(self, tmp_path, capsys, seed):
         pre = write_preamble(tmp_path, "pre.json", golay_seed(32))
         rc = main(["--seed", seed, "papr", "--preamble-file", pre, "--subcarriers", "32"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("payload", [{"re": [1.0] * 16, "im": [0.0] * 15},
+                                         {"re": [1.0] * 16}, [1, 2], 5])
+    def test_malformed_preamble_file(self, tmp_path, capsys, payload):
+        path = tmp_path / "pre.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["papr", "--preamble-file", str(path), "--subcarriers", "16"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_odd_samples_per_symbol(self, tmp_path, capsys):
+        pre = write_preamble(tmp_path, "pre.json", np.ones(13))
+        rc = main(["--oversample", "3", "papr", "--preamble-file", pre,
+                   "--subcarriers", "13"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
@@ -199,3 +224,21 @@ class TestConfigFile:
     def test_unreadable_config(self, capsys):
         rc = main(["--config", "/nonexistent.json", "bounds", "--filter", "hermite"])
         assert rc == 1
+
+    @pytest.mark.parametrize("config", [{"subcarriers": 16, "trials": "10"},
+                                        {"subcarriers": 16.0}])
+    def test_wrong_value_type(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        pre = write_preamble(tmp_path, "pre.json", golay_seed(16))
+        rc = main(["--config", str(cfg_path), "ccdf", "--preamble-file", pre,
+                   "--out", "run"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        rc = main(["--config", str(cfg_path), "bounds", "--filter", "hermite"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -33,6 +33,12 @@ class TestFrameConfig:
         with pytest.raises(FrameError):
             small_cfg(data_span=4)
 
+    def test_rejects_odd_samples_per_symbol(self):
+        # Slots start every half symbol, which an odd spt puts between samples.
+        with pytest.raises(FrameError, match="even"):
+            small_cfg(subcarriers=13, oversample=3)
+        assert small_cfg(subcarriers=13, oversample=2).samples_per_symbol == 26
+
     def test_json_roundtrip(self):
         cfg = small_cfg()
         assert FrameConfig.from_json_dict(cfg.to_json_dict()) == cfg
