@@ -112,27 +112,26 @@ class RicianPointModel:
 # ---------------------------------------------------------------------------
 # Special functions
 
+def _chi2_cdf(x: float, noncentrality: float) -> float:
+    """CDF of the noncentral chi-square with 2 degrees of freedom; raises
+    FloatingPointError where scipy's chndtr gives no finite value."""
+    p = float(_sp.chndtr(x, 2, noncentrality))
+    if not math.isfinite(p):
+        raise FloatingPointError(f"chndtr({x!r}, 2, {noncentrality!r}) = {p}")
+    return p
+
+
 def marcum_q1(a: float, b: float) -> float:
-    """First-order Marcum Q-function via the Bessel series with
-    exponentially scaled terms (scipy's ive supplies I_k e^{-ab})."""
+    """First-order Marcum Q-function, Q1(a, b) = 1 - F(b^2) for the
+    noncentral chi-square F with 2 degrees of freedom and noncentrality a^2.
+
+    The absolute error is at most 1e-10 against scipy.stats.ncx2.sf
+    (checked on scipy 1.17.1, a and b up to about 1e7); relative precision
+    is not kept for Q1 below about 1e-12, which can come out as 0.
+    """
     if not (np.isfinite(a) and np.isfinite(b)) or a < 0 or b < 0:
         raise AnalysisError("arguments must be finite and >= 0")
-    if b == 0.0:
-        return 1.0
-    if a == 0.0:
-        return math.exp(-0.5 * b * b)
-    ab = a * b
-    scale = math.exp(-0.5 * (a - b) ** 2)
-    kmax = int(40 + 12 * math.sqrt(ab) + 4 * abs(math.log10(ab + 1)))
-    orders = np.arange(kmax + 1)
-    iv = _sp.ive(orders, ab)
-    if b >= a:
-        ratio = np.power(a / b, orders)
-        q = scale * float(np.sum(ratio * iv))
-    else:
-        ratio = np.power(b / a, orders[1:])
-        q = 1.0 - scale * float(np.sum(ratio * iv[1:]))
-    return min(1.0, max(0.0, q))
+    return 1.0 - _chi2_cdf(b * b, a * a)
 
 
 def rician_pdf(x: float, nu: float, sigma: float) -> float:
@@ -153,7 +152,7 @@ def rician_cdf(x: float, nu: float, sigma: float) -> float:
         raise AnalysisError("sigma must be > 0")
     if x <= 0:
         return 0.0
-    return 1.0 - marcum_q1(nu / sigma, x / sigma)
+    return _chi2_cdf((x / sigma) ** 2, (nu / sigma) ** 2)
 
 
 def iapr_exceedance(alpha: float, model: RicianPointModel) -> float:

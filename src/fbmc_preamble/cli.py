@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (AnalysisError, average_power, default_thresholds,
-                       monte_carlo_ccdf, papr_samples)
+from .analysis import AnalysisError, default_thresholds, monte_carlo_ccdf, papr_samples
 from .prototype import FilterError, make_filter, papr_bound_sigma0
 from .sequences import (GbfSpec, SequenceError, array_to_signs, complex_from_json,
                         complex_to_json, dj_pair, gcp_residual, iamc_preamble,
@@ -29,9 +28,7 @@ FILTER_NAMES = ("phydyas3", "phydyas4", "hermite")
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
+    """Invalid command-line input that no library call checks."""
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -80,7 +77,7 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int,
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _load_preamble(path: str, subcarriers: int) -> np.ndarray:
+def _load_preamble(path: str) -> np.ndarray:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -98,8 +95,6 @@ def _load_preamble(path: str, subcarriers: int) -> np.ndarray:
         c = PhaseSequence.from_json(text).to_complex()
     else:
         raise CliError(f"preamble file {path}: expected {{re,im}} or {{modulus,phases}}")
-    if len(c) != subcarriers:
-        raise CliError(f"preamble length {len(c)} != --subcarriers {subcarriers}")
     return c
 
 
@@ -108,11 +103,8 @@ def _load_preamble(path: str, subcarriers: int) -> np.ndarray:
 
 def cmd_gen_golay(args, config: dict) -> int:
     started = time.time()
-    try:
-        spec = GbfSpec(q=args.q, mu=args.mu, pi=_int_list(args.pi),
-                       b=_int_list(args.b), const=args.const, offset=args.offset)
-    except SequenceError as exc:
-        raise CliError(f"invalid Golay spec: {exc}")
+    spec = GbfSpec(q=args.q, mu=args.mu, pi=_int_list(args.pi),
+                   b=_int_list(args.b), const=args.const, offset=args.offset)
     c_seq, d_seq = dj_pair(spec)
     c, d = c_seq.to_complex(), d_seq.to_complex()
     residual = gcp_residual(c, d)
@@ -143,8 +135,6 @@ def cmd_verify_gcp(args, config: dict) -> int:
         d = complex_from_json(Path(args.file_d).read_text())
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load sequences: {exc}")
-    if len(c) != len(d):
-        raise CliError("sequences have different lengths")
     residual = gcp_residual(c, d)
     ok = residual <= args.tol
     print(f"max |rho_c + rho_d| = {residual:.3e} (tol {args.tol:g}): "
@@ -154,10 +144,7 @@ def cmd_verify_gcp(args, config: dict) -> int:
 
 def cmd_bounds(args, config: dict) -> int:
     name = args.filter
-    try:
-        filt = make_filter(name, 256)
-    except FilterError as exc:
-        raise CliError(str(exc))
+    filt = make_filter(name, 256)
     bound = papr_bound_sigma0(filt)
     print(f"{name} sigma0 PAPR bound: {bound:.4f} dB")
     if args.json:
@@ -166,25 +153,19 @@ def cmd_bounds(args, config: dict) -> int:
 
 
 def _frame_config(args, config: dict) -> FrameConfig:
-    try:
-        return FrameConfig(
-            subcarriers=_opt(args, config, "subcarriers", 512),
-            guards=_opt(args, config, "guards", 3),
-            oversample=_opt(args, config, "oversample", 4),
-            rng_seed=_opt(args, config, "seed", 0),
-        )
-    except FrameError as exc:
-        raise CliError(str(exc))
+    return FrameConfig(
+        subcarriers=_opt(args, config, "subcarriers", 512),
+        guards=_opt(args, config, "guards", 3),
+        oversample=_opt(args, config, "oversample", 4),
+        rng_seed=_opt(args, config, "seed", 0),
+    )
 
 
 def cmd_papr(args, config: dict) -> int:
     cfg = _frame_config(args, config)
-    preamble = _load_preamble(args.preamble_file, cfg.subcarriers)
-    try:
-        filt = make_filter(args.filter, cfg.samples_per_symbol)
-        value = float(papr_samples(preamble, filt, cfg, trials=1)[0])
-    except (FilterError, FrameError, AnalysisError) as exc:
-        raise CliError(str(exc))
+    preamble = _load_preamble(args.preamble_file)
+    filt = make_filter(args.filter, cfg.samples_per_symbol)
+    value = float(papr_samples(preamble, filt, cfg, trials=1)[0])
     print(f"PAPR over the preamble window: {value:.4f} dB "
           f"(G={cfg.guards}, M={cfg.subcarriers}, seed={cfg.rng_seed})")
     if args.json:
@@ -195,15 +176,10 @@ def cmd_papr(args, config: dict) -> int:
 def cmd_ccdf(args, config: dict) -> int:
     started = time.time()
     cfg = _frame_config(args, config)
-    preamble = _load_preamble(args.preamble_file, cfg.subcarriers)
+    preamble = _load_preamble(args.preamble_file)
     trials = _opt(args, config, "trials", 100_000)
-    if trials < 1:
-        raise CliError("--trials must be >= 1")
-    try:
-        filt = make_filter(args.filter, cfg.samples_per_symbol)
-        result = monte_carlo_ccdf(preamble, filt, cfg, trials, default_thresholds())
-    except (FilterError, FrameError, AnalysisError) as exc:
-        raise CliError(str(exc))
+    filt = make_filter(args.filter, cfg.samples_per_symbol)
+    result = monte_carlo_ccdf(preamble, filt, cfg, trials, default_thresholds())
     stem = args.out or f"ccdf_{args.filter}_G{cfg.guards}"
     csv_path = _out_path(args, config, stem + ".csv")
     result.write_csv(csv_path)
@@ -223,24 +199,18 @@ def cmd_compare(args, config: dict) -> int:
     subcarriers = _opt(args, config, "subcarriers", 512)
     channel_len = _opt(args, config, "channel_len", 32)
     oversample = _opt(args, config, "oversample", 4)
-    if channel_len < 1 or subcarriers % channel_len:
-        raise CliError(f"--subcarriers {subcarriers} must be a multiple of "
-                       f"--channel-len {channel_len}")
     # Guards wide enough that no data symbol reaches the analysis window:
     # the sigma = 0 regime of the published comparison.
-    try:
-        cfg = FrameConfig(subcarriers=subcarriers, guards=6, oversample=oversample,
-                          rng_seed=_opt(args, config, "seed", 0))
-        filt = make_filter(args.filter, cfg.samples_per_symbol)
-        preambles = {
-            "sparse-golay": sparse_golay_preamble(subcarriers, channel_len),
-            "sparse-mseq": mseq_preamble(subcarriers),
-            "iam-c": iamc_preamble(subcarriers),
-        }
-        rows = {name: float(papr_samples(p, filt, cfg, trials=1)[0])
-                for name, p in preambles.items()}
-    except (SequenceError, FilterError, FrameError, AnalysisError) as exc:
-        raise CliError(str(exc))
+    cfg = FrameConfig(subcarriers=subcarriers, guards=6, oversample=oversample,
+                      rng_seed=_opt(args, config, "seed", 0))
+    filt = make_filter(args.filter, cfg.samples_per_symbol)
+    preambles = {
+        "sparse-golay": sparse_golay_preamble(subcarriers, channel_len),
+        "sparse-mseq": mseq_preamble(subcarriers),
+        "iam-c": iamc_preamble(subcarriers),
+    }
+    rows = {name: float(papr_samples(p, filt, cfg, trials=1)[0])
+            for name, p in preambles.items()}
     bound = papr_bound_sigma0(filt)
     print(f"sigma=0 preamble PAPR, {args.filter}, M={subcarriers}, "
           f"L_h={channel_len} (bound {bound:.4f} dB)")
@@ -261,10 +231,7 @@ def cmd_compare(args, config: dict) -> int:
 
 
 def cmd_filter_dump(args, config: dict) -> int:
-    try:
-        filt = make_filter(args.filter, args.samples_per_symbol)
-    except FilterError as exc:
-        raise CliError(str(exc))
+    filt = make_filter(args.filter, args.samples_per_symbol)
     out = _out_path(args, config, args.out)
     filt.write_csv(out)
     print(f"wrote {out} ({len(filt.taps)} taps, energy {filt.energy:.12f})")
@@ -344,10 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         return args.func(args, config)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (SequenceError, FilterError, FrameError, AnalysisError) as exc:
+    except (CliError, SequenceError, FilterError, FrameError, AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:

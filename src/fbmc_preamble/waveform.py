@@ -14,7 +14,7 @@ thin caller of the signal core below.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +37,12 @@ class FrameConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "preamble_slot":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise FrameError(f"{f.name} must be an integer, not {value!r}")
         if self.subcarriers < 2:
             raise FrameError("need at least 2 subcarriers")
         if self.guards < 0:
@@ -132,10 +138,6 @@ class FbmcGrid:
     symbols: np.ndarray = field(compare=False)   # (M, total_slots)
     first_slot: int = 0
     preamble_slot: int = 0
-
-    @property
-    def slots(self) -> np.ndarray:
-        return self.first_slot + np.arange(self.symbols.shape[1])
 
 
 def checked_preamble(preamble: np.ndarray, subcarriers: int) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from fbmc_preamble import analysis
 from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, CcdfResult,
                                     RicianPointModel, average_power, default_thresholds,
                                     empirical_mean_power, iapr_exceedance, marcum_q1,
@@ -60,10 +61,12 @@ class TestMarcumQ1:
                     marcum_q1_quadrature(float(a), float(b)), abs=1e-9)
 
     def test_against_noncentral_chi2(self):
-        for a in (0.3, 1.0, 4.0, 20.0):
-            for b in (0.1, 1.0, 5.0, 25.0):
-                assert marcum_q1(a, b) == pytest.approx(
-                    float(stats.ncx2.sf(b * b, 2, a * a)), abs=1e-10)
+        pairs = [(a, b) for a in (0.3, 1.0, 4.0, 20.0) for b in (0.1, 1.0, 5.0, 25.0)]
+        # Near the preamble peak at G = 3, sigma(t) -> 0 and a, b reach about 4e4.
+        pairs += [(39201.0, 34588.0), (4e4, 4e4 + 8.0)]
+        for a, b in pairs:
+            assert marcum_q1(a, b) == pytest.approx(
+                float(stats.ncx2.sf(b * b, 2, a * a)), abs=1e-10)
 
     def test_monotonicity(self):
         grid = np.linspace(0.05, 6.0, 25)
@@ -79,6 +82,13 @@ class TestMarcumQ1:
             marcum_q1(-1.0, 1.0)
         with pytest.raises(AnalysisError):
             marcum_q1(float("nan"), 1.0)
+
+    def test_non_finite_special_function_raises(self, monkeypatch):
+        monkeypatch.setattr(analysis._sp, "chndtr", lambda x, df, nc: math.nan)
+        with pytest.raises(FloatingPointError):
+            marcum_q1(1.0, 2.0)
+        with pytest.raises(FloatingPointError):
+            rician_cdf(2.0, 1.0, 1.0)
 
 
 class TestRician:
@@ -204,6 +214,22 @@ class TestIaprExceedance:
         model = RicianPointModel(t=0.0, nu=3.0, sigma=1.5, p_avg=8.0)
         vals = [iapr_exceedance(a, model) for a in np.linspace(0, 5, 21)]
         assert all(y <= x + 1e-12 for x, y in zip(vals, vals[1:]))
+
+    def test_g3_sweep_matches_noncentral_chi2(self):
+        # 64 probe times across the window x 8 thresholds x 2 filters at
+        # M = 512, G = 3: near the preamble peak a and b reach 1e4 to 1e7.
+        cfg = FrameConfig(subcarriers=512, guards=3, oversample=4, rng_seed=0)
+        preamble = sparse_golay_preamble(512, 32)
+        alphas = 10.0 ** (np.arange(0.5, 4.01, 0.5) / 10.0)
+        times = (cfg.preamble_slot + 2) / 2.0 + 2.0 * np.arange(64) / 64
+        for name in ("phydyas4", "hermite"):
+            filt = make_filter(name, cfg.samples_per_symbol)
+            for t in times:
+                model = RicianPointModel.at_time(preamble, filt, cfg, float(t))
+                got = [iapr_exceedance(float(alpha), model) for alpha in alphas]
+                ref = stats.ncx2.sf(alphas * model.p_avg / model.sigma ** 2, 2,
+                                    (model.nu / model.sigma) ** 2)
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
 
     def test_matches_empirical_tail(self):
         cfg = FrameConfig(subcarriers=64, guards=1, oversample=4, rng_seed=17)

@@ -39,6 +39,16 @@ class TestFrameConfig:
             small_cfg(subcarriers=13, oversample=3)
         assert small_cfg(subcarriers=13, oversample=2).samples_per_symbol == 26
 
+    @pytest.mark.parametrize("name, value", [("subcarriers", 16.0), ("guards", "3"),
+                                             ("guards", True), ("data_span", 12.0),
+                                             ("oversample", np.float64(4)),
+                                             ("preamble_slot", 30.0), ("rng_seed", 1.5)])
+    def test_rejects_non_integer_fields(self, name, value):
+        with pytest.raises(FrameError, match=name):
+            small_cfg(**{name: value})
+        # numpy integers are integers
+        assert small_cfg(**{name: np.int64(30 if name == "preamble_slot" else 16)})
+
     def test_json_roundtrip(self):
         cfg = small_cfg()
         assert FrameConfig.from_json_dict(cfg.to_json_dict()) == cfg
