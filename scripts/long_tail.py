@@ -3,19 +3,18 @@
 
 The G=2 PHYDYAS configuration crosses 3 dB with probability on the order
 of 1e-5, so resolving it needs millions of trials.  Runs in chunks and
-reports a running estimate with a binomial error bar.
+reports a running estimate with a Wilson 95% interval.
 
 Example:
     python3 scripts/long_tail.py --trials 10000000 --threshold 3.0
 """
 
 import argparse
-import math
 import time
 
 import numpy as np
 
-from fbmc_preamble.analysis import papr_samples
+from fbmc_preamble.analysis import papr_samples, wilson_interval
 from fbmc_preamble.prototype import make_filter
 from fbmc_preamble.sequences import sparse_golay_preamble
 from fbmc_preamble.waveform import FrameConfig
@@ -48,11 +47,10 @@ def main() -> None:
         values = papr_samples(preamble, filt, cfg, trials=count, first_trial=done)
         hits += int(np.sum(values > args.threshold))
         done += count
-        p = hits / done
-        err = 3 * math.sqrt(max(p * (1 - p), 1e-300) / done)
+        low, high = wilson_interval(hits, done)
         rate = done / (time.time() - t0)
-        print(f"{done:>10d} trials: {hits} hits, Pr = {p:.4e} +/- {err:.1e} "
-              f"({rate:,.0f} trials/s)", flush=True)
+        print(f"{done:>10d} trials: {hits} hits, Pr = {hits / done:.4e}, "
+              f"95% interval [{low:.2e}, {high:.2e}] ({rate:,.0f} trials/s)", flush=True)
 
     print(f"final: Pr{{PAPR > {args.threshold} dB}} = {hits / done:.4e} "
           f"over {done} trials")

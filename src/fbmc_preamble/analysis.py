@@ -19,8 +19,9 @@ from scipy import special as _sp
 
 from .prototype import PrototypeFilter
 from .waveform import (FbmcGrid, FrameConfig, SampledSignal, add_slot_sums,
-                       carrier_phase, checked_preamble, reaching_data_slots, slot_data,
-                       slot_signal, synthesize)
+                       carrier_phase, check_trials, checked_preamble, reaching_data_slots,
+                       slot_data, slot_signal, synthesize)
+from .workers import POOL, cpu_count
 
 
 class AnalysisError(ValueError):
@@ -174,25 +175,59 @@ def default_thresholds() -> np.ndarray:
     return np.round(np.arange(0.0, 9.0 + 1e-9, 0.05), 6)
 
 
+_Z95 = 1.959963984540054       # standard normal quantile at 0.975
+
+
+def wilson_interval(hits, trials):
+    """Wilson score 95% interval (low, high) of a probability estimated as
+    hits / trials; `hits` may be an array.  Unlike the normal
+    approximation it stays informative at zero hits, where its upper end
+    is about 3.84 / trials."""
+    hits = np.asarray(hits, dtype=float)
+    z2 = _Z95 * _Z95
+    centre = (hits + z2 / 2.0) / (trials + z2)
+    half = _Z95 / (trials + z2) * np.sqrt(hits * (trials - hits) / trials + z2 / 4.0)
+    return (np.where(hits == 0, 0.0, centre - half),
+            np.where(hits == trials, 1.0, centre + half))
+
+
 @dataclass(frozen=True)
 class CcdfResult:
+    """Monte Carlo CCDF: exceed_count[i] of the trials had PAPR above
+    thresholds_db[i]."""
     thresholds_db: np.ndarray = field(compare=False)
-    exceed_prob: np.ndarray = field(compare=False)
-    trials: int = 0
+    exceed_count: np.ndarray = field(compare=False)
+    trials: int
     max_papr_db: float = float("-inf")
     config: dict = field(default_factory=dict, compare=False)
 
+    @property
+    def exceed_prob(self) -> np.ndarray:
+        return self.exceed_count / self.trials
+
+    @property
+    def wilson95(self) -> tuple[np.ndarray, np.ndarray]:
+        """Wilson score 95% interval of each exceedance probability."""
+        return wilson_interval(self.exceed_count, self.trials)
+
     def write_csv(self, path) -> None:
+        low, high = self.wilson95
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["threshold_db", "exceed_prob"])
-            for thr, p in zip(self.thresholds_db, self.exceed_prob):
-                w.writerow([f"{thr:.4f}", f"{p:.10g}"])
+            w.writerow(["threshold_db", "exceed_prob", "exceed_count", "wilson95_low",
+                        "wilson95_high"])
+            for thr, p, count, lo, hi in zip(self.thresholds_db, self.exceed_prob,
+                                             self.exceed_count, low, high):
+                w.writerow([f"{thr:.4f}", f"{p:.10g}", int(count), f"{lo:.10g}", f"{hi:.10g}"])
 
     def to_json(self) -> str:
+        low, high = self.wilson95
         return json.dumps({
             "thresholds_db": [round(float(v), 6) for v in self.thresholds_db],
             "exceed_prob": list(map(float, self.exceed_prob)),
+            "exceed_count": list(map(int, self.exceed_count)),
+            "wilson95_low": list(map(float, low)),
+            "wilson95_high": list(map(float, high)),
             "trials": self.trials,
             "max_papr_db": self.max_papr_db,
             "config": self.config,
@@ -246,19 +281,51 @@ class _WindowSampler:
 
 
 DEFAULT_CHUNK = 16
+# Trials per shard at most: bounds a shard's reply (512 KB) and the memory
+# of a long call, which then runs in rounds of one shard per process.
+MAX_SHARD_TRIALS = 1 << 16
 
 
-def _papr_db_chunks(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
+def engine_processes(trials: int, chunk: int = DEFAULT_CHUNK) -> int:
+    """Processes an engine call over `trials` trials runs on: one per CPU
+    this process may use, at most one per chunk."""
+    return max(1, min(cpu_count(), -(-trials // chunk)))
+
+
+def _papr_db(sampler: _WindowSampler, first_trial: int, trials: int, chunk: int) -> np.ndarray:
+    """Per-trial window PAPR in dB of trials [first_trial, first_trial + trials)."""
+    p_avg = average_power(sampler.cfg.subcarriers)
+    out = np.empty(trials)
+    for lo in range(0, trials, chunk):
+        win = sampler.sample_trials(first_trial + lo, min(chunk, trials - lo))
+        out[lo: lo + chunk] = 10.0 * np.log10(np.max(np.abs(win) ** 2, axis=1) / p_avg)
+    return out
+
+
+def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
                     trials: int, chunk: int, first_trial: int = 0):
-    """Per-trial window PAPR in dB, one array per chunk of trials."""
+    """Per-trial window PAPR in dB, one array per shard of whole chunks.
+
+    The range is cut into one shard per engine process, which run at the
+    same time: this process computes the first and the engine's workers the
+    others.  Every trial's data is keyed on (seed, trial, slot), so the
+    values do not depend on the number of processes.  All input is checked
+    here, before any worker is fed.
+    """
     if chunk < 1:
         raise AnalysisError("chunk must be >= 1")
     sampler = _WindowSampler(preamble, filt, cfg)
-    p_avg = average_power(cfg.subcarriers)
     stop = first_trial + trials
-    for start in range(first_trial, stop, chunk):
-        win = sampler.sample_trials(start, min(chunk, stop - start))
-        yield 10.0 * np.log10(np.max(np.abs(win) ** 2, axis=1) / p_avg)
+    check_trials(first_trial, stop)
+    if trials < 1:
+        return
+    chunks = -(-trials // chunk)
+    processes = engine_processes(trials, chunk)
+    span = chunk * min(-(-chunks // processes), max(1, MAX_SHARD_TRIALS // chunk))
+    starts = range(first_trial, stop, span)
+    for k in range(0, len(starts), processes):
+        yield from POOL.run(_papr_db, [(sampler, s, min(span, stop - s), chunk)
+                                       for s in starts[k: k + processes]])
 
 
 def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
@@ -276,12 +343,12 @@ def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConf
     thresholds_db = np.asarray(thresholds_db, dtype=float)
     exceed = np.zeros(len(thresholds_db), dtype=np.int64)
     max_db = float("-inf")
-    for peak_db in _papr_db_chunks(preamble, filt, cfg, trials, chunk):
-        exceed += np.sum(peak_db[:, None] > thresholds_db[None, :], axis=0)
+    for peak_db in _papr_db_shards(preamble, filt, cfg, trials, chunk):
+        exceed += len(peak_db) - np.searchsorted(np.sort(peak_db), thresholds_db, side="right")
         max_db = max(max_db, float(np.max(peak_db)))
     return CcdfResult(
         thresholds_db=thresholds_db,
-        exceed_prob=exceed / trials,
+        exceed_count=exceed,
         trials=trials,
         max_papr_db=max_db,
         config=cfg.to_json_dict(),
@@ -295,8 +362,8 @@ def papr_samples(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
     Trial i of the returned array is keyed on the absolute index
     first_trial + i, so disjoint calls tile one reproducible stream.
     """
-    chunks = list(_papr_db_chunks(preamble, filt, cfg, trials, chunk, first_trial))
-    return np.concatenate(chunks) if chunks else np.empty(0)
+    shards = list(_papr_db_shards(preamble, filt, cfg, trials, chunk, first_trial))
+    return np.concatenate(shards) if shards else np.empty(0)
 
 
 def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,

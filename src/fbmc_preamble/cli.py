@@ -10,19 +10,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .analysis import AnalysisError, default_thresholds, monte_carlo_ccdf, papr_samples
+from .analysis import (AnalysisError, default_thresholds, engine_processes, monte_carlo_ccdf,
+                       papr_samples)
 from .prototype import FilterError, make_filter, papr_bound_sigma0
 from .sequences import (GbfSpec, SequenceError, array_to_signs, complex_from_json,
                         complex_to_json, dj_pair, gcp_residual, iamc_preamble,
                         mseq_preamble, sparse_golay_preamble)
 from .waveform import FrameConfig, FrameError
+from .workers import cpu_count
 
 FILTER_NAMES = ("phydyas3", "phydyas4", "hermite")
 
@@ -65,7 +69,9 @@ def _out_path(args, config: dict, filename: str) -> Path:
 
 
 def _write_manifest(path: Path, command: str, config: dict, seed: int,
-                    started: float, outputs: list[str]) -> None:
+                    started: float, outputs: list[str], **run) -> None:
+    """Writes what a command did and where it ran; `run` adds fields that
+    describe how the command's work went."""
     manifest = {
         "command": command,
         "config": config,
@@ -73,6 +79,9 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int,
         "library_version": __version__,
         "duration_s": round(time.time() - started, 3),
         "outputs": outputs,
+        **run,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "scipy": scipy.__version__, "cpu_count": cpu_count()},
     }
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -179,7 +188,9 @@ def cmd_ccdf(args, config: dict) -> int:
     preamble = _load_preamble(args.preamble_file)
     trials = _opt(args, config, "trials", 100_000)
     filt = make_filter(args.filter, cfg.samples_per_symbol)
+    engine_started = time.perf_counter()
     result = monte_carlo_ccdf(preamble, filt, cfg, trials, default_thresholds())
+    trials_per_s = trials / (time.perf_counter() - engine_started)
     stem = args.out or f"ccdf_{args.filter}_G{cfg.guards}"
     csv_path = _out_path(args, config, stem + ".csv")
     result.write_csv(csv_path)
@@ -188,7 +199,9 @@ def cmd_ccdf(args, config: dict) -> int:
     _write_manifest(csv_path.with_suffix(".manifest.json"), "ccdf",
                     {**cfg.to_json_dict(), "filter": args.filter, "trials": trials,
                      "preamble_file": args.preamble_file},
-                    cfg.rng_seed, started, [str(csv_path), str(json_path)])
+                    cfg.rng_seed, started, [str(csv_path), str(json_path)],
+                    trials_per_s=round(trials_per_s, 1),
+                    engine_processes=engine_processes(trials))
     print(f"{trials} trials, empirical max PAPR {result.max_papr_db:.4f} dB")
     print(f"wrote {csv_path}")
     return 0
@@ -314,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, SequenceError, FilterError, FrameError, AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError, MemoryError, ChildProcessError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -54,6 +54,8 @@ class FrameConfig:
         if self.samples_per_symbol % 2:
             raise FrameError("oversample * subcarriers must be even: slots start every "
                              "half symbol, on the sample grid")
+        if not 0 <= self.rng_seed < 1 << 64:
+            raise FrameError(f"rng_seed {self.rng_seed} outside [0, 2^64)")
         if self.preamble_slot is None:
             n = self.guards + self.data_span
             object.__setattr__(self, "preamble_slot", n + (n % 2))
@@ -99,6 +101,13 @@ def _key_field(name: str, value, bits: int) -> np.ndarray:
     return arr.astype(np.uint64)
 
 
+def check_trials(first_trial, stop) -> None:
+    """Raise FrameError unless every trial in [first_trial, stop) is a
+    valid slot_data key."""
+    if stop > first_trial:
+        _key_field("trial", np.array([first_trial, stop - 1]), TRIAL_BITS)
+
+
 def slot_data(cfg: FrameConfig, trial, slot) -> np.ndarray:
     """Deterministic +-1 data for (trial, slot) cells.
 
@@ -111,9 +120,6 @@ def slot_data(cfg: FrameConfig, trial, slot) -> np.ndarray:
     together; the result has their broadcast shape plus a last axis of M,
     so two scalars give shape (M,).
     """
-    seed = int(cfg.rng_seed)
-    if not 0 <= seed < 1 << 64:
-        raise FrameError(f"rng_seed {seed} outside [0, 2^64)")
     keys = (_key_field("trial", trial, TRIAL_BITS) << SLOT_BITS) | _key_field("slot", slot,
                                                                               SLOT_BITS)
     m = cfg.subcarriers
@@ -123,7 +129,7 @@ def slot_data(cfg: FrameConfig, trial, slot) -> np.ndarray:
     bitgen = np.random.Philox(key=0)
     state = bitgen.state
     key = state["state"]["key"]
-    key[1] = seed
+    key[1] = int(cfg.rng_seed)
     raw = np.empty((keys.size, words), dtype=np.uint64)
     for i, k in enumerate(keys.ravel().tolist()):
         key[0] = k
@@ -147,7 +153,7 @@ def checked_preamble(preamble: np.ndarray, subcarriers: int) -> np.ndarray:
     if preamble.shape != (subcarriers,):
         raise FrameError(f"preamble length {preamble.size} != {subcarriers} subcarriers")
     energy = float(np.sum(np.abs(preamble) ** 2))
-    if abs(energy - subcarriers) > 1e-9 * subcarriers:
+    if not abs(energy - subcarriers) <= 1e-9 * subcarriers:     # NaN fails too
         raise FrameError(f"preamble energy {energy:g} != {subcarriers}")
     return preamble
 

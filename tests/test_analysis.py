@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -350,7 +351,34 @@ class TestMonteCarloCcdf:
         path = tmp_path / "ccdf.csv"
         res.write_csv(path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "threshold_db,exceed_prob"
+        assert lines[0] == "threshold_db,exceed_prob,exceed_count,wilson95_low,wilson95_high"
         assert len(lines) == 1 + len(default_thresholds())
-        obj = res.to_json()
-        assert '"trials": 50' in obj
+        counts = [int(line.split(",")[2]) for line in lines[1:]]
+        assert counts == res.exceed_count.tolist()
+        assert np.array_equal(res.exceed_prob, res.exceed_count / 50)
+        obj = json.loads(res.to_json())
+        assert obj["trials"] == 50
+        assert obj["exceed_count"] == counts
+        low, high = res.wilson95
+        assert obj["wilson95_low"] == low.tolist() and obj["wilson95_high"] == high.tolist()
+
+
+class TestWilsonInterval:
+    @settings(max_examples=50, deadline=None)
+    @given(trials=st.integers(1, 10**9), frac=st.floats(0.0, 1.0))
+    def test_ends_solve_the_score_equation(self, trials, frac):
+        # The Wilson interval is {p : (k - n p)^2 <= z^2 n p (1 - p)}.
+        hits = int(round(frac * trials))
+        low, high = analysis.wilson_interval(hits, trials)
+        z = special.ndtri(0.975)
+        assert 0.0 <= low <= hits / trials <= high <= 1.0
+        for p in (low, high):
+            if 0.0 < p < 1.0:
+                lhs = (hits - trials * p) ** 2
+                rhs = z * z * trials * p * (1 - p)
+                assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-9)
+
+    def test_zero_hits_give_an_informative_upper_end(self):
+        low, high = analysis.wilson_interval(np.array([0, 100_000]), 100_000)
+        assert low[0] == 0.0 and high[1] == 1.0
+        assert high[0] == pytest.approx(3.8415 / 100_003.84, rel=1e-4)

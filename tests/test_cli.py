@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from fbmc_preamble import cli
+from fbmc_preamble.analysis import engine_processes
 from fbmc_preamble.cli import main
 from fbmc_preamble.sequences import (GOLAY_C16, GOLAY_D16, complex_to_json,
                                      golay_seed, signs_to_array,
@@ -162,9 +164,23 @@ class TestCcdf:
         assert manifest["command"] == "ccdf"
         assert manifest["seed"] == 3
         assert manifest["config"]["trials"] == 64
+        assert manifest["trials_per_s"] > 0
+        assert manifest["engine_processes"] == engine_processes(64)
+        assert manifest["environment"]["cpu_count"] >= manifest["engine_processes"]
+        assert set(manifest["environment"]) == {"python", "numpy", "scipy", "cpu_count"}
         # same seed reproduces the curve byte for byte
         assert main(argv) == 0
         assert (tmp_path / "run.csv").read_bytes() == first
+
+    def test_dead_engine_worker_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        def dead(*args, **kwargs):
+            raise ChildProcessError("engine worker 1 exited with code -9")
+        monkeypatch.setattr(cli, "monte_carlo_ccdf", dead)
+        pre = write_preamble(tmp_path, "pre.json", golay_seed(32))
+        rc = main(["--out-dir", str(tmp_path), "ccdf", "--preamble-file", pre,
+                   "--subcarriers", "32", "--trials", "64"])
+        assert rc == 2
+        assert "runtime failure: engine worker" in capsys.readouterr().err
 
     def test_bad_trials(self, tmp_path, capsys):
         pre = write_preamble(tmp_path, "pre.json", golay_seed(32))

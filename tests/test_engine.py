@@ -3,19 +3,33 @@
 The golden values were produced by the original per-cell engine.  A faster
 engine must reproduce them exactly: the same data bits for every (seed,
 trial, slot) cell and the same PAPR floats to the last bit, whatever the
-chunk size.  Keys outside their ranges and preambles that build_frame
-would refuse are refused here too.
+chunk size and whatever the number of processes the trials are sharded
+across.  Keys outside their ranges and preambles that build_frame would
+refuse are refused here too, before any worker process is fed.
 """
+
+import os
+import pickle
+import select
+import signal
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmc_preamble.analysis import monte_carlo_ccdf, papr_samples
+from fbmc_preamble import analysis
+from fbmc_preamble.analysis import (_papr_db, _WindowSampler, engine_processes,
+                                    monte_carlo_ccdf, papr_samples)
 from fbmc_preamble.prototype import make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import FrameConfig, FrameError, slot_data
+from fbmc_preamble.workers import POOL, cpu_count
 
 # (subcarriers, rng_seed, trial, slot, data bits with 1 for +1)
 GOLDEN_CELLS = [
@@ -132,9 +146,175 @@ class TestPreambleCheck:
         self.filt = phydyas_taps(4, self.cfg.samples_per_symbol)
 
     @pytest.mark.parametrize("preamble", [np.sqrt(2.0) * golay_seed(64), golay_seed(32),
-                                          np.zeros(64)])
+                                          np.zeros(64), np.full(64, np.nan)])
     def test_rejects_bad_preamble(self, preamble):
         with pytest.raises(FrameError):
             papr_samples(preamble, self.filt, self.cfg, 1)
         with pytest.raises(FrameError):
             monte_carlo_ccdf(preamble, self.filt, self.cfg, 1)
+
+
+# A small configuration: sharding tests need many calls, not big ones.
+SMALL_CFG = FrameConfig(subcarriers=16, guards=1, oversample=2, rng_seed=2**63 + 9)
+SMALL_FILT = phydyas_taps(4, SMALL_CFG.samples_per_symbol)
+SMALL_PREAMBLE = golay_seed(16)
+needs_two_cpus = pytest.mark.skipif(cpu_count() < 2, reason="sharding needs two CPUs")
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the test if the block has not ended in time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def small_papr(trials, chunk=4, first_trial=0):
+    return papr_samples(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, trials, chunk=chunk,
+                        first_trial=first_trial)
+
+
+class TestSharding:
+    """Trial ranges of two or more chunks run in worker processes; the
+    output is the single-process output bit for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(trials=st.integers(1, 60), chunk=st.integers(1, 16),
+           first_trial=st.integers(0, 2**48 - 61), shard_cap=st.sampled_from([4, 1 << 16]))
+    def test_range_equals_single_chunk_calls(self, trials, chunk, first_trial, shard_cap):
+        # shard_cap 4 cuts the range into many rounds of small shards.
+        def single_chunk_calls(first):
+            return np.concatenate([small_papr(min(chunk, trials - lo), chunk, first + lo)
+                                   for lo in range(0, trials, chunk)])
+
+        from_zero = single_chunk_calls(0)
+        # Sample values among the thresholds: a tie does not exceed.
+        thresholds = np.concatenate([np.linspace(-3.0, 9.0, 25), from_zero[:3]])
+        with mock.patch.object(analysis, "MAX_SHARD_TRIALS", shard_cap):
+            whole = small_papr(trials, chunk, first_trial)
+            res = monte_carlo_ccdf(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, trials, thresholds,
+                                   chunk=chunk)
+        assert np.array_equal(whole, single_chunk_calls(first_trial))
+        assert res.exceed_count.tolist() == np.sum(from_zero[:, None] > thresholds,
+                                                   axis=0).tolist()
+        assert res.max_papr_db == float(np.max(from_zero))
+
+    @needs_two_cpus
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_one_cpu_child_gives_the_same_bits(self):
+        code = (
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from fbmc_preamble.analysis import engine_processes, papr_samples\n"
+            "from fbmc_preamble.prototype import make_filter\n"
+            "from fbmc_preamble.sequences import sparse_golay_preamble\n"
+            "from fbmc_preamble.waveform import FrameConfig\n"
+            "cfg = FrameConfig(subcarriers=64, guards=2, oversample=4, rng_seed=5)\n"
+            "filt = make_filter('hermite', cfg.samples_per_symbol)\n"
+            "v = papr_samples(sparse_golay_preamble(64, 16), filt, cfg, 200, first_trial=3)\n"
+            "print(engine_processes(200), v.tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(analysis.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout.split()
+        cfg = FrameConfig(subcarriers=64, guards=2, oversample=4, rng_seed=5)
+        filt = make_filter("hermite", cfg.samples_per_symbol)
+        here = papr_samples(sparse_golay_preamble(64, 16), filt, cfg, 200, first_trial=3)
+        assert out[0] == "1" and engine_processes(200) >= 2
+        assert out[1] == here.tobytes().hex()
+
+    @needs_two_cpus
+    def test_worker_shard_past_the_key_range_is_refused_in_the_parent(self):
+        # The first shard, [2^48 - 40, 2^48 - 8), is valid; a worker's is not.
+        with deadline(60):
+            with pytest.raises(FrameError) as info:
+                small_papr(64, chunk=16, first_trial=2**48 - 40)
+            assert not any("workers.py" in str(entry.path) for entry in info.traceback)
+            # The next call still works; its worker computes the last 32 trials.
+            values = small_papr(64, chunk=16, first_trial=2**48 - 64)
+        assert np.array_equal(values[48:], small_papr(16, chunk=16, first_trial=2**48 - 16))
+
+    def test_worker_exception_is_raised_with_its_type(self):
+        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
+        with deadline(60):
+            with pytest.raises(FrameError, match="trial must be an integer"):
+                POOL.run(_papr_db, [(sampler, 0, 8, 4), (sampler, 2**48 - 4, 8, 4)])
+            a, b = POOL.run(_papr_db, [(sampler, 0, 8, 4), (sampler, 8, 8, 4)])
+        assert np.array_equal(np.concatenate([a, b]), small_papr(16))
+
+    def test_dead_worker_raises_and_is_replaced(self):
+        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
+        calls = [(sampler, 0, 8, 4), (sampler, 8, 8, 4)]
+        with deadline(60):
+            expected = POOL.run(_papr_db, calls)
+            proc = POOL._workers[0]
+            proc.kill()
+            proc.wait()
+            with pytest.raises(ChildProcessError, match="engine worker"):
+                POOL.run(_papr_db, calls)
+            again = POOL.run(_papr_db, calls)
+        assert POOL._workers[0].pid != proc.pid
+        assert all(np.array_equal(x, y) for x, y in zip(expected, again))
+
+    @needs_two_cpus
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_workers_of_its_own(self):
+        # The parent's workers answer the parent: a child that wrote to them
+        # would mix its calls up with the parent's.
+        expected = small_papr(64, first_trial=1000)
+        parent_workers = {proc.pid for proc in POOL._workers}
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                signal.alarm(60)
+                os.close(read_end)
+                values = small_papr(64, first_trial=1000)
+                with os.fdopen(write_end, "wb") as out:
+                    pickle.dump((values, [proc.pid for proc in POOL._workers]), out)
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with deadline(60):
+            with os.fdopen(read_end, "rb") as child_out:
+                values, child_workers = pickle.load(child_out)
+            os.waitpid(pid, 0)
+        assert parent_workers and child_workers
+        assert not parent_workers & set(child_workers)
+        assert np.array_equal(values, expected)
+
+    def test_threads_share_the_workers_without_mixing_calls(self):
+        # More threads than CPUs, each sharding its own ranges at once.
+        firsts = [1000 * k for k in range(12)]
+        expected = {f: small_papr(40, first_trial=f) for f in firsts}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = {f: pool.submit(small_papr, 40, 4, f) for f in firsts}
+                got = {f: fut.result(timeout=60) for f, fut in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(got[f], expected[f]) for f in firsts)
+
+    @needs_two_cpus
+    def test_pipe_opened_before_the_workers_reads_eof(self):
+        # A reader of a pipe the caller opened must see EOF once the caller
+        # closes its end: no worker may hold a copy of that end.
+        POOL.close()
+        read_end, write_end = os.pipe()
+        os.set_inheritable(write_end, True)
+        try:
+            small_papr(64)
+            assert POOL._workers
+            os.close(write_end)
+            readable, _, _ = select.select([read_end], [], [], 30)
+            assert readable and os.read(read_end, 1) == b""
+        finally:
+            os.close(read_end)

@@ -41,5 +41,7 @@ def test_long_tail(monkeypatch, capsys):
                "--report-every", "128")
     out = capsys.readouterr().out
     assert "256 trials" in out
+    # No hits at G = 2: a Wilson interval, upper end z^2 / (n + z^2), not "+/- 4e-153".
+    assert "256 trials: 0 hits, Pr = 0.0000e+00, 95% interval [0.00e+00, 1.48e-02]" in out
     assert out.splitlines()[-1].startswith("final: Pr{PAPR > 3.0 dB}")
 
