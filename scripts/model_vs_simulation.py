@@ -4,7 +4,8 @@
 At a set of probe times across the analysis window, compares the
 closed-form Pr{IAPR >= alpha} (Marcum Q of the preamble envelope nu(t)
 and data-interference sigma(t)) against the empirical frequency over
-random data realizations.
+random data realizations, with the empirical frequency's Wilson 95%
+interval.
 
 Example:
     python3 scripts/model_vs_simulation.py --guards 1 --trials 20000
@@ -15,7 +16,7 @@ import argparse
 import numpy as np
 
 from fbmc_preamble.analysis import (RicianPointModel, average_power,
-                                    iapr_exceedance, signal_at_times)
+                                    iapr_exceedance, signal_at_times, wilson_interval)
 from fbmc_preamble.prototype import make_filter
 from fbmc_preamble.sequences import sparse_golay_preamble
 from fbmc_preamble.waveform import FrameConfig
@@ -47,17 +48,18 @@ def main() -> None:
     print(f"{args.filter}, M={args.subcarriers}, G={args.guards}, "
           f"{args.trials} trials")
     print(f"{'t - nT/2':>9s} {'nu':>9s} {'sigma':>9s} {'alpha':>7s} "
-          f"{'analytic':>10s} {'empirical':>10s} {'3-sigma':>9s}")
+          f"{'analytic':>10s} {'empirical':>10s} {'wilson95':>19s}")
     for j, t in enumerate(times):
         model = RicianPointModel.at_time(preamble, filt, cfg, float(t))
         alpha = args.alpha
         if alpha is None:
             alpha = (model.nu**2 + 2 * model.sigma**2) / model.p_avg
         analytic = iapr_exceedance(alpha, model)
-        empirical = float(np.mean(iapr[:, j] >= alpha))
-        band = 3 * np.sqrt(max(analytic * (1 - analytic), 1e-12) / args.trials)
+        hits = int(np.sum(iapr[:, j] >= alpha))
+        low, high = wilson_interval(hits, args.trials)
         print(f"{offsets[j]:>9.2f} {model.nu:>9.3f} {model.sigma:>9.3f} "
-              f"{alpha:>7.3f} {analytic:>10.5f} {empirical:>10.5f} {band:>9.5f}")
+              f"{alpha:>7.3f} {analytic:>10.5f} {hits / args.trials:>10.5f} "
+              f"{low:>9.5f} {high:>9.5f}")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ __version__ = "0.1.0"
 
 from .analysis import (AnalysisWindow, CcdfResult, RicianPointModel, average_power,
                        iapr_exceedance, marcum_q1, monte_carlo_ccdf, nu_of_t, papr,
-                       papr_samples, rician_cdf, rician_pdf, sigma2_of_t)
+                       papr_samples, sigma2_of_t)
 from .prototype import (PrototypeFilter, hermite_poly, hermite_taps, make_filter,
                         papr_bound_sigma0, phydyas_taps)
-from .sequences import (Gbf, GbfSpec, PhaseSequence, aacf, dj_pair, evaluate_gbf,
+from .sequences import (Gbf, GbfSpec, PhaseSequence, dj_pair, evaluate_gbf,
                         gcp_residual, golay_seed, iamc_preamble, is_gcp,
                         mseq_preamble, phase_transform, sparse_golay_preamble,
                         sparsify)

@@ -113,47 +113,21 @@ class RicianPointModel:
 # ---------------------------------------------------------------------------
 # Special functions
 
-def _chi2_cdf(x: float, noncentrality: float) -> float:
-    """CDF of the noncentral chi-square with 2 degrees of freedom; raises
-    FloatingPointError where scipy's chndtr gives no finite value."""
-    p = float(_sp.chndtr(x, 2, noncentrality))
-    if not math.isfinite(p):
-        raise FloatingPointError(f"chndtr({x!r}, 2, {noncentrality!r}) = {p}")
-    return p
-
-
 def marcum_q1(a: float, b: float) -> float:
     """First-order Marcum Q-function, Q1(a, b) = 1 - F(b^2) for the
     noncentral chi-square F with 2 degrees of freedom and noncentrality a^2.
 
     The absolute error is at most 1e-10 against scipy.stats.ncx2.sf
     (checked on scipy 1.17.1, a and b up to about 1e7); relative precision
-    is not kept for Q1 below about 1e-12, which can come out as 0.
+    is not kept for Q1 below about 1e-12, which can come out as 0.  Raises
+    FloatingPointError where scipy's chndtr gives no finite F.
     """
     if not (np.isfinite(a) and np.isfinite(b)) or a < 0 or b < 0:
         raise AnalysisError("arguments must be finite and >= 0")
-    return 1.0 - _chi2_cdf(b * b, a * a)
-
-
-def rician_pdf(x: float, nu: float, sigma: float) -> float:
-    """Density of the magnitude |s(t)|; reduces to Rayleigh at nu = 0."""
-    if sigma <= 0:
-        raise AnalysisError("sigma must be > 0")
-    if x < 0:
-        return 0.0
-    s2 = sigma * sigma
-    # I_0 grows like e^{x nu / s2}; use the scaled form to avoid overflow:
-    # (x/s2) e^{-(x^2+nu^2)/2s2} I_0(x nu / s2) = (x/s2) e^{-(x-nu)^2/2s2} I0e.
-    scaled = float(_sp.ive(0, x * nu / s2))
-    return x / s2 * math.exp(-((x - nu) ** 2) / (2.0 * s2)) * scaled
-
-
-def rician_cdf(x: float, nu: float, sigma: float) -> float:
-    if sigma <= 0:
-        raise AnalysisError("sigma must be > 0")
-    if x <= 0:
-        return 0.0
-    return _chi2_cdf((x / sigma) ** 2, (nu / sigma) ** 2)
+    cdf = float(_sp.chndtr(b * b, 2, a * a))
+    if not math.isfinite(cdf):
+        raise FloatingPointError(f"chndtr({b * b!r}, 2, {a * a!r}) = {cdf}")
+    return 1.0 - cdf
 
 
 def iapr_exceedance(alpha: float, model: RicianPointModel) -> float:
@@ -314,6 +288,8 @@ def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     """
     if chunk < 1:
         raise AnalysisError("chunk must be >= 1")
+    if trials < 0:
+        raise AnalysisError("trials must be >= 0")
     sampler = _WindowSampler(preamble, filt, cfg)
     stop = first_trial + trials
     check_trials(first_trial, stop)
@@ -373,6 +349,8 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
 
     Used to validate the pointwise Rician model against simulation.
     """
+    if trials < 0:
+        raise AnalysisError("trials must be >= 0")
     t = np.asarray(t, dtype=float)
     filt = filt.resample(cfg.samples_per_symbol)
     n = cfg.preamble_slot
@@ -394,8 +372,7 @@ def empirical_mean_power(subcarriers: int, n_symbols: int = 256, oversample: int
                       oversample=oversample, rng_seed=seed)
     filt = phydyas_taps(4, cfg.samples_per_symbol)
     symbols = slot_data(cfg, 0, cfg.first_slot + np.arange(cfg.total_slots)).T.astype(complex)
-    grid = FbmcGrid(symbols=symbols, first_slot=cfg.first_slot,
-                    preamble_slot=cfg.preamble_slot)
+    grid = FbmcGrid(symbols=symbols, first_slot=cfg.first_slot)
     sig = synthesize(grid, filt, cfg)
     spt = cfg.samples_per_symbol
     # Exclude one filter length at each edge so the average sees a fully

@@ -22,9 +22,9 @@ from . import __version__
 from .analysis import (AnalysisError, default_thresholds, engine_processes, monte_carlo_ccdf,
                        papr_samples)
 from .prototype import FilterError, make_filter, papr_bound_sigma0
-from .sequences import (GbfSpec, SequenceError, array_to_signs, complex_from_json,
-                        complex_to_json, dj_pair, gcp_residual, iamc_preamble,
-                        mseq_preamble, sparse_golay_preamble)
+from .sequences import (GbfSpec, PhaseSequence, SequenceError, array_to_signs,
+                        complex_from_json, complex_to_json, dj_pair, gcp_residual,
+                        iamc_preamble, mseq_preamble, sparse_golay_preamble)
 from .waveform import FrameConfig, FrameError
 from .workers import cpu_count
 
@@ -36,7 +36,10 @@ class CliError(Exception):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.replace(",", " ").split())
+    try:
+        return tuple(int(v) for v in text.replace(",", " ").split())
+    except ValueError:
+        raise CliError(f"expected comma-separated integers, not {text!r}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -87,24 +90,20 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int,
 
 
 def _load_preamble(path: str) -> np.ndarray:
+    """A sequence file, {re, im} or {modulus, phases}, as a complex array."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read preamble file {path}: {exc}")
+        raise CliError(f"cannot read sequence file {path}: {exc}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"preamble file {path} is not valid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise CliError(f"preamble file {path}: expected a JSON object")
-    if {"re", "im"} <= obj.keys():
-        c = complex_from_json(text)
-    elif "phases" in obj:
-        from .sequences import PhaseSequence
-        c = PhaseSequence.from_json(text).to_complex()
-    else:
-        raise CliError(f"preamble file {path}: expected {{re,im}} or {{modulus,phases}}")
-    return c
+        raise CliError(f"sequence file {path} is not valid JSON: {exc}")
+    if isinstance(obj, dict) and {"re", "im"} & obj.keys():
+        return complex_from_json(text)
+    if isinstance(obj, dict) and "phases" in obj:
+        return PhaseSequence.from_json(text).to_complex()
+    raise CliError(f"sequence file {path}: expected {{re,im}} or {{modulus,phases}}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +138,7 @@ def cmd_gen_golay(args, config: dict) -> int:
 
 
 def cmd_verify_gcp(args, config: dict) -> int:
-    try:
-        c = complex_from_json(Path(args.file_c).read_text())
-        d = complex_from_json(Path(args.file_d).read_text())
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CliError(f"cannot load sequences: {exc}")
+    c, d = _load_preamble(args.file_c), _load_preamble(args.file_d)
     residual = gcp_residual(c, d)
     ok = residual <= args.tol
     print(f"max |rho_c + rho_d| = {residual:.3e} (tol {args.tol:g}): "
@@ -185,7 +180,13 @@ def cmd_papr(args, config: dict) -> int:
 def cmd_ccdf(args, config: dict) -> int:
     started = time.time()
     cfg = _frame_config(args, config)
-    preamble = _load_preamble(args.preamble_file)
+    if args.preamble_file is not None:
+        preamble = _load_preamble(args.preamble_file)
+        source = {"preamble_file": args.preamble_file}
+    else:
+        channel_len = _opt(args, config, "channel_len", 32)
+        preamble = sparse_golay_preamble(cfg.subcarriers, channel_len)
+        source = {"preamble": "sparse-golay", "channel_len": channel_len}
     trials = _opt(args, config, "trials", 100_000)
     filt = make_filter(args.filter, cfg.samples_per_symbol)
     engine_started = time.perf_counter()
@@ -198,7 +199,7 @@ def cmd_ccdf(args, config: dict) -> int:
     json_path.write_text(result.to_json() + "\n")
     _write_manifest(csv_path.with_suffix(".manifest.json"), "ccdf",
                     {**cfg.to_json_dict(), "filter": args.filter, "trials": trials,
-                     "preamble_file": args.preamble_file},
+                     **source},
                     cfg.rng_seed, started, [str(csv_path), str(json_path)],
                     trials_per_s=round(trials_per_s, 1),
                     engine_processes=engine_processes(trials))
@@ -294,7 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_papr)
 
     p = sub.add_parser("ccdf", help="Monte Carlo PAPR CCDF")
-    p.add_argument("--preamble-file", required=True)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preamble-file", help="default: the sparse Golay preamble")
+    source.add_argument("--channel-len", dest="channel_len", type=int, default=None,
+                        help="pilots of the sparse Golay preamble (default 32)")
     p.add_argument("--filter", choices=FILTER_NAMES, default="phydyas4")
     p.add_argument("--subcarriers", type=int, default=None)
     p.add_argument("--guards", type=int, default=None)

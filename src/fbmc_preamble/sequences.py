@@ -74,16 +74,33 @@ class PhaseSequence:
         """Unit-magnitude amplitudes omega^phase with omega = exp(j2pi/Q)."""
         roots = _EXACT_ROOTS.get(self.modulus)
         if roots is None:
-            roots = np.exp(2j * np.pi * np.arange(self.modulus) / self.modulus)
+            return np.exp(2j * np.pi * self.phases / self.modulus)
         return roots[self.phases]
-
-    def to_json(self) -> str:
-        return json.dumps({"modulus": self.modulus, "phases": self.phases.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "PhaseSequence":
+        """Reads {"modulus": Q, "phases": [...]}, all integers."""
         obj = json.loads(text)
-        return cls(modulus=int(obj["modulus"]), phases=np.asarray(obj["phases"]))
+        phases = _json_list(obj, "phases", integers=True)
+        modulus = obj.get("modulus")
+        if type(modulus) is not int:
+            raise SequenceError(f"modulus must be an integer, not {modulus!r}")
+        return cls(modulus=modulus, phases=phases)
+
+
+def _json_list(obj, key: str, integers: bool) -> np.ndarray:
+    """obj[key] as a 1-D array of integers, or of reals if not `integers`;
+    raises SequenceError for a missing key or any other value."""
+    try:
+        value = obj[key]
+        arr = np.asarray(value)
+    except (KeyError, TypeError, ValueError):     # no such key, or ragged
+        arr = None
+    kinds = "iu" if integers else "iuf"
+    if (arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds)
+            or any(type(v) is bool for v in value)):      # numpy reads true as 1
+        raise SequenceError(f"{key} must be a list of {'integers' if integers else 'numbers'}")
+    return arr
 
 
 def complex_to_json(c: np.ndarray) -> str:
@@ -93,7 +110,7 @@ def complex_to_json(c: np.ndarray) -> str:
 
 def complex_from_json(text: str) -> np.ndarray:
     obj = json.loads(text)
-    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    re, im = (_json_list(obj, key, integers=False).astype(float) for key in ("re", "im"))
     if re.shape != im.shape:
         raise SequenceError(f"re and im differ in length ({re.size} != {im.size})")
     return re + 1j * im
@@ -136,13 +153,6 @@ class GbfSpec:
              "const": self.const, "offset": self.offset}
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "GbfSpec":
-        obj = json.loads(text)
-        return cls(q=int(obj["q"]), mu=int(obj["mu"]), pi=tuple(obj["pi"]),
-                   b=tuple(obj["b"]), const=int(obj.get("const", 0)),
-                   offset=int(obj.get("offset", 0)))
-
 
 def evaluate_gbf(f: Gbf) -> PhaseSequence:
     """Evaluate f at kappa = 0..2^mu-1, kappa_1 the least significant bit."""
@@ -177,14 +187,6 @@ def dj_pair(spec: GbfSpec) -> tuple[PhaseSequence, PhaseSequence]:
     return evaluate_gbf(fa), evaluate_gbf(fb)
 
 
-def aacf(c: np.ndarray, tau: int) -> complex:
-    """Aperiodic autocorrelation sum_m c_m conj(c_{m+tau}) at shift tau >= 0."""
-    c = np.asarray(c, dtype=complex)
-    if not 0 <= tau <= len(c) - 1:
-        raise SequenceError(f"shift {tau} outside 0..{len(c) - 1}")
-    return complex(np.dot(c[: len(c) - tau], np.conj(c[tau:])))
-
-
 def is_gcp(c: np.ndarray, d: np.ndarray, tol: float = 1e-9) -> bool:
     """True iff the aperiodic autocorrelations of c and d cancel at every
     nonzero shift, to within tol."""
@@ -192,14 +194,16 @@ def is_gcp(c: np.ndarray, d: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def gcp_residual(c: np.ndarray, d: np.ndarray) -> float:
-    """max_{tau != 0} |rho_c(tau) + rho_d(tau)|, the complementarity defect."""
+    """max_{tau != 0} |rho_c(tau) + rho_d(tau)|, the complementarity defect,
+    where rho_c(tau) = sum_m c_m conj(c_{m+tau}) is the aperiodic
+    autocorrelation."""
     c = np.asarray(c, dtype=complex)
     d = np.asarray(d, dtype=complex)
     if c.shape != d.shape:
         raise SequenceError("pair members must have equal length")
     if len(c) < 2:
         return 0.0
-    # Entry len(c) - 1 - tau of the full correlation is aacf(., tau).
+    # Entry len(c) - 1 - tau of the full correlation is rho(tau), tau >= 0.
     resid = (np.correlate(c, c, "full") + np.correlate(d, d, "full"))[:len(c) - 1]
     return float(np.max(np.abs(resid)))
 

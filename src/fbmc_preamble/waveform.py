@@ -13,7 +13,6 @@ thin caller of the signal core below.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -84,10 +83,6 @@ class FrameConfig:
                 "preamble_slot": self.preamble_slot, "data_span": self.data_span,
                 "oversample": self.oversample, "rng_seed": self.rng_seed}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FrameConfig":
-        return cls(**obj)
-
 
 TRIAL_BITS = 48
 SLOT_BITS = 16
@@ -143,7 +138,6 @@ def slot_data(cfg: FrameConfig, trial, slot) -> np.ndarray:
 class FbmcGrid:
     symbols: np.ndarray = field(compare=False)   # (M, total_slots)
     first_slot: int = 0
-    preamble_slot: int = 0
 
 
 def checked_preamble(preamble: np.ndarray, subcarriers: int) -> np.ndarray:
@@ -167,8 +161,7 @@ def build_frame(cfg: FrameConfig, preamble: np.ndarray, trial: int = 0) -> FbmcG
     symbols[:, cfg.preamble_slot - cfg.first_slot] = preamble
     slots = np.array(cfg.data_slots())
     symbols[:, slots - cfg.first_slot] = slot_data(cfg, trial, slots).T
-    return FbmcGrid(symbols=symbols, first_slot=cfg.first_slot,
-                    preamble_slot=cfg.preamble_slot)
+    return FbmcGrid(symbols=symbols, first_slot=cfg.first_slot)
 
 
 @dataclass(frozen=True)
@@ -180,14 +173,6 @@ class SampledSignal:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(len(self.samples)) / self.samples_per_symbol
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "t", "re", "im", "power"])
-            for k, (t, v) in enumerate(zip(self.times, self.samples)):
-                w.writerow([k, f"{t:.9g}", f"{v.real:.12g}", f"{v.imag:.12g}",
-                            f"{abs(v) ** 2:.12g}"])
 
 
 # ---------------------------------------------------------------------------

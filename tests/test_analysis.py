@@ -12,7 +12,7 @@ from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, CcdfResult,
                                     RicianPointModel, average_power, default_thresholds,
                                     empirical_mean_power, iapr_exceedance, marcum_q1,
                                     monte_carlo_ccdf, nu_of_t, papr, papr_samples,
-                                    rician_cdf, rician_pdf, sigma2_of_t, signal_at_times)
+                                    sigma2_of_t, signal_at_times)
 from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import FbmcGrid, FrameConfig, build_frame, synthesize
@@ -88,36 +88,6 @@ class TestMarcumQ1:
         monkeypatch.setattr(analysis._sp, "chndtr", lambda x, df, nc: math.nan)
         with pytest.raises(FloatingPointError):
             marcum_q1(1.0, 2.0)
-        with pytest.raises(FloatingPointError):
-            rician_cdf(2.0, 1.0, 1.0)
-
-
-class TestRician:
-    def test_rayleigh_reduction(self):
-        sigma = 1.3
-        for x in (0.1, 1.0, 3.0):
-            expected = x / sigma**2 * math.exp(-x * x / (2 * sigma**2))
-            assert rician_pdf(x, 0.0, sigma) == pytest.approx(expected, rel=1e-12)
-
-    def test_cdf_limits(self):
-        assert rician_cdf(0.0, 1.0, 1.0) == 0.0
-        assert rician_cdf(60.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_pdf_normalizes(self):
-        for nu, sigma in [(0.0, 1.0), (2.0, 0.5), (5.0, 2.0)]:
-            total, _ = integrate.quad(lambda x: rician_pdf(x, nu, sigma),
-                                      0.0, nu + 10 * sigma, limit=200)
-            assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_pdf_integrates_to_cdf(self):
-        nu, sigma = 1.7, 0.8
-        x = 2.2
-        total, _ = integrate.quad(lambda u: rician_pdf(u, nu, sigma), 0.0, x, limit=200)
-        assert total == pytest.approx(rician_cdf(x, nu, sigma), abs=1e-9)
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(AnalysisError):
-            rician_pdf(1.0, 1.0, 0.0)
 
 
 class TestNuSigma:
@@ -135,7 +105,7 @@ class TestNuSigma:
         cfg, n = self.cfg, self.cfg.preamble_slot
         symbols = np.zeros((64, cfg.total_slots), dtype=complex)
         symbols[:, n - cfg.first_slot] = self.preamble
-        grid = FbmcGrid(symbols=symbols, first_slot=cfg.first_slot, preamble_slot=n)
+        grid = FbmcGrid(symbols=symbols, first_slot=cfg.first_slot)
         sig = synthesize(grid, self.filt, cfg)
         win = AnalysisWindow.for_signal(sig, n)
         seg = np.abs(sig.samples[win.start_index: win.start_index + win.length])
@@ -345,6 +315,14 @@ class TestMonteCarloCcdf:
     def test_rejects_no_trials(self):
         with pytest.raises(AnalysisError):
             monte_carlo_ccdf(self.preamble, self.filt, self.cfg, 0)
+
+    def test_rejects_negative_trials(self):
+        assert papr_samples(self.preamble, self.filt, self.cfg, trials=0).shape == (0,)
+        with pytest.raises(AnalysisError, match="trials"):
+            papr_samples(self.preamble, self.filt, self.cfg, trials=-3)
+        t = np.array([(self.cfg.preamble_slot + 4) / 2])
+        with pytest.raises(AnalysisError, match="trials"):
+            signal_at_times(self.preamble, self.filt, self.cfg, t, trials=-2)
 
     def test_export(self, tmp_path):
         res = monte_carlo_ccdf(self.preamble, self.filt, self.cfg, 50)

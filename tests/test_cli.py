@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from fbmc_preamble import cli
-from fbmc_preamble.analysis import engine_processes
+from fbmc_preamble.analysis import engine_processes, monte_carlo_ccdf
 from fbmc_preamble.cli import main
+from fbmc_preamble.prototype import make_filter
 from fbmc_preamble.sequences import (GOLAY_C16, GOLAY_D16, complex_to_json,
                                      golay_seed, signs_to_array,
                                      sparse_golay_preamble)
+from fbmc_preamble.waveform import FrameConfig
 
 GOLAY32_FILE = "golay32.json"
 
@@ -50,6 +52,11 @@ class TestGenGolay:
                    "--b", "0,0,0"])
         assert rc == 1
 
+    def test_non_integer_list_rejected(self, capsys):
+        rc = main(["gen-golay", "--q", "2", "--mu", "2", "--pi", "a,b", "--b", "0,0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestVerifyGcp:
     def test_accepts_complementary_pair(self, tmp_path, capsys):
@@ -66,7 +73,8 @@ class TestVerifyGcp:
         assert rc == 1
         assert "NOT a GCP" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("payload", [{"re": [1.0] * 4, "im": [0.0] * 3}, [1, 2]])
+    @pytest.mark.parametrize("payload", [{"re": [1.0] * 4, "im": [0.0] * 3}, [1, 2],
+                                         {"re": None, "im": None}])
     def test_malformed_file(self, tmp_path, capsys, payload):
         fc = write_preamble(tmp_path, "c.json", np.ones(4))
         fd = tmp_path / "d.json"
@@ -125,7 +133,9 @@ class TestPapr:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("payload", [{"re": [1.0] * 16, "im": [0.0] * 15},
-                                         {"re": [1.0] * 16}, [1, 2], 5])
+                                         {"re": [1.0] * 16}, [1, 2], 5,
+                                         {"re": ["a"], "im": ["b"]},
+                                         {"modulus": "x", "phases": [0]}])
     def test_malformed_preamble_file(self, tmp_path, capsys, payload):
         path = tmp_path / "pre.json"
         path.write_text(json.dumps(payload))
@@ -172,6 +182,40 @@ class TestCcdf:
         assert main(argv) == 0
         assert (tmp_path / "run.csv").read_bytes() == first
 
+    def test_builtin_sparse_golay_preamble(self, tmp_path, capsys):
+        argv = ["--out-dir", str(tmp_path), "ccdf", "--filter", "hermite",
+                "--subcarriers", "64", "--guards", "2", "--trials", "64"]
+        assert main(argv + ["--channel-len", "16"]) == 0
+        stem = tmp_path / "ccdf_hermite_G2"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ccdf_hermite_G2.csv", "ccdf_hermite_G2.json", "ccdf_hermite_G2.manifest.json"]
+        cfg = FrameConfig(subcarriers=64, guards=2)
+        filt = make_filter("hermite", cfg.samples_per_symbol)
+        expected = monte_carlo_ccdf(sparse_golay_preamble(64, 16), filt, cfg, 64)
+        payload = json.loads(stem.with_suffix(".json").read_text())
+        assert payload["exceed_count"] == expected.exceed_count.tolist()
+        assert payload["max_papr_db"] == expected.max_papr_db
+        config = json.loads(stem.with_suffix(".manifest.json").read_text())["config"]
+        assert config["preamble"] == "sparse-golay" and config["channel_len"] == 16
+        assert "preamble_file" not in config
+        # Without --channel-len the paper's L_h = 32 is used.
+        assert main(argv) == 0
+        config = json.loads(stem.with_suffix(".manifest.json").read_text())["config"]
+        assert config["channel_len"] == 32
+
+    def test_preamble_file_excludes_channel_len(self, tmp_path, capsys):
+        pre = write_preamble(tmp_path, "pre.json", golay_seed(32))
+        with pytest.raises(SystemExit) as exc:
+            main(["ccdf", "--preamble-file", pre, "--channel-len", "16",
+                  "--subcarriers", "32", "--trials", "16"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_channel_len_must_divide_subcarriers(self, capsys):
+        rc = main(["ccdf", "--subcarriers", "64", "--channel-len", "24", "--trials", "16"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_dead_engine_worker_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
         def dead(*args, **kwargs):
             raise ChildProcessError("engine worker 1 exited with code -9")
@@ -200,6 +244,14 @@ class TestCompare:
         assert set(rows) == {"sparse-golay", "sparse-mseq", "iam-c"}
         assert rows["sparse-golay"] < rows["sparse-mseq"] < rows["iam-c"]
         assert rows["sparse-golay"] <= payload["bound_db"] + 0.02
+
+    def test_every_filter_prints_the_three_preambles(self, capsys):
+        for name in cli.FILTER_NAMES:
+            assert main(["compare", "--filter", name, "--subcarriers", "64",
+                         "--channel-len", "16"]) == 0
+            rows = capsys.readouterr().out.splitlines()
+            assert rows[0].startswith(f"sigma=0 preamble PAPR, {name}, M=64, L_h=16")
+            assert [r.split()[0] for r in rows[1:]] == ["sparse-golay", "sparse-mseq", "iam-c"]
 
     def test_indivisible_lengths(self, capsys):
         rc = main(["compare", "--subcarriers", "100", "--channel-len", "33"])

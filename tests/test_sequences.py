@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbmc_preamble.sequences import (GOLAY_C16, GOLAY_D16, Gbf, GbfSpec,
-                                     PhaseSequence, SequenceError, aacf,
+                                     PhaseSequence, SequenceError,
                                      array_to_signs, complex_from_json,
                                      complex_to_json, dj_pair, evaluate_gbf,
                                      gcp_residual, golay_seed, iamc_preamble,
@@ -15,6 +15,16 @@ from fbmc_preamble.sequences import (GOLAY_C16, GOLAY_D16, Gbf, GbfSpec,
                                      sparsify)
 
 RNG = np.random.default_rng(20240817)
+
+
+def aacf(c: np.ndarray, tau: int) -> complex:
+    """Oracle: aperiodic autocorrelation sum_m c_m conj(c_{m+tau}), tau >= 0,
+    as a direct sum."""
+    c = np.asarray(c, dtype=complex)
+    return complex(np.dot(c[: len(c) - tau], np.conj(c[tau:])))
+
+
+COMPLEX = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
 
 
 def random_dj_spec(rng, q_choices=(2, 4), mu_range=(2, 6)) -> GbfSpec:
@@ -97,15 +107,7 @@ class TestAacf:
         for tau in range(1, 16):
             assert aacf(c, tau) == pytest.approx(-aacf(d, tau), abs=1e-12)
 
-    def test_shift_out_of_range(self):
-        with pytest.raises(SequenceError):
-            aacf(np.ones(4), 4)
-        with pytest.raises(SequenceError):
-            aacf(np.ones(4), -1)
-
-    @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
-                                       allow_infinity=False), min_size=1, max_size=24),
-           st.data())
+    @given(st.lists(COMPLEX, min_size=1, max_size=24), st.data())
     @settings(max_examples=80, deadline=None)
     def test_scaling_property(self, values, data):
         c = np.asarray(values)
@@ -116,6 +118,17 @@ class TestAacf:
         rhs = abs(alpha) ** 2 * aacf(c, tau)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
         assert aacf(c, 0) == pytest.approx(np.sum(np.abs(c) ** 2), rel=1e-12)
+
+
+class TestGcpResidual:
+    @given(st.lists(st.tuples(COMPLEX, COMPLEX), min_size=1, max_size=24))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_direct_autocorrelation_sums(self, pairs):
+        # Any complex pair, complementary or not.
+        c, d = np.array(pairs).T
+        expected = max((abs(aacf(c, tau) + aacf(d, tau)) for tau in range(1, len(c))),
+                       default=0.0)
+        assert gcp_residual(c, d) == pytest.approx(expected, rel=0, abs=1e-9)
 
 
 class TestIsGcp:
@@ -231,20 +244,50 @@ class TestBaselines:
 class TestSerialization:
     def test_phase_sequence_roundtrip(self):
         seq = PhaseSequence(modulus=4, phases=np.array([0, 1, 2, 3, 2]))
-        back = PhaseSequence.from_json(seq.to_json())
+        back = PhaseSequence.from_json(json.dumps({"modulus": 4,
+                                                   "phases": seq.phases.tolist()}))
         assert back.modulus == 4
         assert np.array_equal(back.phases, seq.phases)
+        assert np.array_equal(back.to_complex(), [1, 1j, -1, -1j, -1])
+
+    @pytest.mark.parametrize("obj", [{"modulus": "x", "phases": [0]},
+                                     {"modulus": 2.0, "phases": [0]},
+                                     {"modulus": True, "phases": [0]},
+                                     {"phases": [0]},
+                                     {"modulus": 4, "phases": [0.5]},
+                                     {"modulus": 4, "phases": [1, None]},
+                                     {"modulus": 4, "phases": [1, True]},
+                                     {"modulus": 4, "phases": [[0], [1, 2]]},
+                                     {"modulus": 4, "phases": 3},
+                                     {"modulus": 4, "phases": [2**70]},
+                                     {"modulus": 4, "phases": [4]},
+                                     [0, 1]])
+    def test_phase_sequence_rejects_malformed_json(self, obj):
+        with pytest.raises(SequenceError):
+            PhaseSequence.from_json(json.dumps(obj))
+
+    def test_large_modulus_needs_no_root_table(self):
+        text = json.dumps({"modulus": 10**15, "phases": [0, 10**15 // 2]})
+        seq = PhaseSequence.from_json(text)
+        assert np.allclose(seq.to_complex(), [1, -1])
 
     def test_complex_roundtrip(self):
         c = RNG.normal(size=9) + 1j * RNG.normal(size=9)
         assert np.allclose(complex_from_json(complex_to_json(c)), c)
 
+    @pytest.mark.parametrize("obj", [{"re": ["a"], "im": ["b"]}, {"re": None, "im": None},
+                                     {"re": [1.0]}, {"re": 1.0, "im": 0.0},
+                                     {"re": [[1.0]], "im": [[0.0]]},
+                                     {"re": [1.0, True], "im": [0.0, 0.0]},
+                                     {"re": [1.0, 2.0], "im": [0.0]}, [1.0]])
+    def test_complex_rejects_malformed_json(self, obj):
+        with pytest.raises(SequenceError):
+            complex_from_json(json.dumps(obj))
+
     def test_spec_roundtrip(self):
         spec = GbfSpec(q=4, mu=3, pi=(3, 1, 2), b=(1, 0, 2), const=3, offset=2)
-        assert GbfSpec.from_json(spec.to_json()) == spec
+        assert GbfSpec(**json.loads(spec.to_json())) == spec
 
     def test_json_field_names(self):
-        obj = json.loads(PhaseSequence(modulus=2, phases=np.array([0, 1])).to_json())
-        assert set(obj) == {"modulus", "phases"}
         obj = json.loads(complex_to_json(np.array([1 + 2j])))
         assert set(obj) == {"re", "im"}

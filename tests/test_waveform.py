@@ -51,7 +51,7 @@ class TestFrameConfig:
 
     def test_json_roundtrip(self):
         cfg = small_cfg()
-        assert FrameConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        assert FrameConfig(**cfg.to_json_dict()) == cfg
 
 
 class TestBuildFrame:
@@ -94,7 +94,7 @@ class TestBuildFrame:
 def one_symbol_grid(m_count, m, slot, value=1.0):
     symbols = np.zeros((m_count, 1), dtype=complex)
     symbols[m, 0] = value
-    return FbmcGrid(symbols=symbols, first_slot=slot, preamble_slot=slot)
+    return FbmcGrid(symbols=symbols, first_slot=slot)
 
 
 class TestSynthesize:
@@ -118,8 +118,7 @@ class TestSynthesize:
         filt = hermite_taps(cfg.samples_per_symbol)
         g1 = build_frame(cfg, golay_seed(16), trial=0)
         g2 = build_frame(cfg, golay_seed(16), trial=1)
-        total = FbmcGrid(symbols=g1.symbols + g2.symbols, first_slot=g1.first_slot,
-                         preamble_slot=g1.preamble_slot)
+        total = FbmcGrid(symbols=g1.symbols + g2.symbols, first_slot=g1.first_slot)
         s1 = synthesize(g1, filt, cfg).samples
         s2 = synthesize(g2, filt, cfg).samples
         s12 = synthesize(total, filt, cfg).samples
@@ -133,8 +132,7 @@ class TestSynthesize:
         cfg = small_cfg()
         filt = phydyas_taps(4, cfg.samples_per_symbol)
         grid = build_frame(cfg, golay_seed(16))
-        shifted = FbmcGrid(symbols=grid.symbols, first_slot=grid.first_slot + 2,
-                           preamble_slot=grid.preamble_slot + 2)
+        shifted = FbmcGrid(symbols=grid.symbols, first_slot=grid.first_slot + 2)
         s0 = synthesize(grid, filt, cfg).samples
         s2 = synthesize(shifted, filt, cfg).samples
         assert np.max(np.abs(s2 + s0)) < 1e-10 * np.max(np.abs(s0))
@@ -145,12 +143,10 @@ class TestSynthesize:
         cfg = small_cfg()
         filt = phydyas_taps(4, cfg.samples_per_symbol)
         grid = build_frame(cfg, golay_seed(16))
-        shifted = FbmcGrid(symbols=grid.symbols, first_slot=grid.first_slot + 1,
-                           preamble_slot=grid.preamble_slot + 1)
+        shifted = FbmcGrid(symbols=grid.symbols, first_slot=grid.first_slot + 1)
         signs = np.where(np.arange(cfg.subcarriers) % 2 == 0, 1.0, -1.0)
         modulated = FbmcGrid(symbols=grid.symbols * signs[:, None],
-                             first_slot=grid.first_slot,
-                             preamble_slot=grid.preamble_slot)
+                             first_slot=grid.first_slot)
         s_shift = synthesize(shifted, filt, cfg).samples
         s_mod = 1j * synthesize(modulated, filt, cfg).samples
         assert np.max(np.abs(s_shift - s_mod)) < 1e-10 * np.max(np.abs(s_mod))
@@ -161,15 +157,6 @@ class TestSynthesize:
         grid = build_frame(cfg, golay_seed(16))
         sig = synthesize(grid, filt, cfg)
         assert sig.samples_per_symbol == cfg.samples_per_symbol
-
-    def test_csv_export(self, tmp_path):
-        cfg = small_cfg()
-        sig = synthesize(build_frame(cfg, golay_seed(16)),
-                         phydyas_taps(4, cfg.samples_per_symbol), cfg)
-        path = tmp_path / "sig.csv"
-        sig.write_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "index,t,re,im,power"
 
 
 class TestTransmultiplexer:
