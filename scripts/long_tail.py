@@ -20,16 +20,24 @@ from fbmc_preamble.sequences import sparse_golay_preamble
 from fbmc_preamble.waveform import FrameConfig
 
 
+def positive_count(text: str) -> int:
+    """A count of trials: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--subcarriers", type=int, default=512)
     ap.add_argument("--channel-len", type=int, default=32)
     ap.add_argument("--guards", type=int, default=2)
     ap.add_argument("--filter", default="phydyas4")
-    ap.add_argument("--trials", type=int, default=10_000_000)
+    ap.add_argument("--trials", type=positive_count, default=10_000_000)
     ap.add_argument("--threshold", type=float, default=3.0, help="PAPR in dB")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--report-every", type=int, default=500_000)
+    ap.add_argument("--report-every", type=positive_count, default=500_000)
     args = ap.parse_args()
 
     cfg = FrameConfig(subcarriers=args.subcarriers, guards=args.guards,

@@ -20,7 +20,7 @@ from scipy import special as _sp
 from .prototype import PrototypeFilter
 from .waveform import (FbmcGrid, FrameConfig, SampledSignal, add_slot_sums,
                        carrier_phase, check_trials, checked_preamble, reaching_data_slots,
-                       slot_data, slot_signal, synthesize)
+                       slot_data, slot_signal, slot_weight, synthesize)
 from .workers import POOL, cpu_count
 
 
@@ -156,8 +156,13 @@ def wilson_interval(hits, trials):
     """Wilson score 95% interval (low, high) of a probability estimated as
     hits / trials; `hits` may be an array.  Unlike the normal
     approximation it stays informative at zero hits, where its upper end
-    is about 3.84 / trials."""
+    is about 3.84 / trials.  Raises AnalysisError unless trials >= 1 and
+    every hit count lies in [0, trials]."""
     hits = np.asarray(hits, dtype=float)
+    if not trials >= 1:
+        raise AnalysisError(f"need at least one trial, not {trials!r}")
+    if not np.all((hits >= 0) & (hits <= trials)):
+        raise AnalysisError(f"hits must lie in [0, {trials}]")
     z2 = _Z95 * _Z95
     centre = (hits + z2 / 2.0) / (trials + z2)
     half = _Z95 / (trials + z2) * np.sqrt(hits * (trials - hits) / trials + z2 / 4.0)
@@ -230,28 +235,40 @@ class _WindowSampler:
         self.data_slots = reaching_data_slots(n, cfg.guards, filt.overlap, t_win)
 
         def term(s):
-            """Slot s's coefficient phase, referenced to the window start, and g."""
-            return carrier_phase(m, s, n + 2), filt(t_win - s / 2.0).reshape(2, spt)
+            """Slot s's coefficient phase, referenced to the window start, and
+            its weight g on the window."""
+            g = filt(t_win - s / 2.0).reshape(2, spt)
+            return carrier_phase(m, s, n + 2), slot_weight(g)
 
         self._terms = [term(s) for s in self.data_slots]
-        phase, g = term(n)
+        phase, weight = term(n)
         coeff = np.zeros((1, spt), dtype=complex)
         coeff[0, :m] = preamble * phase
         self.preamble_window = np.zeros((1, 2, spt), dtype=complex)
-        add_slot_sums(self.preamble_window, coeff, g, np.empty_like(coeff))
+        add_slot_sums(self.preamble_window, coeff, weight, np.empty_like(coeff))
 
-    def sample_trials(self, first_trial: int, count: int) -> np.ndarray:
-        """Window samples, shape (count, 2 * spt)."""
+    def window(self, data: np.ndarray) -> np.ndarray:
+        """Window samples, shape (count, 2 * spt), for the real data
+        (len(data_slots), count, M) of the data slots that reach it."""
+        data = np.asarray(data)
         m = self.cfg.subcarriers
-        trials = np.arange(first_trial, first_trial + count)
-        data = slot_data(self.cfg, trials, self.data_slots[:, None])
+        if data.ndim != 3 or data.shape[0] != len(self.data_slots) or data.shape[2] != m:
+            raise AnalysisError(f"data of shape {data.shape} is not "
+                                f"({len(self.data_slots)}, count, {m})")
+        count = data.shape[1]
         out = np.tile(self.preamble_window, (count, 1, 1))
         coeff = np.zeros((count, self.spt), dtype=complex)
         base = np.empty_like(coeff)
-        for (phase, g), a in zip(self._terms, data):
+        for (phase, weight), a in zip(self._terms, data):
             np.multiply(a, phase, out=coeff[:, :m])
-            add_slot_sums(out, coeff, g, base)
+            add_slot_sums(out, coeff, weight, base)
         return out.reshape(count, 2 * self.spt)
+
+    def sample_trials(self, first_trial: int, count: int) -> np.ndarray:
+        """Window samples, shape (count, 2 * spt), of trials
+        [first_trial, first_trial + count)."""
+        trials = np.arange(first_trial, first_trial + count)
+        return self.window(slot_data(self.cfg, trials, self.data_slots[:, None]))
 
 
 DEFAULT_CHUNK = 16

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -25,10 +26,12 @@ from .prototype import FilterError, make_filter, papr_bound_sigma0
 from .sequences import (GbfSpec, PhaseSequence, SequenceError, array_to_signs,
                         complex_from_json, complex_to_json, dj_pair, gcp_residual,
                         iamc_preamble, mseq_preamble, sparse_golay_preamble)
-from .waveform import FrameConfig, FrameError
+from .waveform import RNG_SCHEME, FrameConfig, FrameError
 from .workers import cpu_count
 
 FILTER_NAMES = ("phydyas3", "phydyas4", "hermite")
+# The checkout this package's source lies in, if it is run from one.
+SOURCE_ROOT = Path(__file__).resolve().parents[2]
 
 
 class CliError(Exception):
@@ -71,6 +74,19 @@ def _out_path(args, config: dict, filename: str) -> Path:
     return out_dir / filename
 
 
+def _git_revision() -> str | None:
+    """The commit checked out at SOURCE_ROOT, or None outside a git checkout
+    (an installed package) or where git cannot say."""
+    if not (SOURCE_ROOT / ".git").exists():
+        return None
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=SOURCE_ROOT,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def _write_manifest(path: Path, command: str, config: dict, seed: int,
                     started: float, outputs: list[str], **run) -> None:
     """Writes what a command did and where it ran; `run` adds fields that
@@ -80,6 +96,8 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int,
         "config": config,
         "seed": seed,
         "library_version": __version__,
+        "git_revision": _git_revision(),
+        "rng_scheme": RNG_SCHEME,
         "duration_s": round(time.time() - started, 3),
         "outputs": outputs,
         **run,

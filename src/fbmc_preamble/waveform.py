@@ -13,6 +13,7 @@ thin caller of the signal core below.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -86,6 +87,10 @@ class FrameConfig:
 
 TRIAL_BITS = 48
 SLOT_BITS = 16
+# The data stream slot_data draws, named in run manifests.  A change to the
+# generator, the key or the bit mapping must change this name.
+RNG_SCHEME = ("slot-data-v1: Philox4x64-10, key (trial << 16 | slot, rng_seed), counter 0; "
+              "top bit of each little-endian uint32 word, 1 -> +1, 0 -> -1")
 
 
 def _key_field(name: str, value, bits: int) -> np.ndarray:
@@ -198,13 +203,40 @@ def carrier_phase(subcarriers: int, slot: int, start: int = 0) -> np.ndarray:
     return _J[(m + slot + 2 * m * start) % 4]
 
 
-def add_slot_sums(out: np.ndarray, coeff: np.ndarray, g: np.ndarray,
+def slot_weight(g: np.ndarray) -> list[tuple[int, int, int, int, np.ndarray]]:
+    """A slot's weight g (P, spt) as add_slot_sums takes it: pieces
+    (p0, p1, lo, hi, w) over the rows p0..p1-1 of g.  [lo, hi) is the range
+    from the rows' first to their last nonzero sample, in the float view of
+    a complex row, (re, im) pairs; w (p1 - p0, hi - lo) repeats g there for
+    each pair.  Consecutive rows with the same range share one piece, as
+    every row of a filter's taps does; all-zero rows have none."""
+    nonzero = g != 0
+    first = nonzero.argmax(axis=1)
+    stop = g.shape[1] - nonzero[:, ::-1].argmax(axis=1)
+    spans = [(a, b) if any_row else None for a, b, any_row in
+             zip(first.tolist(), stop.tolist(), nonzero[np.arange(len(g)), first].tolist())]
+    pieces = []
+    p0 = 0
+    for span, rows in itertools.groupby(spans):
+        p1 = p0 + len(list(rows))
+        if span is not None:
+            a, b = span
+            w = np.empty((p1 - p0, 2 * (b - a)))
+            w[:, 0::2] = w[:, 1::2] = g[p0:p1, a:b]
+            pieces.append((p0, p1, 2 * a, 2 * b, w))
+        p0 = p1
+    return pieces
+
+
+def add_slot_sums(out: np.ndarray, coeff: np.ndarray, weight: list,
                   base: np.ndarray) -> None:
     """out (count, P, spt) += g (P, spt) * each row's subcarrier sum.
 
     coeff (count, spt) holds phased coefficients zero-padded to spt, so one
     IFFT gives a row's sum on one T-periodic symbol of spt samples, repeated
     over the P symbol intervals of `out`; base is scratch of coeff's shape.
+    weight is slot_weight(g): out is left as it is outside each row's range
+    from the first to the last nonzero sample of g.
     """
     spt = coeff.shape[1]
     # The IFFT's 1/spt scaling and the product by spt are both exact for a
@@ -213,7 +245,12 @@ def add_slot_sums(out: np.ndarray, coeff: np.ndarray, g: np.ndarray,
     np.fft.ifft(coeff, axis=1, norm="forward" if exact else "backward", out=base)
     if not exact:
         base *= spt
-    out += g * base[:, None, :]
+    # Real g times the complex sum, (re, im) pair by pair: the products that
+    # (g + 0j) * sum gives, without the cast and the complex multiply.
+    base_f = base.view(float)
+    out_f = out.view(float)
+    for p0, p1, lo, hi, w in weight:
+        out_f[:, p0:p1, lo:hi] += base_f[:, None, lo:hi] * w
 
 
 def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
@@ -242,7 +279,7 @@ def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> Sampl
     m_count, n_cols = grid.symbols.shape
     k_len = filt.overlap * spt
     out = np.zeros((n_cols - 1) * spt // 2 + k_len, dtype=complex)
-    taps = filt.taps.reshape(filt.overlap, spt)
+    weight = slot_weight(filt.taps.reshape(filt.overlap, spt))
     coeff = np.zeros((1, spt), dtype=complex)
     base = np.empty_like(coeff)
     for col in np.flatnonzero(np.any(grid.symbols, axis=0)):
@@ -251,7 +288,7 @@ def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> Sampl
         coeff[0, :m_count] = grid.symbols[:, col] * carrier_phase(m_count, slot, slot)
         offset = col * spt // 2
         window = out[offset: offset + k_len].reshape(1, filt.overlap, spt)
-        add_slot_sums(window, coeff, taps, base)
+        add_slot_sums(window, coeff, weight, base)
     return SampledSignal(samples=out, samples_per_symbol=spt, t0=grid.first_slot / 2.0)
 
 

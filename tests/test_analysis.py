@@ -360,3 +360,11 @@ class TestWilsonInterval:
         low, high = analysis.wilson_interval(np.array([0, 100_000]), 100_000)
         assert low[0] == 0.0 and high[1] == 1.0
         assert high[0] == pytest.approx(3.8415 / 100_003.84, rel=1e-4)
+
+    @pytest.mark.parametrize("hits, trials", [(0, 0), (5, 3), (-1, 10), (0, -2),
+                                              (np.array([0, 11]), 10), (float("nan"), 10),
+                                              (0, float("nan"))])
+    def test_rejects_counts_outside_their_range(self, hits, trials):
+        # These gave NaN with a RuntimeWarning.
+        with pytest.raises(AnalysisError):
+            analysis.wilson_interval(hits, trials)

@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from fbmc_preamble.prototype import make_filter
 from fbmc_preamble.sequences import (GOLAY_C16, GOLAY_D16, complex_to_json,
                                      golay_seed, signs_to_array,
                                      sparse_golay_preamble)
-from fbmc_preamble.waveform import FrameConfig
+from fbmc_preamble.waveform import RNG_SCHEME, FrameConfig
 
 GOLAY32_FILE = "golay32.json"
 
@@ -41,6 +43,18 @@ class TestGenGolay:
         manifest = json.loads((tmp_path / "pair.manifest.json").read_text())
         assert manifest["command"] == "gen-golay"
         assert manifest["outputs"] == [str(tmp_path / "pair.json")]
+        assert {"git_revision", "rng_scheme"} <= manifest.keys()
+
+    def test_manifest_git_revision(self, tmp_path, monkeypatch):
+        revision = cli._git_revision()
+        if (cli.SOURCE_ROOT / ".git").exists() and shutil.which("git"):
+            assert re.fullmatch("[0-9a-f]{40}", revision)
+        # Outside a checkout, as an installed package is, there is none.
+        monkeypatch.setattr(cli, "SOURCE_ROOT", tmp_path)
+        assert main(["--out-dir", str(tmp_path), "gen-golay", "--q", "2", "--mu", "3",
+                     "--pi", "1,2,3", "--b", "0,0,0", "--out", "pair.json"]) == 0
+        manifest = json.loads((tmp_path / "pair.manifest.json").read_text())
+        assert manifest["git_revision"] is None
 
     def test_odd_modulus_rejected(self, capsys):
         rc = main(["gen-golay", "--q", "3", "--mu", "2", "--pi", "1,2", "--b", "0,0"])
@@ -178,6 +192,9 @@ class TestCcdf:
         assert manifest["engine_processes"] == engine_processes(64)
         assert manifest["environment"]["cpu_count"] >= manifest["engine_processes"]
         assert set(manifest["environment"]) == {"python", "numpy", "scipy", "cpu_count"}
+        assert manifest["rng_scheme"] == RNG_SCHEME
+        assert "Philox4x64-10" in RNG_SCHEME
+        assert manifest["git_revision"] == cli._git_revision()
         # same seed reproduces the curve byte for byte
         assert main(argv) == 0
         assert (tmp_path / "run.csv").read_bytes() == first

@@ -20,15 +20,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fbmc_preamble import analysis
-from fbmc_preamble.analysis import (_papr_db, _WindowSampler, engine_processes,
-                                    monte_carlo_ccdf, papr_samples)
+from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, _papr_db, _WindowSampler,
+                                    average_power, engine_processes, monte_carlo_ccdf, papr,
+                                    papr_samples)
 from fbmc_preamble.prototype import make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
-from fbmc_preamble.waveform import FrameConfig, FrameError, slot_data
+from fbmc_preamble.waveform import (FbmcGrid, FrameConfig, FrameError, build_frame,
+                                    carrier_phase, reaching_data_slots, slot_data, synthesize)
 from fbmc_preamble.workers import POOL, cpu_count
 
 # (subcarriers, rng_seed, trial, slot, data bits with 1 for +1)
@@ -115,6 +117,102 @@ def test_batched_slot_data_rows_equal_scalar_calls(m, seed, trials, slot):
     slots = slot_data(cfg, trials[0], np.array([slot, 0]))
     assert np.array_equal(slots[0], batch[0])
     assert np.array_equal(slots[1], slot_data(cfg, trials[0], 0))
+
+
+def full_window_oracle(preamble, filt, cfg, data):
+    """The window as the engine summed it before weights were cut to their
+    support: the preamble's window tiled per trial, then for each reaching
+    data slot in order a complex out += g * sum over the whole window, with
+    g cast to complex."""
+    spt = cfg.samples_per_symbol
+    filt = filt.resample(spt)
+    n, m = cfg.preamble_slot, cfg.subcarriers
+    t_win = (n + 2) / 2.0 + np.arange(2 * spt) / spt
+    exact = spt & (spt - 1) == 0
+
+    def slot_sum(coeff, s):
+        # The unscaled IFFT and the scaled one times spt are equal bits for
+        # a power-of-two spt.
+        base = np.fft.ifft(coeff, axis=1, norm="forward" if exact else "backward")
+        if not exact:
+            base *= spt
+        return filt(t_win - s / 2.0).reshape(2, spt) * base[:, None, :]
+
+    coeff = np.zeros((1, spt), dtype=complex)
+    coeff[0, :m] = preamble * carrier_phase(m, n, n + 2)
+    out = np.tile(slot_sum(coeff, n), (data.shape[1], 1, 1))
+    coeff = np.zeros((data.shape[1], spt), dtype=complex)
+    for s, a in zip(reaching_data_slots(n, cfg.guards, filt.overlap, t_win), data):
+        coeff[:, :m] = a * carrier_phase(m, s, n + 2)
+        out += slot_sum(coeff, s)
+    return out.reshape(data.shape[1], 2 * spt)
+
+
+def same_bits(a, b):
+    """Equal bit for bit once -0 is folded into +0: a weight of zero adds
+    a signed zero, and the sign of a zero sample changes no power."""
+    return (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+def unit_preamble(m, seed):
+    """A preamble of M unit-modulus entries: energy M for any M."""
+    return np.exp(2j * np.pi * np.random.default_rng(seed).random(m))
+
+
+class TestWindow:
+    """The sampler's window against the full-window complex sum it replaced,
+    and against full-frame synthesis."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.sampled_from([7, 8, 12, 13, 16, 24, 33]), oversample=st.integers(2, 6),
+           name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           guards=st.integers(0, 4), chunk=st.integers(1, 16), seed=st.integers(0, 2**32),
+           first_trial=st.integers(0, 2**48 - 64))
+    def test_equals_full_window_oracle_bit_for_bit(self, m, oversample, name, guards, chunk,
+                                                   seed, first_trial):
+        # Odd M with an even oversample, and oversample 3, 5 or 6, give spt
+        # such as 26, 42 or 60 that are not powers of two.
+        assume(m * oversample % 2 == 0)
+        cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample, rng_seed=seed)
+        filt = make_filter(name, cfg.samples_per_symbol)
+        preamble = unit_preamble(m, seed)
+        sampler = _WindowSampler(preamble, filt, cfg)
+        trials = np.arange(first_trial, first_trial + chunk)
+        data = slot_data(cfg, trials, sampler.data_slots[:, None])
+        oracle = full_window_oracle(preamble, filt, cfg, data)
+        assert same_bits(sampler.sample_trials(first_trial, chunk), oracle)
+        assert same_bits(sampler.window(data), oracle)
+        real = np.random.default_rng(seed).standard_normal(data.shape)
+        assert same_bits(sampler.window(real), full_window_oracle(preamble, filt, cfg, real))
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.sampled_from([8, 12, 13, 16, 32]), oversample=st.integers(2, 5),
+           name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           guards=st.integers(0, 4), seed=st.integers(0, 2**32))
+    def test_real_data_equals_full_frame_synthesis(self, m, oversample, name, guards, seed):
+        assume(m * oversample % 2 == 0)
+        cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample, rng_seed=seed)
+        filt = make_filter(name, cfg.samples_per_symbol)
+        preamble = unit_preamble(m, seed)
+        sampler = _WindowSampler(preamble, filt, cfg)
+        # Any real data, not only +-1, in the slots that reach the window;
+        # the other data slots keep build_frame's data.
+        data = np.random.default_rng(seed).standard_normal((len(sampler.data_slots), 1, m))
+        symbols = build_frame(cfg, preamble, trial=0).symbols.copy()
+        symbols[:, sampler.data_slots - cfg.first_slot] = data[:, 0, :].T
+        sig = synthesize(FbmcGrid(symbols=symbols, first_slot=cfg.first_slot), filt, cfg)
+        p_avg = average_power(m)
+        win = sampler.window(data)[0]
+        fast = 10.0 * np.log10(np.max(np.abs(win) ** 2) / p_avg)
+        full = papr(sig, AnalysisWindow.for_signal(sig, cfg.preamble_slot), p_avg)
+        assert abs(fast - full) <= 1e-9
+
+    @pytest.mark.parametrize("shape", [(8, 16), (7, 2, 16), (8, 2, 15), (8, 2, 16, 1)])
+    def test_rejects_data_of_the_wrong_shape(self, shape):
+        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
+        assert len(sampler.data_slots) == 8
+        with pytest.raises(AnalysisError, match="shape"):
+            sampler.window(np.ones(shape))
 
 
 class TestKeyRanges:

@@ -4,6 +4,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SMALL = ["--subcarriers", "64", "--channel-len", "16"]
 
@@ -32,3 +34,13 @@ def test_long_tail(monkeypatch, capsys):
     assert "256 trials: 0 hits, Pr = 0.0000e+00, 95% interval [0.00e+00, 1.48e-02]" in out
     assert out.splitlines()[-1].startswith("final: Pr{PAPR > 3.0 dB}")
 
+
+
+@pytest.mark.parametrize("args", [["--report-every", "0"], ["--trials", "0"],
+                                  ["--report-every", "-5"], ["--trials", "-1"]])
+def test_long_tail_refuses_counts_below_one(monkeypatch, capsys, args):
+    # --report-every 0 used to loop for ever; --trials 0 divided by zero.
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, "long_tail.py", *SMALL, *args)
+    assert exit_info.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
