@@ -15,17 +15,10 @@ import time
 import numpy as np
 
 from fbmc_preamble.analysis import papr_samples, wilson_interval
+from fbmc_preamble.cli import positive_count
 from fbmc_preamble.prototype import make_filter
 from fbmc_preamble.sequences import sparse_golay_preamble
 from fbmc_preamble.waveform import FrameConfig
-
-
-def positive_count(text: str) -> int:
-    """A count of trials: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
 
 
 def main() -> None:

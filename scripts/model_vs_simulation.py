@@ -17,6 +17,7 @@ import numpy as np
 
 from fbmc_preamble.analysis import (RicianPointModel, average_power,
                                     iapr_exceedance, signal_at_times, wilson_interval)
+from fbmc_preamble.cli import positive_count
 from fbmc_preamble.prototype import make_filter
 from fbmc_preamble.sequences import sparse_golay_preamble
 from fbmc_preamble.waveform import FrameConfig
@@ -28,7 +29,7 @@ def main() -> None:
     ap.add_argument("--channel-len", type=int, default=32)
     ap.add_argument("--guards", type=int, default=1)
     ap.add_argument("--filter", default="phydyas4")
-    ap.add_argument("--trials", type=int, default=20_000)
+    ap.add_argument("--trials", type=positive_count, default=20_000)
     ap.add_argument("--alpha", type=float, default=None,
                     help="IAPR threshold (default: per-probe near-median value)")
     ap.add_argument("--seed", type=int, default=13)

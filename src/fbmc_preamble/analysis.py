@@ -18,9 +18,9 @@ import numpy as np
 from scipy import special as _sp
 
 from .prototype import PrototypeFilter
-from .waveform import (FbmcGrid, FrameConfig, SampledSignal, add_slot_sums,
-                       carrier_phase, check_trials, checked_preamble, reaching_data_slots,
-                       slot_data, slot_signal, slot_weight, synthesize)
+from .waveform import (FbmcGrid, FrameConfig, SampledSignal, add_weighted, carrier_phase,
+                       check_trials, checked_preamble, reaching_data_slots, slot_data,
+                       slot_signal, slot_sums, slot_weight, synthesize)
 from .workers import POOL, cpu_count
 
 
@@ -54,6 +54,8 @@ class AnalysisWindow:
 
 def papr(signal: SampledSignal, window: AnalysisWindow, p_avg: float) -> float:
     """Peak instantaneous-to-average power over the window, in dB."""
+    if not (math.isfinite(p_avg) and p_avg > 0):
+        raise AnalysisError(f"average power must be finite and > 0, not {p_avg!r}")
     if window.start_index < 0 or window.start_index + window.length > len(signal.samples):
         raise AnalysisError("analysis window exceeds the sampled signal")
     seg = signal.samples[window.start_index: window.start_index + window.length]
@@ -245,7 +247,7 @@ class _WindowSampler:
         coeff = np.zeros((1, spt), dtype=complex)
         coeff[0, :m] = preamble * phase
         self.preamble_window = np.zeros((1, 2, spt), dtype=complex)
-        add_slot_sums(self.preamble_window, coeff, weight, np.empty_like(coeff))
+        add_weighted(self.preamble_window, slot_sums(coeff, coeff), weight)
 
     def window(self, data: np.ndarray) -> np.ndarray:
         """Window samples, shape (count, 2 * spt), for the real data
@@ -261,7 +263,7 @@ class _WindowSampler:
         base = np.empty_like(coeff)
         for (phase, weight), a in zip(self._terms, data):
             np.multiply(a, phase, out=coeff[:, :m])
-            add_slot_sums(out, coeff, weight, base)
+            add_weighted(out, slot_sums(coeff, base), weight)
         return out.reshape(count, 2 * self.spt)
 
     def sample_trials(self, first_trial: int, count: int) -> np.ndarray:

@@ -38,6 +38,14 @@ class CliError(Exception):
     """Invalid command-line input that no library call checks."""
 
 
+def positive_count(text: str) -> int:
+    """argparse type of a count of trials: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.replace(",", " ").split())

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,15 @@ class PrototypeFilter:
     def peak(self) -> float:
         return float(np.max(self.taps))
 
+    @cached_property
+    def weight(self) -> list:
+        """The taps as one slot's weight in synthesize: waveform.slot_weight
+        of the taps cut into their K symbol intervals, built on first use
+        and kept with the filter."""
+        from .waveform import slot_weight     # waveform imports this module
+
+        return slot_weight(self.taps.reshape(self.overlap, self.samples_per_symbol))
+
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """Nearest-sample lookup of g(t); zero outside [0, K)."""
         t = np.asarray(t, dtype=float)
@@ -82,6 +92,7 @@ class PrototypeFilter:
 
 def _normalized(kind: str, overlap: int, L: int, g: np.ndarray) -> PrototypeFilter:
     g = g / math.sqrt(np.sum(g * g) / L)
+    g.flags.writeable = False       # PrototypeFilter.weight is built from the taps once
     return PrototypeFilter(kind=kind, overlap=overlap, samples_per_symbol=L, taps=g)
 
 

@@ -187,6 +187,8 @@ def reaching_data_slots(preamble_slot: int, guards: int, overlap: float, t) -> n
     """Data slots, those more than `guards` slots from the preamble, whose
     filter support [s/2, s/2 + overlap) holds at least one of the times t."""
     t = np.asarray(t, dtype=float).ravel()
+    if not t.size:
+        return np.empty(0, dtype=int)
     slots = np.arange(int(np.floor(2.0 * (t.min() - overlap))),
                       int(np.floor(2.0 * t.max())) + 1)
     # The filter's own argument, so that both agree at the support edges.
@@ -195,16 +197,17 @@ def reaching_data_slots(preamble_slot: int, guards: int, overlap: float, t) -> n
     return slots[reach & (np.abs(slots - preamble_slot) > guards)]
 
 
-def carrier_phase(subcarriers: int, slot: int, start: int = 0) -> np.ndarray:
+def carrier_phase(subcarriers: int, slot, start=0) -> np.ndarray:
     """Phase j^{m+slot} e^{j2pi m t0} of a slot's coefficients when their
     subcarrier sum is referenced to the half-integer time t0 = start/2,
-    where e^{j2pi m t0} = (-1)^{m start}."""
+    where e^{j2pi m t0} = (-1)^{m start}.  slot and start may be integer
+    arrays, such as columns (n, 1), that broadcast with the M subcarriers."""
     m = np.arange(subcarriers)
     return _J[(m + slot + 2 * m * start) % 4]
 
 
 def slot_weight(g: np.ndarray) -> list[tuple[int, int, int, int, np.ndarray]]:
-    """A slot's weight g (P, spt) as add_slot_sums takes it: pieces
+    """A slot's weight g (P, spt) as add_weighted takes it: pieces
     (p0, p1, lo, hi, w) over the rows p0..p1-1 of g.  [lo, hi) is the range
     from the rows' first to their last nonzero sample, in the float view of
     a complex row, (re, im) pairs; w (p1 - p0, hi - lo) repeats g there for
@@ -228,29 +231,37 @@ def slot_weight(g: np.ndarray) -> list[tuple[int, int, int, int, np.ndarray]]:
     return pieces
 
 
-def add_slot_sums(out: np.ndarray, coeff: np.ndarray, weight: list,
-                  base: np.ndarray) -> None:
-    """out (count, P, spt) += g (P, spt) * each row's subcarrier sum.
+def slot_sums(coeff: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each row's subcarrier sum on one T-periodic symbol, written to and
+    returned in out.
 
-    coeff (count, spt) holds phased coefficients zero-padded to spt, so one
-    IFFT gives a row's sum on one T-periodic symbol of spt samples, repeated
-    over the P symbol intervals of `out`; base is scratch of coeff's shape.
-    weight is slot_weight(g): out is left as it is outside each row's range
-    from the first to the last nonzero sample of g.
+    coeff (count, spt) holds phased coefficients zero-padded to spt, so the
+    IFFT times spt of a row is its sum at the spt samples of a symbol
+    interval.  out may be coeff itself.
     """
     spt = coeff.shape[1]
     # The IFFT's 1/spt scaling and the product by spt are both exact for a
     # power-of-two spt, so the unscaled transform gives the same bits.
     exact = spt & (spt - 1) == 0
-    np.fft.ifft(coeff, axis=1, norm="forward" if exact else "backward", out=base)
+    np.fft.ifft(coeff, axis=1, norm="forward" if exact else "backward", out=out)
     if not exact:
-        base *= spt
+        out *= spt
+    return out
+
+
+def add_weighted(out: np.ndarray, sums: np.ndarray, weight: list) -> None:
+    """out (count, P, spt) += g (P, spt) * sums (count, spt), each row's sum
+    repeated over the P symbol intervals of `out`.
+
+    weight is slot_weight(g): out is left as it is outside each row's range
+    from the first to the last nonzero sample of g.
+    """
     # Real g times the complex sum, (re, im) pair by pair: the products that
     # (g + 0j) * sum gives, without the cast and the complex multiply.
-    base_f = base.view(float)
+    sums_f = sums.view(float)
     out_f = out.view(float)
     for p0, p1, lo, hi, w in weight:
-        out_f[:, p0:p1, lo:hi] += base_f[:, None, lo:hi] * w
+        out_f[:, p0:p1, lo:hi] += sums_f[:, None, lo:hi] * w
 
 
 def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
@@ -271,24 +282,32 @@ def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
 
 
 def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> SampledSignal:
-    """Accumulate every symbol's filtered subcarrier sum on the sample grid."""
+    """Accumulate every symbol's filtered subcarrier sum on the sample grid.
+
+    One IFFT transforms every nonzero column; their weighted sums are then
+    added in column order.
+    """
     spt = cfg.samples_per_symbol
     filt = filt.resample(spt)
     if filt.samples_per_symbol != spt:
         raise FrameError("filter sample rate does not match oversample * M")
+    if grid.symbols.ndim != 2 or len(grid.symbols) != cfg.subcarriers:
+        raise FrameError(f"grid of shape {grid.symbols.shape} is not "
+                         f"({cfg.subcarriers}, columns)")
     m_count, n_cols = grid.symbols.shape
+    cols = np.flatnonzero(np.any(grid.symbols, axis=0))
+    slots = (grid.first_slot + cols)[:, None]
+    coeff = np.zeros((len(cols), spt), dtype=complex)
+    # Referenced to the slot's own start, its sum lines up with its taps.
+    np.multiply(grid.symbols[:, cols].T, carrier_phase(m_count, slots, slots),
+                out=coeff[:, :m_count])
+    sums = slot_sums(coeff, coeff)
     k_len = filt.overlap * spt
     out = np.zeros((n_cols - 1) * spt // 2 + k_len, dtype=complex)
-    weight = slot_weight(filt.taps.reshape(filt.overlap, spt))
-    coeff = np.zeros((1, spt), dtype=complex)
-    base = np.empty_like(coeff)
-    for col in np.flatnonzero(np.any(grid.symbols, axis=0)):
-        slot = grid.first_slot + col
-        # Referenced to the slot's own start, its sum lines up with its taps.
-        coeff[0, :m_count] = grid.symbols[:, col] * carrier_phase(m_count, slot, slot)
+    for i, col in enumerate(cols.tolist()):
         offset = col * spt // 2
         window = out[offset: offset + k_len].reshape(1, filt.overlap, spt)
-        add_slot_sums(window, coeff, weight, base)
+        add_weighted(window, sums[i:i + 1], filt.weight)
     return SampledSignal(samples=out, samples_per_symbol=spt, t0=grid.first_slot / 2.0)
 
 

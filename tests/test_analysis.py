@@ -125,6 +125,13 @@ class TestNuSigma:
         t = (n + 4) / 2
         assert sigma2_of_t(50, self.filt, 64, n, t) == 0.0
 
+    def test_no_times_give_empty_results(self):
+        # The slot range of no times used to be a reduction over an empty array.
+        n = self.cfg.preamble_slot
+        assert nu_of_t(self.preamble, self.filt, n, []).shape == (0,)
+        assert sigma2_of_t(2, self.filt, 64, n, []).shape == (0,)
+        assert signal_at_times(self.preamble, self.filt, self.cfg, [], 3).shape == (3, 0)
+
     def test_sigma2_decreases_with_guards(self):
         n = self.cfg.preamble_slot
         t = np.linspace((n + 2) / 2, (n + 6) / 2, 65)
@@ -238,6 +245,13 @@ class TestPaprWindow:
         sig = synthesize(build_frame(self.cfg, self.preamble), self.filt, self.cfg)
         with pytest.raises(AnalysisError):
             papr(sig, AnalysisWindow(0, len(sig.samples) - 4, 8), 1.0)
+
+    @pytest.mark.parametrize("p_avg", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_average_power_not_finite_and_positive(self, p_avg):
+        # 0 divided by zero, -1 was a bare math domain error and NaN returned NaN.
+        sig = synthesize(build_frame(self.cfg, self.preamble), self.filt, self.cfg)
+        with pytest.raises(AnalysisError, match="average power"):
+            papr(sig, AnalysisWindow.for_signal(sig, self.cfg.preamble_slot), p_avg)
 
     @settings(max_examples=20, deadline=None)
     @given(m=st.sampled_from([8, 12, 13, 16, 32, 48]), guards=st.integers(0, 4),

@@ -119,6 +119,13 @@ class TestUtility:
         assert g.peak == pytest.approx(f.peak, rel=1e-12)
         assert f.resample(32) is f
 
+    def test_taps_are_read_only(self):
+        # synthesize keeps the weight it builds from a filter's taps.
+        filt = make_filter("hermite", 32)
+        assert filt.weight is filt.weight
+        with pytest.raises(ValueError, match="read-only"):
+            filt.taps[0] = 0.0
+
     def test_lookup_outside_support_is_zero(self):
         f = phydyas_taps(4, 64)
         assert np.all(f(np.array([-0.1, 4.0, 7.3])) == 0.0)

@@ -44,3 +44,12 @@ def test_long_tail_refuses_counts_below_one(monkeypatch, capsys, args):
         run_script(monkeypatch, "long_tail.py", *SMALL, *args)
     assert exit_info.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_model_vs_simulation_refuses_trials_below_one(monkeypatch, capsys, trials):
+    # Both used to end in a traceback from the library.
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, "model_vs_simulation.py", *SMALL, "--trials", trials)
+    assert exit_info.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err

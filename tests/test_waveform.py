@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from fbmc_preamble.prototype import hermite_taps, phydyas_taps
+from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed
-from fbmc_preamble.waveform import (FbmcGrid, FrameConfig, FrameError, build_frame,
-                                    slot_data, synthesize, transmultiplexer_response)
+from fbmc_preamble.waveform import (FbmcGrid, FrameConfig, FrameError, add_weighted,
+                                    build_frame, carrier_phase, slot_data, slot_weight,
+                                    synthesize, transmultiplexer_response)
 
 
 def small_cfg(**kw) -> FrameConfig:
@@ -97,7 +102,67 @@ def one_symbol_grid(m_count, m, slot, value=1.0):
     return FbmcGrid(symbols=symbols, first_slot=slot)
 
 
+def per_column_oracle(grid, filt, cfg):
+    """synthesize as it was before one IFFT served every column: for each
+    nonzero column in order, its own carrier phase, a one-row IFFT and the
+    support-only weighted add into its K-interval span."""
+    spt = cfg.samples_per_symbol
+    filt = filt.resample(spt)
+    m_count, n_cols = grid.symbols.shape
+    k_len = filt.overlap * spt
+    out = np.zeros((n_cols - 1) * spt // 2 + k_len, dtype=complex)
+    weight = slot_weight(filt.taps.reshape(filt.overlap, spt))
+    exact = spt & (spt - 1) == 0
+    for col in np.flatnonzero(np.any(grid.symbols, axis=0)):
+        slot = grid.first_slot + col
+        coeff = np.zeros((1, spt), dtype=complex)
+        coeff[0, :m_count] = grid.symbols[:, col] * carrier_phase(m_count, slot, slot)
+        base = np.fft.ifft(coeff, axis=1, norm="forward" if exact else "backward")
+        if not exact:
+            base *= spt
+        offset = col * spt // 2
+        add_weighted(out[offset: offset + k_len].reshape(1, filt.overlap, spt), base, weight)
+    return out
+
+
 class TestSynthesize:
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from([7, 12, 13, 16, 24, 33, 64]), oversample=st.integers(2, 6),
+           name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           guards=st.integers(0, 4), seed=st.integers(0, 2**32),
+           kept=st.lists(st.booleans(), min_size=33, max_size=33))
+    # A frame with every column zeroed.
+    @example(m=13, oversample=2, name="hermite", guards=1, seed=0, kept=[False] * 33)
+    def test_equals_per_column_oracle_bit_for_bit(self, m, oversample, name, guards, seed,
+                                                  kept):
+        # Odd M with an even oversample, and oversample 3, 5 or 6, give spt
+        # such as 26, 42 or 60 that are not powers of two.
+        assume(m * oversample % 2 == 0)
+        cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample, rng_seed=seed)
+        filt = make_filter(name, cfg.samples_per_symbol)
+        preamble = np.exp(2j * np.pi * np.random.default_rng(seed).random(m))
+        grid = build_frame(cfg, preamble, trial=seed)
+        # Zeroed columns, beside the guards, between nonzero ones.
+        grid.symbols[:, ~np.array(kept[:cfg.total_slots])] = 0.0
+        got = synthesize(grid, filt, cfg).samples
+        assert got.tobytes() == per_column_oracle(grid, filt, cfg).tobytes()
+
+    @pytest.mark.parametrize("shape", [(17, 31), (15, 31), (16,), (16, 31, 1)])
+    def test_rejects_grid_without_one_row_per_subcarrier(self, shape):
+        cfg = small_cfg()
+        grid = FbmcGrid(symbols=np.ones(shape, dtype=complex), first_slot=cfg.first_slot)
+        with pytest.raises(FrameError, match="grid of shape"):
+            synthesize(grid, phydyas_taps(4, cfg.samples_per_symbol), cfg)
+
+    def test_weight_is_built_once_per_filter(self):
+        cfg = small_cfg()
+        filt = phydyas_taps(4, cfg.samples_per_symbol)
+        grid = build_frame(cfg, golay_seed(16))
+        with mock.patch("fbmc_preamble.waveform.slot_weight", wraps=slot_weight) as spy:
+            first = synthesize(grid, filt, cfg).samples
+            assert first.tobytes() == synthesize(grid, filt, cfg).samples.tobytes()
+        assert spy.call_count == 1
+
     def test_single_dc_symbol_is_the_filter(self):
         cfg = small_cfg(guards=0)
         filt = phydyas_taps(4, cfg.samples_per_symbol)
