@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from fbmc_preamble.analysis import papr_samples, wilson_interval
-from fbmc_preamble.cli import positive_count
+from fbmc_preamble.cli import FILTER_NAMES, INPUT_ERRORS, positive_count
 from fbmc_preamble.prototype import make_filter
 from fbmc_preamble.sequences import sparse_golay_preamble
 from fbmc_preamble.waveform import FrameConfig
@@ -26,13 +26,19 @@ def main() -> None:
     ap.add_argument("--subcarriers", type=int, default=512)
     ap.add_argument("--channel-len", type=int, default=32)
     ap.add_argument("--guards", type=int, default=2)
-    ap.add_argument("--filter", default="phydyas4")
+    ap.add_argument("--filter", choices=FILTER_NAMES, default="phydyas4")
     ap.add_argument("--trials", type=positive_count, default=10_000_000)
     ap.add_argument("--threshold", type=float, default=3.0, help="PAPR in dB")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--report-every", type=positive_count, default=500_000)
     args = ap.parse_args()
+    try:
+        run(args)
+    except INPUT_ERRORS as exc:
+        ap.exit(1, f"error: {exc}\n")
 
+
+def run(args) -> None:
     cfg = FrameConfig(subcarriers=args.subcarriers, guards=args.guards,
                       oversample=4, rng_seed=args.seed)
     filt = make_filter(args.filter, cfg.samples_per_symbol)

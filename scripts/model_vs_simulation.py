@@ -17,7 +17,7 @@ import numpy as np
 
 from fbmc_preamble.analysis import (RicianPointModel, average_power,
                                     iapr_exceedance, signal_at_times, wilson_interval)
-from fbmc_preamble.cli import positive_count
+from fbmc_preamble.cli import FILTER_NAMES, INPUT_ERRORS, positive_count
 from fbmc_preamble.prototype import make_filter
 from fbmc_preamble.sequences import sparse_golay_preamble
 from fbmc_preamble.waveform import FrameConfig
@@ -28,13 +28,19 @@ def main() -> None:
     ap.add_argument("--subcarriers", type=int, default=512)
     ap.add_argument("--channel-len", type=int, default=32)
     ap.add_argument("--guards", type=int, default=1)
-    ap.add_argument("--filter", default="phydyas4")
+    ap.add_argument("--filter", choices=FILTER_NAMES, default="phydyas4")
     ap.add_argument("--trials", type=positive_count, default=20_000)
     ap.add_argument("--alpha", type=float, default=None,
                     help="IAPR threshold (default: per-probe near-median value)")
     ap.add_argument("--seed", type=int, default=13)
     args = ap.parse_args()
+    try:
+        run(args)
+    except INPUT_ERRORS as exc:
+        ap.exit(1, f"error: {exc}\n")
 
+
+def run(args) -> None:
     cfg = FrameConfig(subcarriers=args.subcarriers, guards=args.guards,
                       oversample=4, rng_seed=args.seed)
     filt = make_filter(args.filter, cfg.samples_per_symbol)

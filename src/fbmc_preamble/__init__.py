@@ -7,9 +7,8 @@ from .analysis import (AnalysisWindow, CcdfResult, RicianPointModel, average_pow
                        papr_samples, sigma2_of_t)
 from .prototype import (PrototypeFilter, hermite_poly, hermite_taps, make_filter,
                         papr_bound_sigma0, phydyas_taps)
-from .sequences import (Gbf, GbfSpec, PhaseSequence, dj_pair, evaluate_gbf,
-                        gcp_residual, golay_seed, iamc_preamble, is_gcp,
-                        mseq_preamble, phase_transform, sparse_golay_preamble,
-                        sparsify)
+from .sequences import (GbfSpec, PhaseSequence, dj_pair, gcp_residual, golay_seed,
+                        iamc_preamble, is_gcp, mseq_preamble, phase_transform,
+                        sparse_golay_preamble, sparsify)
 from .waveform import (FbmcGrid, FrameConfig, SampledSignal, build_frame,
                        slot_data, synthesize, transmultiplexer_response)

@@ -20,7 +20,7 @@ from scipy import special as _sp
 from .prototype import PrototypeFilter
 from .waveform import (FbmcGrid, FrameConfig, SampledSignal, add_weighted, carrier_phase,
                        check_trials, checked_preamble, reaching_data_slots, slot_data,
-                       slot_signal, slot_sums, slot_weight, synthesize)
+                       slot_signal, slot_sums, synthesize)
 from .workers import POOL, cpu_count
 
 
@@ -235,19 +235,19 @@ class _WindowSampler:
         m = cfg.subcarriers
         t_win = (n + 2) / 2.0 + np.arange(2 * spt) / spt
         self.data_slots = reaching_data_slots(n, cfg.guards, filt.overlap, t_win)
+        self.pairs = filt.pairs
 
         def term(s):
             """Slot s's coefficient phase, referenced to the window start, and
-            its weight g on the window."""
-            g = filt(t_win - s / 2.0).reshape(2, spt)
-            return carrier_phase(m, s, n + 2), slot_weight(g)
+            its first sample counted from the window start."""
+            return carrier_phase(m, s, n + 2), (s - n - 2) * spt // 2
 
         self._terms = [term(s) for s in self.data_slots]
-        phase, weight = term(n)
+        phase, offset = term(n)
         coeff = np.zeros((1, spt), dtype=complex)
         coeff[0, :m] = preamble * phase
         self.preamble_window = np.zeros((1, 2, spt), dtype=complex)
-        add_weighted(self.preamble_window, slot_sums(coeff, coeff), weight)
+        add_weighted(self.preamble_window, slot_sums(coeff, coeff), self.pairs, offset)
 
     def window(self, data: np.ndarray) -> np.ndarray:
         """Window samples, shape (count, 2 * spt), for the real data
@@ -261,9 +261,9 @@ class _WindowSampler:
         out = np.tile(self.preamble_window, (count, 1, 1))
         coeff = np.zeros((count, self.spt), dtype=complex)
         base = np.empty_like(coeff)
-        for (phase, weight), a in zip(self._terms, data):
+        for (phase, offset), a in zip(self._terms, data):
             np.multiply(a, phase, out=coeff[:, :m])
-            add_weighted(out, slot_sums(coeff, base), weight)
+            add_weighted(out, slot_sums(coeff, base), self.pairs, offset)
         return out.reshape(count, 2 * self.spt)
 
     def sample_trials(self, first_trial: int, count: int) -> np.ndarray:

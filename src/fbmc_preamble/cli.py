@@ -38,6 +38,10 @@ class CliError(Exception):
     """Invalid command-line input that no library call checks."""
 
 
+# Invalid input, reported as "error: ..." with exit code 1.
+INPUT_ERRORS = (CliError, SequenceError, FilterError, FrameError, AnalysisError)
+
+
 def positive_count(text: str) -> int:
     """argparse type of a count of trials: an integer of at least 1."""
     value = int(text)
@@ -354,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         return args.func(args, config)
-    except (CliError, SequenceError, FilterError, FrameError, AnalysisError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FloatingPointError, np.linalg.LinAlgError, MemoryError, ChildProcessError) as exc:

@@ -58,13 +58,13 @@ class PrototypeFilter:
         return float(np.max(self.taps))
 
     @cached_property
-    def weight(self) -> list:
-        """The taps as one slot's weight in synthesize: waveform.slot_weight
-        of the taps cut into their K symbol intervals, built on first use
-        and kept with the filter."""
-        from .waveform import slot_weight     # waveform imports this module
-
-        return slot_weight(self.taps.reshape(self.overlap, self.samples_per_symbol))
+    def pairs(self) -> np.ndarray:
+        """The taps repeated for each (re, im) pair of a complex sample, as
+        waveform.add_weighted takes them; built on first use and kept with
+        the filter."""
+        pairs = np.repeat(self.taps, 2)
+        pairs.flags.writeable = False
+        return pairs
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """Nearest-sample lookup of g(t); zero outside [0, K)."""
@@ -92,7 +92,7 @@ class PrototypeFilter:
 
 def _normalized(kind: str, overlap: int, L: int, g: np.ndarray) -> PrototypeFilter:
     g = g / math.sqrt(np.sum(g * g) / L)
-    g.flags.writeable = False       # PrototypeFilter.weight is built from the taps once
+    g.flags.writeable = False       # PrototypeFilter.pairs is built from the taps once
     return PrototypeFilter(kind=kind, overlap=overlap, samples_per_symbol=L, taps=g)
 
 

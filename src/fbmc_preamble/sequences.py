@@ -1,10 +1,9 @@
 """Golay complementary pairs and preamble sequence constructions.
 
-Generalized Boolean functions (GBFs) over Z_Q are represented as sparse
-monomial lists and evaluated into phase sequences of length 2^mu.  The
-Davis-Jedwab construction turns a quadratic-path GBF into a Golay
-complementary pair (GCP).  Baseline preambles (sparse Kronecker pilots,
-m-sequence, IAM-C) live here as well.
+The Davis-Jedwab construction evaluates a quadratic-path generalized
+Boolean function (GBF) over Z_Q into a Golay complementary pair (GCP) of
+phase sequences of length 2^mu.  Baseline preambles (sparse Kronecker
+pilots, m-sequence, IAM-C) live here as well.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# (coefficient, variable indices), variables are 1-based; () is the constant.
-Monomial = tuple[int, tuple[int, ...]]
 
 # Exact unit circle points for the common moduli, so binary/quaternary
 # sequences convert without floating-point phase error.
@@ -29,27 +25,6 @@ _EXACT_ROOTS = {
 
 class SequenceError(ValueError):
     """Invalid sequence construction parameters."""
-
-
-@dataclass(frozen=True)
-class Gbf:
-    """Generalized Boolean function f: {0,1}^mu -> Z_Q as a monomial sum."""
-
-    modulus: int
-    num_vars: int
-    monomials: tuple[Monomial, ...]
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise SequenceError("modulus must be positive")
-        if self.num_vars < 1:
-            raise SequenceError("need at least one variable")
-        for coeff, idx in self.monomials:
-            for i in idx:
-                if not 1 <= i <= self.num_vars:
-                    raise SequenceError(f"variable index {i} outside 1..{self.num_vars}")
-            if not 0 <= coeff < self.modulus:
-                raise SequenceError(f"coefficient {coeff} outside Z_{self.modulus}")
 
 
 @dataclass(frozen=True)
@@ -154,37 +129,18 @@ class GbfSpec:
         )
 
 
-def evaluate_gbf(f: Gbf) -> PhaseSequence:
-    """Evaluate f at kappa = 0..2^mu-1, kappa_1 the least significant bit."""
-    n = 1 << f.num_vars
-    kappa = np.arange(n)
-    # bits[i, kappa] = kappa_{i+1}
-    bits = (kappa[None, :] >> np.arange(f.num_vars)[:, None]) & 1
-    out = np.zeros(n, dtype=np.int64)
-    for coeff, idx in f.monomials:
-        term = np.full(n, coeff, dtype=np.int64)
-        for i in idx:
-            term *= bits[i - 1]
-        out += term
-    return PhaseSequence(modulus=f.modulus, phases=out % f.modulus)
-
-
-def dj_gbfs(spec: GbfSpec) -> tuple[Gbf, Gbf]:
-    """The two GBFs whose associated sequences form the Golay pair."""
-    quad = [(spec.q // 2, (spec.pi[k], spec.pi[k + 1])) for k in range(spec.mu - 1)]
-    lin = [(bk, (k + 1,)) for k, bk in enumerate(spec.b) if bk]
-    base = quad + lin + ([(spec.const, ())] if spec.const else [])
-    partner = base + [(spec.q // 2, (spec.pi[0],))]
-    if spec.offset:
-        partner = partner + [(spec.offset, ())]
-    mk = lambda ms: Gbf(modulus=spec.q, num_vars=spec.mu, monomials=tuple(ms))
-    return mk(base), mk(partner)
-
-
 def dj_pair(spec: GbfSpec) -> tuple[PhaseSequence, PhaseSequence]:
-    """Davis-Jedwab Golay complementary pair of length 2^mu over Z_Q."""
-    fa, fb = dj_gbfs(spec)
-    return evaluate_gbf(fa), evaluate_gbf(fb)
+    """Davis-Jedwab Golay complementary pair of length 2^mu over Z_Q: the
+    spec's GBF and its partner evaluated at kappa = 0..2^mu-1, where x_k is
+    bit k-1 of kappa (x_1 the least significant bit)."""
+    kappa = np.arange(1 << spec.mu)
+    x = (kappa >> np.arange(spec.mu)[:, None]) & 1      # x[k - 1] = x_k
+    path = x[np.array(spec.pi) - 1]                      # path[k - 1] = x_{pi(k)}
+    half = spec.q // 2
+    f = half * np.sum(path[:-1] * path[1:], axis=0) + np.array(spec.b) @ x + spec.const
+    partner = f + half * path[0] + spec.offset
+    return (PhaseSequence(modulus=spec.q, phases=f % spec.q),
+            PhaseSequence(modulus=spec.q, phases=partner % spec.q))
 
 
 def is_gcp(c: np.ndarray, d: np.ndarray, tol: float = 1e-9) -> bool:

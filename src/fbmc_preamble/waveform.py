@@ -13,7 +13,6 @@ thin caller of the signal core below.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -75,9 +74,8 @@ class FrameConfig:
         return 2 * (self.guards + self.data_span) + 1
 
     def data_slots(self) -> list[int]:
-        # A support of half a slot reaches only the slot's own start time.
-        starts = (self.first_slot + np.arange(self.total_slots)) / 2.0
-        return reaching_data_slots(self.preamble_slot, self.guards, 0.5, starts).tolist()
+        slots = range(self.first_slot, self.first_slot + self.total_slots)
+        return [s for s in slots if abs(s - self.preamble_slot) > self.guards]
 
     def to_json_dict(self) -> dict:
         return {"subcarriers": self.subcarriers, "guards": self.guards,
@@ -206,31 +204,6 @@ def carrier_phase(subcarriers: int, slot, start=0) -> np.ndarray:
     return _J[(m + slot + 2 * m * start) % 4]
 
 
-def slot_weight(g: np.ndarray) -> list[tuple[int, int, int, int, np.ndarray]]:
-    """A slot's weight g (P, spt) as add_weighted takes it: pieces
-    (p0, p1, lo, hi, w) over the rows p0..p1-1 of g.  [lo, hi) is the range
-    from the rows' first to their last nonzero sample, in the float view of
-    a complex row, (re, im) pairs; w (p1 - p0, hi - lo) repeats g there for
-    each pair.  Consecutive rows with the same range share one piece, as
-    every row of a filter's taps does; all-zero rows have none."""
-    nonzero = g != 0
-    first = nonzero.argmax(axis=1)
-    stop = g.shape[1] - nonzero[:, ::-1].argmax(axis=1)
-    spans = [(a, b) if any_row else None for a, b, any_row in
-             zip(first.tolist(), stop.tolist(), nonzero[np.arange(len(g)), first].tolist())]
-    pieces = []
-    p0 = 0
-    for span, rows in itertools.groupby(spans):
-        p1 = p0 + len(list(rows))
-        if span is not None:
-            a, b = span
-            w = np.empty((p1 - p0, 2 * (b - a)))
-            w[:, 0::2] = w[:, 1::2] = g[p0:p1, a:b]
-            pieces.append((p0, p1, 2 * a, 2 * b, w))
-        p0 = p1
-    return pieces
-
-
 def slot_sums(coeff: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Each row's subcarrier sum on one T-periodic symbol, written to and
     returned in out.
@@ -249,19 +222,39 @@ def slot_sums(coeff: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def add_weighted(out: np.ndarray, sums: np.ndarray, weight: list) -> None:
-    """out (count, P, spt) += g (P, spt) * sums (count, spt), each row's sum
-    repeated over the P symbol intervals of `out`.
+def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: int) -> None:
+    """out (count, P, spt) += g[k - offset] * sums (count, spt) at each sample
+    k of out's P symbol intervals, with each row's sum repeated over them and
+    the taps g zero outside their K intervals.
 
-    weight is slot_weight(g): out is left as it is outside each row's range
-    from the first to the last nonzero sample of g.
+    pairs is g with each tap repeated for the (re, im) pair of a complex
+    sample (PrototypeFilter.pairs).  offset, any integer, is the slot's
+    first sample counted from out's first sample; out is left as it is
+    outside [offset, offset + K * spt).
     """
+    spt = out.shape[2]
+    lo = max(offset, 0)
+    hi = min(offset + len(pairs) // 2, out.shape[1] * spt)
+    if lo >= hi:
+        return
+    (p0, r0), (p1, r1) = divmod(lo, spt), divmod(hi, spt)
     # Real g times the complex sum, (re, im) pair by pair: the products that
     # (g + 0j) * sum gives, without the cast and the complex multiply.
     sums_f = sums.view(float)
     out_f = out.view(float)
-    for p0, p1, lo, hi, w in weight:
-        out_f[:, p0:p1, lo:hi] += sums_f[:, None, lo:hi] * w
+    w = pairs[2 * (lo - offset): 2 * (hi - offset)]
+    # The support spans at least one interval, so a partial first and a
+    # partial last interval are never the same one.
+    if r0:
+        head = 2 * (spt - r0)
+        out_f[:, p0, 2 * r0:] += sums_f[:, 2 * r0:] * w[:head]
+        w = w[head:]
+        p0 += 1
+    if r1:
+        tail = len(w) - 2 * r1
+        out_f[:, p1, :2 * r1] += sums_f[:, :2 * r1] * w[tail:]
+        w = w[:tail]
+    out_f[:, p0:p1] += sums_f[:, None] * w.reshape(p1 - p0, 2 * spt)
 
 
 def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
@@ -307,7 +300,7 @@ def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> Sampl
     for i, col in enumerate(cols.tolist()):
         offset = col * spt // 2
         window = out[offset: offset + k_len].reshape(1, filt.overlap, spt)
-        add_weighted(window, sums[i:i + 1], filt.weight)
+        add_weighted(window, sums[i:i + 1], filt.pairs, 0)
     return SampledSignal(samples=out, samples_per_symbol=spt, t0=grid.first_slot / 2.0)
 
 

@@ -29,8 +29,9 @@ from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, _papr_db, _Wi
                                     papr_samples)
 from fbmc_preamble.prototype import make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
-from fbmc_preamble.waveform import (FbmcGrid, FrameConfig, FrameError, build_frame,
-                                    carrier_phase, reaching_data_slots, slot_data, synthesize)
+from fbmc_preamble.waveform import (FbmcGrid, FrameConfig, FrameError, add_weighted,
+                                    build_frame, carrier_phase, reaching_data_slots, slot_data,
+                                    synthesize)
 from fbmc_preamble.workers import POOL, cpu_count
 
 # (subcarriers, rng_seed, trial, slot, data bits with 1 for +1)
@@ -152,6 +153,30 @@ def same_bits(a, b):
     """Equal bit for bit once -0 is folded into +0: a weight of zero adds
     a signed zero, and the sign of a zero sample changes no power."""
     return (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(spt=st.integers(1, 24), overlap=st.integers(1, 4), intervals=st.integers(1, 4),
+       count=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32))
+def test_add_weighted_equals_tiled_oracle(spt, overlap, intervals, count, data, seed):
+    # Any integer offset, not only the multiples of spt / 2 that slots start at.
+    offset = data.draw(st.integers(-(overlap + 1) * spt, (intervals + 1) * spt))
+    rng = np.random.default_rng(seed)
+    taps = rng.standard_normal(overlap * spt)
+    sums = rng.standard_normal((count, spt)) + 1j * rng.standard_normal((count, spt))
+    shape = (count, intervals, spt)
+    before = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = before.copy()
+    add_weighted(out, sums, np.repeat(taps, 2), offset)
+    # g on out's samples, zero where the slot's taps do not reach.
+    k = np.arange(intervals * spt) - offset
+    inside = (k >= 0) & (k < len(taps))
+    g = np.zeros(intervals * spt)
+    g[inside] = taps[k[inside]]
+    expected = before + sums[:, None, :] * g.reshape(intervals, spt)
+    assert same_bits(out, expected)
+    flat = out.reshape(count, -1)
+    assert flat[:, ~inside].tobytes() == before.reshape(count, -1)[:, ~inside].tobytes()
 
 
 def unit_preamble(m, seed):

@@ -120,9 +120,9 @@ class TestUtility:
         assert f.resample(32) is f
 
     def test_taps_are_read_only(self):
-        # synthesize keeps the weight it builds from a filter's taps.
+        # The filter keeps the pairs it builds from its taps.
         filt = make_filter("hermite", 32)
-        assert filt.weight is filt.weight
+        assert filt.pairs is filt.pairs
         with pytest.raises(ValueError, match="read-only"):
             filt.taps[0] = 0.0
 

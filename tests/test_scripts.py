@@ -53,3 +53,26 @@ def test_model_vs_simulation_refuses_trials_below_one(monkeypatch, capsys, trial
         run_script(monkeypatch, "model_vs_simulation.py", *SMALL, "--trials", trials)
     assert exit_info.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+BAD_INPUTS = [(script, args) for script in ("long_tail.py", "model_vs_simulation.py")
+              for args in (["--seed", "-1"], ["--subcarriers", "100"], ["--guards", "-1"])]
+BAD_INPUTS.append(("model_vs_simulation.py", ["--alpha", "-1"]))
+
+
+@pytest.mark.parametrize("script, args", BAD_INPUTS,
+                         ids=[f"{script}:{' '.join(args)}" for script, args in BAD_INPUTS])
+def test_scripts_report_input_errors(monkeypatch, capsys, script, args):
+    # Each of these used to end in a traceback from the library.
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, script, *SMALL, "--trials", "16", *args)
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("script", ["long_tail.py", "model_vs_simulation.py"])
+def test_scripts_refuse_unknown_filter(monkeypatch, capsys, script):
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, script, *SMALL, "--filter", "foo")
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'foo'" in capsys.readouterr().err

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbmc_preamble.sequences import (GOLAY_C16, GOLAY_D16, Gbf, GbfSpec,
+from fbmc_preamble.sequences import (GOLAY_C16, GOLAY_D16, GbfSpec,
                                      PhaseSequence, SequenceError,
                                      array_to_signs, complex_from_json,
-                                     complex_to_json, dj_pair, evaluate_gbf,
-                                     gcp_residual, golay_seed, iamc_preamble,
-                                     is_gcp, mseq_preamble, phase_transform,
+                                     complex_to_json, dj_pair, gcp_residual,
+                                     golay_seed, iamc_preamble, is_gcp,
+                                     mseq_preamble, phase_transform,
                                      signs_to_array, sparse_golay_preamble,
                                      sparsify)
 
@@ -40,22 +40,31 @@ def random_dj_spec(rng, q_choices=(2, 4), mu_range=(2, 6)) -> GbfSpec:
     )
 
 
-class TestEvaluateGbf:
-    def test_quadratic_example(self):
-        f = Gbf(modulus=4, num_vars=3, monomials=((2, (1, 3)), (1, ())))
-        assert evaluate_gbf(f).phases.tolist() == [1, 1, 1, 1, 1, 3, 1, 3]
+def dj_phases_by_index(spec: GbfSpec) -> tuple[list[int], list[int]]:
+    """Oracle: (Q/2) sum_k x_{pi(k)} x_{pi(k+1)} + sum_k b_k x_k + const and
+    its partner's + (Q/2) x_{pi(1)} + offset, evaluated index by index in
+    Python integers, x_k being bit k-1 of the index."""
+    pi = spec.pi
+    c, d = [], []
+    for kappa in range(1 << spec.mu):
+        x = {k: (kappa >> (k - 1)) & 1 for k in range(1, spec.mu + 1)}
+        f = spec.q // 2 * sum(x[pi[k]] * x[pi[k + 1]] for k in range(spec.mu - 1))
+        f += sum(b * x[k] for k, b in enumerate(spec.b, start=1)) + spec.const
+        c.append(f % spec.q)
+        d.append((f + spec.q // 2 * x[pi[0]] + spec.offset) % spec.q)
+    return c, d
 
-    def test_single_variable(self):
-        f = Gbf(modulus=4, num_vars=3, monomials=((1, (3,)),))
-        assert evaluate_gbf(f).phases.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
 
-    def test_constant_zero(self):
-        f = Gbf(modulus=2, num_vars=2, monomials=())
-        assert evaluate_gbf(f).phases.tolist() == [0, 0, 0, 0]
-
-    def test_rejects_bad_variable_index(self):
-        with pytest.raises(SequenceError):
-            Gbf(modulus=2, num_vars=2, monomials=((1, (3,)),))
+@settings(max_examples=60, deadline=None)
+@given(mu=st.integers(1, 8), half_q=st.integers(1, 2**20), data=st.data())
+def test_dj_pair_equals_per_index_evaluation(mu, half_q, data):
+    q = 2 * half_q
+    coeff = st.integers(0, q - 1)
+    spec = GbfSpec(q=q, mu=mu, pi=tuple(data.draw(st.permutations(range(1, mu + 1)))),
+                   b=tuple(data.draw(st.lists(coeff, min_size=mu, max_size=mu))),
+                   const=data.draw(coeff), offset=data.draw(coeff))
+    c, d = dj_pair(spec)
+    assert (c.phases.tolist(), d.phases.tolist()) == dj_phases_by_index(spec)
 
 
 class TestDjPair:

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,9 +5,9 @@ from hypothesis import strategies as st
 
 from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed
-from fbmc_preamble.waveform import (FbmcGrid, FrameConfig, FrameError, add_weighted,
-                                    build_frame, carrier_phase, slot_data, slot_weight,
-                                    synthesize, transmultiplexer_response)
+from fbmc_preamble.waveform import (FbmcGrid, FrameConfig, FrameError, build_frame,
+                                    carrier_phase, slot_data, synthesize,
+                                    transmultiplexer_response)
 
 
 def small_cfg(**kw) -> FrameConfig:
@@ -25,6 +23,11 @@ class TestFrameConfig:
         cfg = small_cfg(guards=3, data_span=12)
         assert cfg.total_slots == 31
         assert len(cfg.data_slots()) == 24
+        n = cfg.preamble_slot
+        assert cfg.data_slots() == [*range(n - 15, n - 3), *range(n + 4, n + 16)]
+        cfg = small_cfg(guards=0, data_span=12)
+        n = cfg.preamble_slot
+        assert cfg.data_slots() == [*range(n - 12, n), *range(n + 1, n + 13)]
 
     def test_preamble_slot_defaults_even(self):
         assert small_cfg(guards=3).preamble_slot % 2 == 0
@@ -105,13 +108,14 @@ def one_symbol_grid(m_count, m, slot, value=1.0):
 def per_column_oracle(grid, filt, cfg):
     """synthesize as it was before one IFFT served every column: for each
     nonzero column in order, its own carrier phase, a one-row IFFT and the
-    support-only weighted add into its K-interval span."""
+    float-view product of the taps and the sum, added over the whole
+    K-interval span."""
     spt = cfg.samples_per_symbol
     filt = filt.resample(spt)
     m_count, n_cols = grid.symbols.shape
     k_len = filt.overlap * spt
     out = np.zeros((n_cols - 1) * spt // 2 + k_len, dtype=complex)
-    weight = slot_weight(filt.taps.reshape(filt.overlap, spt))
+    pairs = np.repeat(filt.taps, 2)
     exact = spt & (spt - 1) == 0
     for col in np.flatnonzero(np.any(grid.symbols, axis=0)):
         slot = grid.first_slot + col
@@ -121,7 +125,8 @@ def per_column_oracle(grid, filt, cfg):
         if not exact:
             base *= spt
         offset = col * spt // 2
-        add_weighted(out[offset: offset + k_len].reshape(1, filt.overlap, spt), base, weight)
+        span = out[offset: offset + k_len].view(float)
+        span += np.tile(base.view(float)[0], filt.overlap) * pairs
     return out
 
 
@@ -154,14 +159,16 @@ class TestSynthesize:
         with pytest.raises(FrameError, match="grid of shape"):
             synthesize(grid, phydyas_taps(4, cfg.samples_per_symbol), cfg)
 
-    def test_weight_is_built_once_per_filter(self):
+    def test_pairs_are_built_once_per_filter(self):
         cfg = small_cfg()
         filt = phydyas_taps(4, cfg.samples_per_symbol)
         grid = build_frame(cfg, golay_seed(16))
-        with mock.patch("fbmc_preamble.waveform.slot_weight", wraps=slot_weight) as spy:
-            first = synthesize(grid, filt, cfg).samples
-            assert first.tobytes() == synthesize(grid, filt, cfg).samples.tobytes()
-        assert spy.call_count == 1
+        first = synthesize(grid, filt, cfg).samples
+        pairs = filt.pairs
+        assert first.tobytes() == synthesize(grid, filt, cfg).samples.tobytes()
+        assert filt.pairs is pairs
+        assert np.array_equal(pairs, np.repeat(filt.taps, 2))
+        assert not pairs.flags.writeable
 
     def test_single_dc_symbol_is_the_filter(self):
         cfg = small_cfg(guards=0)
