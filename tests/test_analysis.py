@@ -28,6 +28,41 @@ def marcum_q1_quadrature(a: float, b: float) -> float:
     return val
 
 
+# RicianPointModel.at_time(...) (nu, sigma) of sparse_golay_preamble(512, 32),
+# oversample 4, at the window's start, peak and end: t - nT/2 = 1, 2 and 3.
+GOLDEN_RICIAN = {
+    ("phydyas4", 1): [(3.3137084989847594, 21.035911811893556),
+                      (38.627408482346176, 2.355167142230809),
+                      (3.313708498984758, 21.035911811893552)],
+    ("phydyas4", 2): [(3.3137084989847594, 8.336091064895905),
+                      (38.627408482346176, 0.23765575886505425),
+                      (3.313708498984758, 8.336091064896985)],
+    ("phydyas4", 3): [(3.3137084989847594, 1.6653546570964253),
+                      (38.627408482346176, 4.257811670793643e-06),
+                      (3.313708498984758, 1.665354657101869)],
+    ("hermite", 1): [(0.8611837084373678, 22.200650195943492),
+                     (43.53106060786552, 0.6098148828106733),
+                     (0.8611837084373678, 22.200650195943492)],
+    ("hermite", 2): [(0.8611837084373678, 4.373849517218255),
+                     (43.53106060786552, 0.03248848193478103),
+                     (0.8611837084373678, 4.373849530017062)],
+    ("hermite", 3): [(0.8611837084373678, 0.4312041739926013),
+                     (43.53106060786552, 0.00033460441133566226),
+                     (0.8611837084373678, 0.43120430381520275)],
+}
+
+
+def test_golden_rician_points():
+    preamble = sparse_golay_preamble(512, 32)
+    for (name, guards), expected in GOLDEN_RICIAN.items():
+        cfg = FrameConfig(subcarriers=512, guards=guards, oversample=4, rng_seed=0)
+        filt = make_filter(name, cfg.samples_per_symbol)
+        n = cfg.preamble_slot
+        got = [RicianPointModel.at_time(preamble, filt, cfg, (n + k) / 2.0)
+               for k in (2, 4, 6)]
+        assert [(m.nu, m.sigma) for m in got] == expected, (name, guards)
+
+
 class TestAveragePower:
     def test_values(self):
         assert average_power(512) == 1024.0
