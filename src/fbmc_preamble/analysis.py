@@ -20,7 +20,7 @@ from scipy import special as _sp
 from .prototype import PrototypeFilter
 from .waveform import (FbmcGrid, FrameConfig, SampledSignal, add_weighted, carrier_phase,
                        check_trials, checked_preamble, reaching_data_slots, slot_data,
-                       slot_signal, slot_sums, synthesize)
+                       slot_pulses, slot_signal, slot_sums, synthesize)
 from .workers import POOL, cpu_count
 
 
@@ -65,13 +65,28 @@ def papr(signal: SampledSignal, window: AnalysisWindow, p_avg: float) -> float:
 # ---------------------------------------------------------------------------
 # Rician point model
 
+def _check(what: str, value, low: float = -math.inf) -> None:
+    """Raise AnalysisError unless value, a number or an array, is finite
+    and >= low throughout.  The input check of the Rician model."""
+    if isinstance(value, (int, float)):         # numpy floats are floats too
+        ok = -math.inf < value < math.inf and value >= low
+    else:
+        arr = np.asarray(value, dtype=float)
+        ok = (np.isfinite(arr) & (arr >= low)).all()
+    if not ok:
+        bound = f" and >= {low:g}" if low > -math.inf else ""
+        raise AnalysisError(f"{what} must be finite{bound}")
+
+
 def nu_of_t(preamble: np.ndarray, filt: PrototypeFilter, preamble_slot: int, t) -> np.ndarray:
     """Preamble-only envelope |g(t - nT/2)| |sum_m c_m j^m e^{j2pi m t}|.
 
     Independent of the guard count by construction.  The pulse enters in
-    magnitude because nu is the mean length of the Rician phasor.
+    magnitude because nu is the mean length of the Rician phasor.  Raises
+    AnalysisError for a time that is not finite.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    _check("t", t)
     coeffs = np.asarray(preamble, dtype=complex)[None, :]
     out = np.abs(slot_signal(coeffs, [preamble_slot], t, filt))
     return out if out.shape != (1,) else float(out[0])
@@ -80,11 +95,16 @@ def nu_of_t(preamble: np.ndarray, filt: PrototypeFilter, preamble_slot: int, t) 
 def sigma2_of_t(guards: int, filt: PrototypeFilter, subcarriers: int,
                 preamble_slot: int, t) -> np.ndarray:
     """Per-component variance (M/2) sum_{data slots} g^2(t - n'T/2) of the
-    data interference; guard and preamble slots contribute nothing."""
+    data interference; guard and preamble slots contribute nothing.  Raises
+    AnalysisError for a negative guard count or a time that is not finite."""
+    _check("guard count", guards, 0.0)
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    _check("t", t)
+    slots = reaching_data_slots(preamble_slot, guards, filt.overlap, t)
     acc = np.zeros_like(t)
-    for slot in reaching_data_slots(preamble_slot, guards, filt.overlap, t):
-        acc += filt(t - slot / 2.0) ** 2
+    # Row by row in slot order: a sum over axis 0 would pair the adds.
+    for g in slot_pulses(slots, t, filt):
+        acc += g * g
     out = 0.5 * subcarriers * acc
     return out if out.shape != (1,) else float(out[0])
 
@@ -97,8 +117,10 @@ class RicianPointModel:
     p_avg: float
 
     def __post_init__(self):
-        if self.nu < 0 or self.sigma < 0 or self.p_avg <= 0:
-            raise AnalysisError("nu, sigma must be >= 0 and p_avg > 0")
+        for name in ("nu", "sigma", "p_avg"):
+            _check(name, getattr(self, name), 0.0)
+        if self.p_avg == 0.0:
+            raise AnalysisError("p_avg must be > 0")
 
     @classmethod
     def at_time(cls, preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
@@ -134,8 +156,7 @@ def marcum_q1(a: float, b: float) -> float:
 
 def iapr_exceedance(alpha: float, model: RicianPointModel) -> float:
     """Pr{|s(t)|^2 / P_avg >= alpha} at the model's time instant."""
-    if alpha < 0:
-        raise AnalysisError("threshold must be >= 0")
+    _check("threshold", alpha, 0.0)
     if alpha == 0.0:
         return 1.0
     if model.sigma == 0.0:
@@ -371,6 +392,7 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     if trials < 0:
         raise AnalysisError("trials must be >= 0")
     t = np.asarray(t, dtype=float)
+    _check("t", t)
     filt = filt.resample(cfg.samples_per_symbol)
     n = cfg.preamble_slot
     preamble = np.asarray(preamble, dtype=complex)[None, :]

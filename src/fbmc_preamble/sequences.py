@@ -97,6 +97,10 @@ class GbfSpec:
 
     The underlying GBF is (Q/2) * sum_k x_{pi(k)} x_{pi(k+1)} + sum_k b_k x_k + const,
     and the partner adds (Q/2) x_{pi(1)} + offset.
+
+    dj_pair sums the phases in int64, so Q must keep the partner's largest
+    sum in range: (Q/2) mu + (mu + 2)(Q - 1) < 2^63, which holds for Q up
+    to about 2^63 / (1.5 mu + 2).
     """
 
     q: int
@@ -111,6 +115,10 @@ class GbfSpec:
             raise SequenceError("modulus Q must be a positive even integer")
         if self.mu < 1:
             raise SequenceError("mu must be >= 1")
+        q, mu = int(self.q), int(self.mu)     # numpy integers would wrap here
+        if q // 2 * mu + (mu + 2) * (q - 1) >= 1 << 63:
+            raise SequenceError(f"modulus Q = {q} is too large for mu = {mu}: "
+                                "phase sums would leave int64")
         pi = tuple(int(v) for v in self.pi)
         b = tuple(int(v) for v in self.b)
         if sorted(pi) != list(range(1, self.mu + 1)):

@@ -257,6 +257,13 @@ def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: i
     out_f[:, p0:p1] += sums_f[:, None] * w.reshape(p1 - p0, 2 * spt)
 
 
+def slot_pulses(slots, t, filt: PrototypeFilter) -> np.ndarray:
+    """g(t - s/2) of every slot s at every time t, in one filter lookup;
+    shape (len(slots),) + shape of t."""
+    slots = np.asarray(slots)
+    return filt(t - slots.reshape(slots.shape + (1,) * np.ndim(t)) / 2.0)
+
+
 def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
                 filt: PrototypeFilter) -> np.ndarray:
     """sum_s (a_s j^{m+s}) e^{j2pi m t} g(t - s/2) at arbitrary times t.
@@ -267,10 +274,11 @@ def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
     coeffs = np.asarray(coeffs)
     m_count = coeffs.shape[-1]
     carriers = np.exp(2j * np.pi * np.outer(np.arange(m_count), t))
+    pulses = slot_pulses(slots, t, filt)
     out = 0
     for i, s in enumerate(slots):
         phased = coeffs[..., i, :] * carrier_phase(m_count, s)
-        out = out + (phased @ carriers) * filt(t - s / 2.0)
+        out = out + (phased @ carriers) * pulses[i]
     return out
 
 

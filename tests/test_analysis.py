@@ -15,7 +15,8 @@ from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, CcdfResult,
                                     sigma2_of_t, signal_at_times)
 from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
-from fbmc_preamble.waveform import FbmcGrid, FrameConfig, build_frame, synthesize
+from fbmc_preamble.waveform import (FbmcGrid, FrameConfig, build_frame, carrier_phase,
+                                    reaching_data_slots, slot_signal, synthesize)
 
 
 def marcum_q1_quadrature(a: float, b: float) -> float:
@@ -184,6 +185,126 @@ class TestNuSigma:
         per_component = 0.5 * float(np.mean(np.abs(s) ** 2))
         predicted = sigma2_of_t(cfg.guards, filt, 64, n, float(t[0]))
         assert per_component == pytest.approx(predicted, rel=0.02)
+
+
+def sigma2_per_slot_oracle(guards, filt, subcarriers, preamble_slot, t):
+    """sigma2_of_t as it was before one lookup served every slot: one
+    filter call per reaching data slot, squared and added in slot order."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    acc = np.zeros_like(t)
+    for slot in reaching_data_slots(preamble_slot, guards, filt.overlap, t):
+        acc += filt(t - slot / 2.0) ** 2
+    return 0.5 * subcarriers * acc
+
+
+def slot_signal_per_slot_oracle(coeffs, slots, t, filt):
+    """slot_signal as it was before one lookup served every slot: one
+    filter call per slot inside the loop."""
+    coeffs = np.asarray(coeffs)
+    m_count = coeffs.shape[-1]
+    carriers = np.exp(2j * np.pi * np.outer(np.arange(m_count), t))
+    out = 0
+    for i, s in enumerate(slots):
+        phased = coeffs[..., i, :] * carrier_phase(m_count, s)
+        out = out + (phased @ carriers) * filt(t - s / 2.0)
+    return out
+
+
+PRE = 20        # preamble slot of the lookup properties
+
+
+@st.composite
+def probe_times(draw, filt):
+    """Random times around the preamble slot's reach, plus times exactly at
+    s/2, s/2 + K - 1/L and s/2 + K, the support edges of slots s."""
+    k, spt = filt.overlap, filt.samples_per_symbol
+    rand = draw(st.lists(st.floats(PRE / 2 - k - 1, PRE / 2 + k + 1), max_size=12))
+    slots = draw(st.lists(st.integers(PRE - 2 * k - 2, PRE + 2 * k + 2), max_size=4))
+    edges = [e for s in slots for e in (s / 2, s / 2 + k - 1 / spt, s / 2 + k)]
+    return np.array(rand + edges, dtype=float)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestPulseLookup:
+    """One filter lookup per (slots x times) grid gives the per-slot
+    loops' bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           spt=st.sampled_from([8, 64, 256]), guards=st.integers(0, 4), data=st.data())
+    def test_sigma2_equals_per_slot_oracle(self, name, spt, guards, data):
+        filt = make_filter(name, spt)
+        t = data.draw(probe_times(filt))
+        got = sigma2_of_t(guards, filt, 16, PRE, t)
+        assert same_bits(got, sigma2_per_slot_oracle(guards, filt, 16, PRE, t))
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           spt=st.sampled_from([8, 64, 256]), guards=st.integers(0, 4),
+           m=st.sampled_from([1, 8, 13]), seed=st.integers(0, 2**32), data=st.data())
+    def test_slot_signal_equals_per_slot_oracle(self, name, spt, guards, m, seed, data):
+        filt = make_filter(name, spt)
+        t = data.draw(probe_times(filt))
+        rng = np.random.default_rng(seed)
+        # The data slots, as signal_at_times passes them, and the preamble
+        # slot as a list, as nu_of_t does.
+        slots = reaching_data_slots(PRE, guards, filt.overlap, t)
+        for slot_list in (slots, [PRE]):
+            coeffs = rng.standard_normal((3, len(slot_list), m)) + 1j * rng.standard_normal(
+                (3, len(slot_list), m))
+            got = slot_signal(coeffs, slot_list, t, filt)
+            want = slot_signal_per_slot_oracle(coeffs, slot_list, t, filt)
+            if len(slot_list):
+                assert same_bits(got, want)
+            else:
+                assert got == want == 0
+
+
+class TestRicianInputChecks:
+    def setup_method(self):
+        self.cfg = FrameConfig(subcarriers=64, guards=2, oversample=4, rng_seed=9)
+        self.filt = phydyas_taps(4, self.cfg.samples_per_symbol)
+        self.preamble = golay_seed(64)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_time_not_finite(self, t):
+        n = self.cfg.preamble_slot
+        calls = [lambda: RicianPointModel.at_time(self.preamble, self.filt, self.cfg, t),
+                 lambda: nu_of_t(self.preamble, self.filt, n, t),
+                 lambda: sigma2_of_t(2, self.filt, 64, n, [n / 2 + 1.0, t]),
+                 lambda: signal_at_times(self.preamble, self.filt, self.cfg, [t], 2)]
+        for call in calls:
+            with pytest.raises(AnalysisError, match="t must be finite"):
+                call()
+
+    def test_negative_guard_count(self):
+        # -1 used to count the preamble slot as data.
+        n = self.cfg.preamble_slot
+        with pytest.raises(AnalysisError, match="guard count must be finite and >= 0"):
+            sigma2_of_t(-1, self.filt, 64, n, (n + 4) / 2)
+
+    @pytest.mark.parametrize("name,value", [
+        ("nu", math.nan), ("nu", -1.0), ("nu", math.inf), ("sigma", math.nan),
+        ("sigma", -0.5), ("sigma", math.inf), ("p_avg", math.nan), ("p_avg", math.inf),
+        ("p_avg", -2.0)])
+    def test_model_fields(self, name, value):
+        fields = {"t": 0.0, "nu": 1.0, "sigma": 1.0, "p_avg": 2.0, name: value}
+        with pytest.raises(AnalysisError, match=f"{name} must be finite and >= 0"):
+            RicianPointModel(**fields)
+
+    def test_zero_average_power(self):
+        with pytest.raises(AnalysisError, match="p_avg must be > 0"):
+            RicianPointModel(t=0.0, nu=1.0, sigma=1.0, p_avg=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5, np.float64(math.nan)])
+    def test_threshold(self, alpha):
+        model = RicianPointModel(t=0.0, nu=1.0, sigma=1.0, p_avg=2.0)
+        with pytest.raises(AnalysisError, match="threshold must be finite and >= 0"):
+            iapr_exceedance(alpha, model)
 
 
 class TestSignalAtTimes:

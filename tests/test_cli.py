@@ -61,6 +61,11 @@ class TestGenGolay:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_modulus_past_int64_rejected(self, capsys):
+        rc = main(["gen-golay", "--q", str(2**63), "--mu", "2", "--pi", "1,2", "--b", "0,0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_repeated_permutation_entry_rejected(self, capsys):
         rc = main(["gen-golay", "--q", "2", "--mu", "3", "--pi", "1,1,2",
                    "--b", "0,0,0"])

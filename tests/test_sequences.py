@@ -55,10 +55,15 @@ def dj_phases_by_index(spec: GbfSpec) -> tuple[list[int], list[int]]:
     return c, d
 
 
+def largest_half_q(mu: int) -> int:
+    """The largest Q/2 that GbfSpec takes: (Q/2) mu + (mu + 2)(Q - 1) < 2^63."""
+    return (2**63 + mu + 1) // (3 * mu + 4)
+
+
 @settings(max_examples=60, deadline=None)
-@given(mu=st.integers(1, 8), half_q=st.integers(1, 2**20), data=st.data())
-def test_dj_pair_equals_per_index_evaluation(mu, half_q, data):
-    q = 2 * half_q
+@given(mu=st.integers(1, 8), data=st.data())
+def test_dj_pair_equals_per_index_evaluation(mu, data):
+    q = 2 * data.draw(st.integers(1, 2**20) | st.integers(1, largest_half_q(mu)))
     coeff = st.integers(0, q - 1)
     spec = GbfSpec(q=q, mu=mu, pi=tuple(data.draw(st.permutations(range(1, mu + 1)))),
                    b=tuple(data.draw(st.lists(coeff, min_size=mu, max_size=mu))),
@@ -90,6 +95,24 @@ class TestDjPair:
     def test_odd_modulus_rejected(self):
         with pytest.raises(SequenceError):
             GbfSpec(q=3, mu=2, pi=(1, 2), b=(0, 0))
+
+    @pytest.mark.parametrize("mu", [1, 2, 4, 8])
+    def test_modulus_bound(self, mu):
+        # At the bound every coefficient at Q - 1 gives the largest sums.
+        q = 2 * largest_half_q(mu)
+        top = q - 1
+        spec = GbfSpec(q=q, mu=mu, pi=tuple(range(1, mu + 1)), b=(top,) * mu, const=top,
+                       offset=top)
+        c, d = dj_pair(spec)
+        assert (c.phases.tolist(), d.phases.tolist()) == dj_phases_by_index(spec)
+        with pytest.raises(SequenceError, match="too large"):
+            GbfSpec(q=q + 2, mu=mu, pi=tuple(range(1, mu + 1)), b=(0,) * mu)
+
+    def test_modulus_that_wrapped_is_rejected(self):
+        # Its phases used to wrap in int64 without an error.
+        q = 2**62 + 2
+        with pytest.raises(SequenceError, match="too large"):
+            GbfSpec(q=q, mu=4, pi=(1, 2, 3, 4), b=(q - 1,) * 4)
 
     def test_non_permutation_rejected(self):
         with pytest.raises(SequenceError):
