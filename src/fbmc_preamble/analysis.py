@@ -85,8 +85,8 @@ def nu_of_t(preamble: np.ndarray, filt: PrototypeFilter, preamble_slot: int, t) 
     magnitude because nu is the mean length of the Rician phasor.  Raises
     AnalysisError for a time that is not finite.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
     _check("t", t)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
     coeffs = np.asarray(preamble, dtype=complex)[None, :]
     out = np.abs(slot_signal(coeffs, [preamble_slot], t, filt))
     return out if out.shape != (1,) else float(out[0])
@@ -98,8 +98,8 @@ def sigma2_of_t(guards: int, filt: PrototypeFilter, subcarriers: int,
     data interference; guard and preamble slots contribute nothing.  Raises
     AnalysisError for a negative guard count or a time that is not finite."""
     _check("guard count", guards, 0.0)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
     _check("t", t)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
     slots = reaching_data_slots(preamble_slot, guards, filt.overlap, t)
     acc = np.zeros_like(t)
     # Row by row in slot order: a sum over axis 0 would pair the adds.
@@ -391,8 +391,8 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     """
     if trials < 0:
         raise AnalysisError("trials must be >= 0")
-    t = np.asarray(t, dtype=float)
     _check("t", t)
+    t = np.asarray(t, dtype=float)
     filt = filt.resample(cfg.samples_per_symbol)
     n = cfg.preamble_slot
     preamble = np.asarray(preamble, dtype=complex)[None, :]
