@@ -68,7 +68,7 @@ def papr(signal: SampledSignal, window: AnalysisWindow, p_avg: float) -> float:
 def _check(what: str, value, low: float = -math.inf) -> None:
     """Raise AnalysisError unless value, a number or an array, is finite
     and >= low throughout.  The input check of the Rician model."""
-    if isinstance(value, (int, float)):         # numpy floats are floats too
+    if isinstance(value, (int, float)):         # np.float64 is a float too
         ok = -math.inf < value < math.inf and value >= low
     else:
         arr = np.asarray(value, dtype=float)

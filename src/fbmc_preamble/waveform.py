@@ -260,8 +260,8 @@ def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: i
 def slot_pulses(slots, t, filt: PrototypeFilter) -> np.ndarray:
     """g(t - s/2) of every slot s at every time t, in one filter lookup;
     shape (len(slots),) + shape of t."""
-    slots = np.asarray(slots)
-    return filt(t - slots.reshape(slots.shape + (1,) * np.ndim(t)) / 2.0)
+    half = np.divide(slots, 2.0)
+    return filt(t - half.reshape(half.shape + (1,) * np.ndim(t)))
 
 
 def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
