@@ -65,48 +65,74 @@ def papr(signal: SampledSignal, window: AnalysisWindow, p_avg: float) -> float:
 # ---------------------------------------------------------------------------
 # Rician point model
 
-def _check(what: str, value, low: float = -math.inf) -> None:
-    """Raise AnalysisError unless value, a number or an array, is finite
-    and >= low throughout.  The input check of the Rician model."""
-    if isinstance(value, (int, float)):         # np.float64 is a float too
-        ok = -math.inf < value < math.inf and value >= low
-    else:
-        arr = np.asarray(value, dtype=float)
-        ok = (np.isfinite(arr) & (arr >= low)).all()
-    if not ok:
-        bound = f" and >= {low:g}" if low > -math.inf else ""
-        raise AnalysisError(f"{what} must be finite{bound}")
+_REAL = (float, int, np.floating, np.integer)      # bool is an int, and is refused
+
+
+def _real(what: str, value, low: float = -math.inf) -> float:
+    """value as a float, if it is a real number (not a bool, a string or an
+    array) that is finite and >= low; raises AnalysisError otherwise.  The
+    input check of the Rician model's scalars."""
+    if not isinstance(value, _REAL) or isinstance(value, bool):
+        raise AnalysisError(f"{what} must be a real number, not {value!r}")
+    value = float(value)
+    if not (-math.inf < value < math.inf and value >= low):
+        raise _not_finite(what, low)
+    return value
+
+
+def _check(what: str, value, low: float = -math.inf):
+    """value as a float if it is a real number, else as a float array of
+    its shape, if it is finite and >= low throughout; raises AnalysisError
+    otherwise, also for an array that does not hold real numbers."""
+    if isinstance(value, _REAL):
+        return _real(what, value, low)
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise AnalysisError(f"{what} must hold real numbers, not {value!r}")
+    arr = arr.astype(float, copy=False)
+    if not (np.isfinite(arr) & (arr >= low)).all():
+        raise _not_finite(what, low)
+    return arr
+
+
+def _not_finite(what: str, low: float) -> AnalysisError:
+    bound = f" and >= {low:g}" if low > -math.inf else ""
+    return AnalysisError(f"{what} must be finite{bound}")
 
 
 def nu_of_t(preamble: np.ndarray, filt: PrototypeFilter, preamble_slot: int, t) -> np.ndarray:
     """Preamble-only envelope |g(t - nT/2)| |sum_m c_m j^m e^{j2pi m t}|.
 
     Independent of the guard count by construction.  The pulse enters in
-    magnitude because nu is the mean length of the Rician phasor.  Raises
-    AnalysisError for a time that is not finite.
+    magnitude because nu is the mean length of the Rician phasor.  A number
+    t gives a float, an array an array of its shape.  Raises AnalysisError
+    for a time that is not finite.
     """
-    _check("t", t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = _check("t", t)
+    scalar = isinstance(t, float)
     coeffs = np.asarray(preamble, dtype=complex)[None, :]
-    out = np.abs(slot_signal(coeffs, [preamble_slot], t, filt))
-    return out if out.shape != (1,) else float(out[0])
+    out = np.abs(slot_signal(coeffs, [preamble_slot], t if scalar else t.ravel(), filt))
+    return float(out[0]) if scalar else out.reshape(t.shape)
 
 
 def sigma2_of_t(guards: int, filt: PrototypeFilter, subcarriers: int,
                 preamble_slot: int, t) -> np.ndarray:
     """Per-component variance (M/2) sum_{data slots} g^2(t - n'T/2) of the
-    data interference; guard and preamble slots contribute nothing.  Raises
-    AnalysisError for a negative guard count or a time that is not finite."""
-    _check("guard count", guards, 0.0)
-    _check("t", t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    data interference; guard and preamble slots contribute nothing.  A
+    number t gives a float, summed in Python floats, an array an array of
+    its shape.  Raises AnalysisError for a negative guard count or a time
+    that is not finite."""
+    _real("guard count", guards, 0.0)
+    t = _check("t", t)
     slots = reaching_data_slots(preamble_slot, guards, filt.overlap, t)
-    acc = np.zeros_like(t)
+    acc = 0.0 if isinstance(t, float) else np.zeros_like(t)
     # Row by row in slot order: a sum over axis 0 would pair the adds.
     for g in slot_pulses(slots, t, filt):
         acc += g * g
-    out = 0.5 * subcarriers * acc
-    return out if out.shape != (1,) else float(out[0])
+    # In place, so that a 0-d t keeps an array; (M/2) acc and acc (M/2) are
+    # the same product.
+    acc *= 0.5 * subcarriers
+    return acc
 
 
 @dataclass(frozen=True)
@@ -118,18 +144,21 @@ class RicianPointModel:
 
     def __post_init__(self):
         for name in ("nu", "sigma", "p_avg"):
-            _check(name, getattr(self, name), 0.0)
+            _real(name, getattr(self, name), 0.0)
         if self.p_avg == 0.0:
             raise AnalysisError("p_avg must be > 0")
 
     @classmethod
     def at_time(cls, preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
                 t: float) -> "RicianPointModel":
+        """The model at one time t, a real number; raises AnalysisError for
+        any other t, such as an array, a bool or a string."""
+        t = _real("t", t)
         return cls(
             t=t,
-            nu=float(nu_of_t(preamble, filt, cfg.preamble_slot, t)),
-            sigma=math.sqrt(float(sigma2_of_t(cfg.guards, filt, cfg.subcarriers,
-                                              cfg.preamble_slot, t))),
+            nu=nu_of_t(preamble, filt, cfg.preamble_slot, t),
+            sigma=math.sqrt(sigma2_of_t(cfg.guards, filt, cfg.subcarriers,
+                                        cfg.preamble_slot, t)),
             p_avg=average_power(cfg.subcarriers),
         )
 
@@ -144,10 +173,10 @@ def marcum_q1(a: float, b: float) -> float:
     The absolute error is at most 1e-10 against scipy.stats.ncx2.sf
     (checked on scipy 1.17.1, a and b up to about 1e7); relative precision
     is not kept for Q1 below about 1e-12, which can come out as 0.  Raises
-    FloatingPointError where scipy's chndtr gives no finite F.
+    FloatingPointError where scipy's chndtr gives no finite F, and
+    AnalysisError unless a and b are real numbers, finite and >= 0.
     """
-    if not (np.isfinite(a) and np.isfinite(b)) or a < 0 or b < 0:
-        raise AnalysisError("arguments must be finite and >= 0")
+    a, b = _real("a", a, 0.0), _real("b", b, 0.0)
     cdf = float(_sp.chndtr(b * b, 2, a * a))
     if not math.isfinite(cdf):
         raise FloatingPointError(f"chndtr({b * b!r}, 2, {a * a!r}) = {cdf}")
@@ -155,8 +184,9 @@ def marcum_q1(a: float, b: float) -> float:
 
 
 def iapr_exceedance(alpha: float, model: RicianPointModel) -> float:
-    """Pr{|s(t)|^2 / P_avg >= alpha} at the model's time instant."""
-    _check("threshold", alpha, 0.0)
+    """Pr{|s(t)|^2 / P_avg >= alpha} at the model's time instant; raises
+    AnalysisError unless alpha is a real number, finite and >= 0."""
+    alpha = _real("threshold", alpha, 0.0)
     if alpha == 0.0:
         return 1.0
     if model.sigma == 0.0:
@@ -391,8 +421,7 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     """
     if trials < 0:
         raise AnalysisError("trials must be >= 0")
-    _check("t", t)
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(_check("t", t))
     filt = filt.resample(cfg.samples_per_symbol)
     n = cfg.preamble_slot
     preamble = np.asarray(preamble, dtype=complex)[None, :]

@@ -67,7 +67,12 @@ class PrototypeFilter:
         return pairs
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        """Nearest-sample lookup of g(t); zero outside [0, K)."""
+        """Nearest-sample lookup of g(t); zero outside [0, K).  A float t
+        gives a float: Python's round, like np.round, rounds ties to even."""
+        if isinstance(t, float):
+            if not 0.0 <= t < self.overlap:
+                return 0.0
+            return float(self.taps[min(round(t * self.samples_per_symbol), len(self.taps) - 1)])
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         inside = (t >= 0.0) & (t < self.overlap)

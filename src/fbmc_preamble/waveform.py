@@ -13,6 +13,7 @@ thin caller of the signal core below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -183,7 +184,12 @@ class SampledSignal:
 
 def reaching_data_slots(preamble_slot: int, guards: int, overlap: float, t) -> np.ndarray:
     """Data slots, those more than `guards` slots from the preamble, whose
-    filter support [s/2, s/2 + overlap) holds at least one of the times t."""
+    filter support [s/2, s/2 + overlap) holds at least one of the times t.
+    A float t takes the same slot range and tests in Python floats."""
+    if isinstance(t, float):
+        slots = range(math.floor(2.0 * (t - overlap)), math.floor(2.0 * t) + 1)
+        return np.array([s for s in slots if 0.0 <= t - s / 2.0 < overlap
+                         and abs(s - preamble_slot) > guards], dtype=int)
     t = np.asarray(t, dtype=float).ravel()
     if not t.size:
         return np.empty(0, dtype=int)
@@ -259,7 +265,10 @@ def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: i
 
 def slot_pulses(slots, t, filt: PrototypeFilter) -> np.ndarray:
     """g(t - s/2) of every slot s at every time t, in one filter lookup;
-    shape (len(slots),) + shape of t."""
+    shape (len(slots),) + shape of t.  A float t gives a list of floats,
+    one scalar lookup per slot."""
+    if isinstance(t, float):
+        return [filt(t - s / 2.0) for s in np.asarray(slots).tolist()]
     half = np.divide(slots, 2.0)
     return filt(t - half.reshape(half.shape + (1,) * np.ndim(t)))
 
@@ -269,7 +278,7 @@ def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
     """sum_s (a_s j^{m+s}) e^{j2pi m t} g(t - s/2) at arbitrary times t.
 
     coeffs (..., len(slots), M) holds each slot's coefficients a_s; the
-    result has shape (..., len(t)).
+    result has shape (..., len(t)), where a float t counts as one time.
     """
     coeffs = np.asarray(coeffs)
     m_count = coeffs.shape[-1]

@@ -264,6 +264,129 @@ class TestPulseLookup:
                 assert got == want == 0
 
 
+@st.composite
+def scalar_times(draw, filt):
+    """probe_times as floats, plus times at which the filter's argument
+    t - s/2 is a rounding tie (k + 0.5)/L of slots s."""
+    k, spt = filt.overlap, filt.samples_per_symbol
+    ties = draw(st.lists(st.tuples(st.integers(PRE - 2 * k - 2, PRE + 2 * k + 2),
+                                   st.integers(0, k * spt - 1)), max_size=4))
+    return draw(probe_times(filt)).tolist() + [s / 2 + (i + 0.5) / spt for s, i in ties]
+
+
+class TestScalarPath:
+    """A float time takes Python-float forms of the lookup, the slot range
+    and the variance sum; they give the array forms' bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           spt=st.sampled_from([8, 64, 256]), guards=st.integers(0, 4), data=st.data())
+    def test_float_equals_one_element_array(self, name, spt, guards, data):
+        filt = make_filter(name, spt)
+        preamble = np.exp(2j * np.pi * np.arange(16) / 7)
+        for t in data.draw(scalar_times(filt)):
+            slots = reaching_data_slots(PRE, guards, filt.overlap, t)
+            want = reaching_data_slots(PRE, guards, filt.overlap, np.array([t]))
+            assert slots.dtype == want.dtype and np.array_equal(slots, want)
+            for arg in [t - s / 2 for s in range(PRE - 9, PRE + 10)]:
+                g = filt(arg)
+                assert type(g) is float and same_bits(g, filt(np.array([arg])))
+            sigma2 = sigma2_of_t(guards, filt, 16, PRE, t)
+            nu = nu_of_t(preamble, filt, PRE, t)
+            assert type(sigma2) is float and type(nu) is float
+            assert same_bits(sigma2, sigma2_of_t(guards, filt, 16, PRE, np.array([t])))
+            assert same_bits(nu, nu_of_t(preamble, filt, PRE, np.array([t])))
+
+    @pytest.mark.parametrize("name", ["phydyas4", "hermite"])
+    def test_filter_ties_round_to_even(self, name):
+        filt = make_filter(name, 8)
+        args = (np.arange(filt.overlap * 8) + 0.5) / 8
+        assert same_bits(np.array([filt(float(a)) for a in args]), filt(args))
+
+    @pytest.mark.parametrize("t", [40.7, np.float64(40.7)])
+    def test_at_time_looks_up_python_floats(self, monkeypatch, t):
+        # Guards the fast path: an array reaching the filter here means a
+        # float time went the array way.
+        cfg = FrameConfig(subcarriers=64, guards=1, oversample=4, rng_seed=0)
+        filt = make_filter("phydyas4", cfg.samples_per_symbol)
+        seen = []
+        lookup = type(filt).__call__
+
+        def spy(self, arg):
+            seen.append(type(arg))
+            return lookup(self, arg)
+
+        monkeypatch.setattr(type(filt), "__call__", spy)
+        RicianPointModel.at_time(golay_seed(64), filt, cfg, t)
+        reaching = reaching_data_slots(cfg.preamble_slot, 1, filt.overlap, float(t))
+        assert seen == [float] * (1 + len(reaching))
+
+
+class TestShapeRule:
+    """nu_of_t and sigma2_of_t: a number gives a float, an array an array of
+    the times' shape."""
+
+    def setup_method(self):
+        self.filt = make_filter("phydyas4", 16)
+        self.preamble = golay_seed(16)
+        self.t = PRE / 2 + 1.3
+
+    def evaluate(self, t):
+        return (nu_of_t(self.preamble, self.filt, PRE, t),
+                sigma2_of_t(1, self.filt, 16, PRE, t))
+
+    @pytest.mark.parametrize("number", [lambda t: t, np.float64, lambda t: 12])
+    def test_number_gives_float(self, number):
+        for out in self.evaluate(number(self.t)):
+            assert type(out) is float
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2, 3), (0,), (3, 0)])
+    def test_array_keeps_its_shape(self, shape):
+        t = np.asarray(self.t + np.arange(math.prod(shape)).reshape(shape) / 7)
+        flat = self.evaluate(t.ravel())
+        for out, want in zip(self.evaluate(t), flat):
+            assert type(out) is np.ndarray and out.shape == shape
+            assert same_bits(out.ravel(), want)
+        if t.size:
+            assert same_bits(flat[0][:1], self.evaluate(float(t.flat[0]))[0])
+
+
+class TestRicianRefusesNonNumbers:
+    def setup_method(self):
+        self.cfg = FrameConfig(subcarriers=64, guards=2, oversample=4, rng_seed=9)
+        self.filt = phydyas_taps(4, self.cfg.samples_per_symbol)
+        self.preamble = golay_seed(64)
+        self.model = RicianPointModel(t=0.0, nu=1.0, sigma=1.0, p_avg=2.0)
+
+    @pytest.mark.parametrize("t", ["1.0", True, np.array([40.1, 40.2]), np.array(40.1), None])
+    def test_at_time(self, t):
+        with pytest.raises(AnalysisError, match="t must be a real number"):
+            RicianPointModel.at_time(self.preamble, self.filt, self.cfg, t)
+
+    @pytest.mark.parametrize("alpha", [np.array([1.0, 2.0]), "2", True])
+    def test_iapr_exceedance(self, alpha):
+        with pytest.raises(AnalysisError, match="threshold must be a real number"):
+            iapr_exceedance(alpha, self.model)
+
+    @pytest.mark.parametrize("a,b", [(np.array([1.0, 2.0]), 1.0), (True, 1.0), (1.0, "1"),
+                                     (1.0, np.array([2.0]))])
+    def test_marcum_q1(self, a, b):
+        with pytest.raises(AnalysisError, match="must be a real number"):
+            marcum_q1(a, b)
+
+    @pytest.mark.parametrize("t", ["40.1", True, ["40.1"], [None]])
+    def test_nu_and_sigma2(self, t):
+        n = self.cfg.preamble_slot
+        with pytest.raises(AnalysisError, match="t must"):
+            nu_of_t(self.preamble, self.filt, n, t)
+        with pytest.raises(AnalysisError, match="t must"):
+            sigma2_of_t(2, self.filt, 64, n, t)
+
+    def test_model_fields(self):
+        with pytest.raises(AnalysisError, match="nu must be a real number"):
+            RicianPointModel(t=0.0, nu="1", sigma=1.0, p_avg=2.0)
+
+
 class TestRicianInputChecks:
     def setup_method(self):
         self.cfg = FrameConfig(subcarriers=64, guards=2, oversample=4, rng_seed=9)
