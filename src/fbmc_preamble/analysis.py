@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
+from scipy.special.cython_special import chndtr as _chndtr
 
 from .prototype import PrototypeFilter
 from .waveform import (FbmcGrid, FrameConfig, SampledSignal, add_weighted, carrier_phase,
@@ -176,8 +176,14 @@ def marcum_q1(a: float, b: float) -> float:
     FloatingPointError where scipy's chndtr gives no finite F, and
     AnalysisError unless a and b are real numbers, finite and >= 0.
     """
-    a, b = _real("a", a, 0.0), _real("b", b, 0.0)
-    cdf = float(_sp.chndtr(b * b, 2, a * a))
+    return _q1(_real("a", a, 0.0), _real("b", b, 0.0))
+
+
+def _q1(a: float, b: float) -> float:
+    """marcum_q1 of floats a and b, finite and >= 0, unchecked.  chndtr is
+    scipy's scalar Cython form, which runs the C routine of the
+    scipy.special.chndtr ufunc without its dispatch."""
+    cdf = _chndtr(b * b, 2.0, a * a)
     if not math.isfinite(cdf):
         raise FloatingPointError(f"chndtr({b * b!r}, 2, {a * a!r}) = {cdf}")
     return 1.0 - cdf
@@ -185,14 +191,19 @@ def marcum_q1(a: float, b: float) -> float:
 
 def iapr_exceedance(alpha: float, model: RicianPointModel) -> float:
     """Pr{|s(t)|^2 / P_avg >= alpha} at the model's time instant; raises
-    AnalysisError unless alpha is a real number, finite and >= 0."""
+    AnalysisError unless alpha is a real number, finite and >= 0, or if
+    the Marcum arguments a = nu/sigma and b = sqrt(alpha P_avg)/sigma
+    overflow."""
     alpha = _real("threshold", alpha, 0.0)
     if alpha == 0.0:
         return 1.0
     if model.sigma == 0.0:
         return 1.0 if model.nu**2 >= alpha * model.p_avg else 0.0
-    return marcum_q1(model.nu / model.sigma,
-                     math.sqrt(alpha * model.p_avg) / model.sigma)
+    a = model.nu / model.sigma
+    b = math.sqrt(alpha * model.p_avg) / model.sigma
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise _not_finite("b" if math.isfinite(a) else "a", 0.0)
+    return _q1(a, b)
 
 
 # ---------------------------------------------------------------------------

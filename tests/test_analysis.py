@@ -121,9 +121,28 @@ class TestMarcumQ1:
             marcum_q1(float("nan"), 1.0)
 
     def test_non_finite_special_function_raises(self, monkeypatch):
-        monkeypatch.setattr(analysis._sp, "chndtr", lambda x, df, nc: math.nan)
+        monkeypatch.setattr(analysis, "_chndtr", lambda x, df, nc: math.nan)
         with pytest.raises(FloatingPointError):
             marcum_q1(1.0, 2.0)
+
+    def test_scalar_chndtr_equals_ufunc(self):
+        # The scalar Cython chndtr runs the ufunc's C routine: same bits on a
+        # log grid of a and b, NaN cells included.
+        values = np.concatenate([[0.0, 5e-324], np.logspace(-12, 8, 401)])
+        a, b = np.meshgrid(values, values, indexing="ij")
+        scalar = np.array([analysis._chndtr(y * y, 2.0, x * x)
+                           for x, y in zip(a.ravel().tolist(), b.ravel().tolist())])
+        ufunc = special.chndtr(b * b, 2, a * a).ravel()
+        assert np.isnan(ufunc).any()
+        assert same_bits(scalar, ufunc)
+
+    @pytest.mark.parametrize("nu, sigma, name", [(1.0, 5e-324, "a"), (1e300, 1e-10, "a"),
+                                                 (0.0, 5e-324, "b")])
+    def test_exceedance_refuses_overflowing_arguments(self, nu, sigma, name):
+        # a = nu/sigma or b = sqrt(alpha P_avg)/sigma overflows to inf.
+        model = RicianPointModel(t=0.0, nu=nu, sigma=sigma, p_avg=1024.0)
+        with pytest.raises(AnalysisError, match=f"^{name} must be finite and >= 0$"):
+            iapr_exceedance(2.0, model)
 
 
 class TestNuSigma:
@@ -262,6 +281,75 @@ class TestPulseLookup:
                 assert same_bits(got, want)
             else:
                 assert got == want == 0
+
+
+def zero_masked(draw, rng, shape):
+    """Random complex coefficients of the given shape, with none, some,
+    all but one or all of the subcarriers (the last axis) zero; "some" also
+    zeros single coefficients."""
+    kind = draw(st.sampled_from(["none", "some", "all but one", "all"]))
+    m = shape[-1]
+    if kind == "none":
+        mask = np.ones(shape, dtype=bool)
+    elif kind == "some":
+        mask = (rng.random(m) < 0.5) & (rng.random(shape) < 0.7)
+    else:
+        mask = np.zeros(shape, dtype=bool)
+        if kind == "all but one":
+            mask[..., rng.integers(m)] = True
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
+
+
+class TestSparseCarriers:
+    """slot_signal computes carriers only at subcarriers with a nonzero
+    coefficient: its values, and nu_of_t's bits, are those of the dense
+    per-slot evaluation."""
+
+    def check_nu(self, preamble, filt, t):
+        want = np.abs(slot_signal_per_slot_oracle(preamble[None, :], [PRE], t, filt))
+        assert same_bits(nu_of_t(preamble, filt, PRE, t), want)
+        for x in t.tolist():
+            want = np.abs(slot_signal_per_slot_oracle(preamble[None, :], [PRE], x, filt))
+            assert same_bits(nu_of_t(preamble, filt, PRE, x), want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           spt=st.sampled_from([8, 64, 256]), guards=st.integers(0, 4),
+           m=st.sampled_from([1, 8, 13, 64]), seed=st.integers(0, 2**32), data=st.data())
+    def test_zero_coefficients(self, name, spt, guards, m, seed, data):
+        filt = make_filter(name, spt)
+        t = data.draw(probe_times(filt))
+        rng = np.random.default_rng(seed)
+        for slot_list in (reaching_data_slots(PRE, guards, filt.overlap, t), [PRE]):
+            coeffs = zero_masked(data.draw, rng, (3, len(slot_list), m))
+            got = slot_signal(coeffs, slot_list, t, filt)
+            want = slot_signal_per_slot_oracle(coeffs, slot_list, t, filt)
+            # By value: a zero carrier may turn a -0.0 into 0.0.
+            assert np.array_equal(got, want)
+        self.check_nu(zero_masked(data.draw, rng, (m,)), filt, t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           spt=st.sampled_from([8, 64, 256]), pilots=st.sampled_from([8, 16, 32]),
+           data=st.data())
+    def test_sparse_golay_preamble(self, name, spt, pilots, data):
+        filt = make_filter(name, spt)
+        self.check_nu(sparse_golay_preamble(512, pilots), filt, data.draw(probe_times(filt)))
+
+    def test_nu_computes_used_carriers_only(self, monkeypatch):
+        # Guards the sparse path: 512 arguments here mean the dense carriers
+        # came back.
+        filt = make_filter("phydyas4", 64)
+        seen = []
+        exp = np.exp
+
+        def spy(arg):
+            seen.append(np.size(arg))
+            return exp(arg)
+
+        monkeypatch.setattr(np, "exp", spy)
+        nu_of_t(sparse_golay_preamble(512, 32), filt, PRE, PRE / 2 + 1.3)
+        assert seen == [32]
 
 
 @st.composite
