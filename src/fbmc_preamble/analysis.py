@@ -176,13 +176,9 @@ def marcum_q1(a: float, b: float) -> float:
     FloatingPointError where scipy's chndtr gives no finite F, and
     AnalysisError unless a and b are real numbers, finite and >= 0.
     """
-    return _q1(_real("a", a, 0.0), _real("b", b, 0.0))
-
-
-def _q1(a: float, b: float) -> float:
-    """marcum_q1 of floats a and b, finite and >= 0, unchecked.  chndtr is
-    scipy's scalar Cython form, which runs the C routine of the
-    scipy.special.chndtr ufunc without its dispatch."""
+    a, b = _real("a", a, 0.0), _real("b", b, 0.0)
+    # The scalar Cython chndtr runs the ufunc scipy.special.chndtr's C
+    # routine without its dispatch.
     cdf = _chndtr(b * b, 2.0, a * a)
     if not math.isfinite(cdf):
         raise FloatingPointError(f"chndtr({b * b!r}, 2, {a * a!r}) = {cdf}")
@@ -191,19 +187,14 @@ def _q1(a: float, b: float) -> float:
 
 def iapr_exceedance(alpha: float, model: RicianPointModel) -> float:
     """Pr{|s(t)|^2 / P_avg >= alpha} at the model's time instant; raises
-    AnalysisError unless alpha is a real number, finite and >= 0, or if
-    the Marcum arguments a = nu/sigma and b = sqrt(alpha P_avg)/sigma
-    overflow."""
+    AnalysisError unless alpha is a real number, finite and >= 0."""
     alpha = _real("threshold", alpha, 0.0)
     if alpha == 0.0:
         return 1.0
     if model.sigma == 0.0:
         return 1.0 if model.nu**2 >= alpha * model.p_avg else 0.0
-    a = model.nu / model.sigma
-    b = math.sqrt(alpha * model.p_avg) / model.sigma
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise _not_finite("b" if math.isfinite(a) else "a", 0.0)
-    return _q1(a, b)
+    return marcum_q1(model.nu / model.sigma,
+                     math.sqrt(alpha * model.p_avg) / model.sigma)
 
 
 # ---------------------------------------------------------------------------

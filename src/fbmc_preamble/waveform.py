@@ -201,15 +201,13 @@ def reaching_data_slots(preamble_slot: int, guards: int, overlap: float, t) -> n
     return slots[reach & (np.abs(slots - preamble_slot) > guards)]
 
 
-def carrier_phase(subcarriers, slot, start=0) -> np.ndarray:
+def carrier_phase(subcarriers: int, slot, start=0) -> np.ndarray:
     """Phase j^{m+slot} e^{j2pi m t0} of a slot's coefficients when their
     subcarrier sum is referenced to the half-integer time t0 = start/2,
-    where e^{j2pi m t0} = (-1)^{m start}.  subcarriers is the count M, for
-    m = 0, ..., M - 1, or an integer array of the subcarriers m.  slot and
-    start may be integer arrays, such as columns (n, 1), that broadcast
-    with the subcarriers."""
-    m = np.arange(subcarriers) if np.ndim(subcarriers) == 0 else subcarriers
-    return _J[(m * (1 + 2 * start) + slot) % 4]
+    where e^{j2pi m t0} = (-1)^{m start}.  slot and start may be integer
+    arrays, such as columns (n, 1), that broadcast with the M subcarriers."""
+    m = np.arange(subcarriers)
+    return _J[(m + slot + 2 * m * start) % 4]
 
 
 def slot_sums(coeff: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -283,8 +281,8 @@ def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
     result has shape (..., len(t)), where a float t counts as one time.
 
     Carriers are computed only at the subcarriers where some coefficient
-    is nonzero; the other rows hold 0.0, which the zero coefficients turn
-    into exact zeros.  The product stays full length, since a shorter one
+    is nonzero; the other rows hold 0.0, and the zero coefficients there
+    give exact zeros.  The product stays full length, since a shorter one
     sums in another order and changes the bits.  So for a finite t the
     result equals the dense evaluation up to the sign of an exact zero.
     A non-finite t gives 0, not NaN, where all coefficients are zero, so
@@ -293,14 +291,15 @@ def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
     coeffs = np.asarray(coeffs)
     m_count = coeffs.shape[-1]
     used = np.flatnonzero(coeffs.reshape(-1, m_count).any(axis=0))
-    waves = np.exp(2j * np.pi * np.outer(used, t))
-    carriers = np.zeros((m_count, waves.shape[1]), dtype=complex)
-    carriers[used] = waves
+    carriers = np.exp(2j * np.pi * np.outer(used, t))
+    if used.size < m_count:
+        full = np.zeros((m_count, carriers.shape[1]), dtype=complex)
+        full[used] = carriers
+        carriers = full
     pulses = slot_pulses(slots, t, filt)
     out = 0
     for i, s in enumerate(slots):
-        phased = np.zeros(coeffs.shape[:-2] + (m_count,), dtype=complex)
-        phased[..., used] = coeffs[..., i, used] * carrier_phase(used, s)
+        phased = coeffs[..., i, :] * carrier_phase(m_count, s)
         out = out + (phased @ carriers) * pulses[i]
     return out
 
