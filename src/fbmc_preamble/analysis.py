@@ -378,11 +378,14 @@ def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
 
 def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
                      trials: int, thresholds_db: np.ndarray | None = None,
-                     chunk: int = DEFAULT_CHUNK) -> CcdfResult:
+                     chunk: int = DEFAULT_CHUNK, progress=None) -> CcdfResult:
     """Estimate Pr{PAPR > X} over random data realizations.
 
     Deterministic given cfg.rng_seed: trial i draws its data from
-    counter-based streams keyed on (seed, i, slot).
+    counter-based streams keyed on (seed, i, slot).  `progress`, if given,
+    is called in this process after each shard as
+    progress(trials_done, exceed_count, max_papr_db), with the running
+    counts (an array that later shards update in place).
     """
     if trials < 1:
         raise AnalysisError("need at least one trial")
@@ -391,9 +394,13 @@ def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConf
     thresholds_db = np.asarray(thresholds_db, dtype=float)
     exceed = np.zeros(len(thresholds_db), dtype=np.int64)
     max_db = float("-inf")
+    done = 0
     for peak_db in _papr_db_shards(preamble, filt, cfg, trials, chunk):
         exceed += len(peak_db) - np.searchsorted(np.sort(peak_db), thresholds_db, side="right")
         max_db = max(max_db, float(np.max(peak_db)))
+        done += len(peak_db)
+        if progress is not None:
+            progress(done, exceed, max_db)
     return CcdfResult(
         thresholds_db=thresholds_db,
         exceed_count=exceed,
@@ -419,11 +426,15 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     """Exact s(t) at probe times for each trial, shape (trials, len(t)):
     every data slot whose support reaches a probe time contributes.
 
-    Used to validate the pointwise Rician model against simulation.
+    Used to validate the pointwise Rician model against simulation.  Raises
+    AnalysisError for a negative trial count and for a t of more than one
+    dimension.
     """
     if trials < 0:
         raise AnalysisError("trials must be >= 0")
     t = np.asarray(_check("t", t))
+    if t.ndim > 1:
+        raise AnalysisError(f"t must be a number or a 1-D array, not of shape {t.shape}")
     filt = filt.resample(cfg.samples_per_symbol)
     n = cfg.preamble_slot
     preamble = np.asarray(preamble, dtype=complex)[None, :]

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen-golay, verify-gcp, bounds, papr, ccdf, compare,
+Subcommands: gen-golay, verify-gcp, bounds, papr, ccdf, model, compare,
 filter-dump.  Curves go to CSV, reports and manifests to JSON; plotting is
 left to external tools.  Exit codes: 0 success, 1 validation error, 2
 runtime/numerical failure.
@@ -9,6 +9,8 @@ runtime/numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
 import json
 import platform
 import subprocess
@@ -20,8 +22,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import (AnalysisError, default_thresholds, engine_processes, monte_carlo_ccdf,
-                       papr_samples)
+from .analysis import (AnalysisError, RicianPointModel, average_power, default_thresholds,
+                       engine_processes, iapr_exceedance, monte_carlo_ccdf, papr_samples,
+                       signal_at_times, wilson_interval)
 from .prototype import FilterError, make_filter, papr_bound_sigma0
 from .sequences import (GbfSpec, PhaseSequence, SequenceError, array_to_signs,
                         complex_from_json, complex_to_json, dj_pair, gcp_residual,
@@ -30,6 +33,13 @@ from .waveform import RNG_SCHEME, FrameConfig, FrameError
 from .workers import cpu_count
 
 FILTER_NAMES = ("phydyas3", "phydyas4", "hermite")
+# The paper's PAPR threshold: ccdf reports Pr{PAPR > 3 dB} as it runs.
+TAIL_THRESHOLD_DB = 3.0
+# Probe times of `model`, t - nT/2, across the preamble pulse's main lobe
+# (the times of acceptance criterion 4(f)).
+MODEL_OFFSETS = np.linspace(1.05, 2.80, 8)
+MODEL_COLUMNS = ("t - nT/2", "nu", "sigma", "alpha", "analytic", "empirical", "hits",
+                 "wilson95_low", "wilson95_high")
 # The checkout this package's source lies in, if it is run from one.
 SOURCE_ROOT = Path(__file__).resolve().parents[2]
 
@@ -40,14 +50,6 @@ class CliError(Exception):
 
 # Invalid input, reported as "error: ..." with exit code 1.
 INPUT_ERRORS = (CliError, SequenceError, FilterError, FrameError, AnalysisError)
-
-
-def positive_count(text: str) -> int:
-    """argparse type of a count of trials: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -207,20 +209,35 @@ def cmd_papr(args, config: dict) -> int:
     return 0
 
 
+def _preamble_source(args, config: dict, cfg: FrameConfig) -> tuple[np.ndarray, dict]:
+    """The preamble of `--preamble-file`, else the sparse Golay preamble
+    with `--channel-len` pilots, and how the manifest names it."""
+    if args.preamble_file is not None:
+        return _load_preamble(args.preamble_file), {"preamble_file": args.preamble_file}
+    channel_len = _opt(args, config, "channel_len", 32)
+    return (sparse_golay_preamble(cfg.subcarriers, channel_len),
+            {"preamble": "sparse-golay", "channel_len": channel_len})
+
+
 def cmd_ccdf(args, config: dict) -> int:
     started = time.time()
     cfg = _frame_config(args, config)
-    if args.preamble_file is not None:
-        preamble = _load_preamble(args.preamble_file)
-        source = {"preamble_file": args.preamble_file}
-    else:
-        channel_len = _opt(args, config, "channel_len", 32)
-        preamble = sparse_golay_preamble(cfg.subcarriers, channel_len)
-        source = {"preamble": "sparse-golay", "channel_len": channel_len}
+    preamble, source = _preamble_source(args, config, cfg)
     trials = _opt(args, config, "trials", 100_000)
     filt = make_filter(args.filter, cfg.samples_per_symbol)
+    thresholds = default_thresholds()
+    tail = int(np.flatnonzero(thresholds == TAIL_THRESHOLD_DB)[0])
+
+    def report(done, exceed, max_db):
+        hits = int(exceed[tail])
+        low, high = wilson_interval(hits, done)
+        rate = done / (time.perf_counter() - engine_started)
+        print(f"{done}/{trials} trials, {rate:,.0f} trials/s, max PAPR {max_db:.4f} dB, "
+              f"{hits} hits > {TAIL_THRESHOLD_DB:g} dB, 95% interval "
+              f"[{low:.2e}, {high:.2e}]", file=sys.stderr, flush=True)
+
     engine_started = time.perf_counter()
-    result = monte_carlo_ccdf(preamble, filt, cfg, trials, default_thresholds())
+    result = monte_carlo_ccdf(preamble, filt, cfg, trials, thresholds, progress=report)
     trials_per_s = trials / (time.perf_counter() - engine_started)
     stem = args.out or f"ccdf_{args.filter}_G{cfg.guards}"
     csv_path = _out_path(args, config, stem + ".csv")
@@ -234,6 +251,47 @@ def cmd_ccdf(args, config: dict) -> int:
                     trials_per_s=round(trials_per_s, 1),
                     engine_processes=engine_processes(trials))
     print(f"{trials} trials, empirical max PAPR {result.max_papr_db:.4f} dB")
+    print(f"wrote {csv_path}")
+    return 0
+
+
+def cmd_model(args, config: dict) -> int:
+    started = time.time()
+    cfg = _frame_config(args, config)
+    preamble, source = _preamble_source(args, config, cfg)
+    trials = _opt(args, config, "trials", 20_000)
+    filt = make_filter(args.filter, cfg.samples_per_symbol)
+    times = cfg.preamble_slot / 2 + MODEL_OFFSETS
+    s = signal_at_times(preamble, filt, cfg, times, trials)
+    iapr = np.abs(s) ** 2 / average_power(cfg.subcarriers)
+    rows = []
+    for j, t in enumerate(times):
+        model = RicianPointModel.at_time(preamble, filt, cfg, float(t))
+        # Near the local median, where the binomial error bar is tightest.
+        alpha = (model.nu**2 + 2 * model.sigma**2) / model.p_avg
+        hits = int(np.sum(iapr[:, j] >= alpha))
+        low, high = wilson_interval(hits, trials)
+        rows.append([f"{MODEL_OFFSETS[j]:.2f}", model.nu, model.sigma, alpha,
+                     iapr_exceedance(alpha, model), hits / trials, hits,
+                     float(low), float(high)])
+    stem = args.out or f"model_{args.filter}_G{cfg.guards}"
+    csv_path = _out_path(args, config, stem + ".csv")
+    with open(csv_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(MODEL_COLUMNS)
+        w.writerows(rows)
+    _write_manifest(csv_path.with_suffix(".manifest.json"), "model",
+                    {**cfg.to_json_dict(), "filter": args.filter, "trials": trials,
+                     **source},
+                    cfg.rng_seed, started, [str(csv_path)])
+    print(f"{args.filter}, M={cfg.subcarriers}, G={cfg.guards}, {trials} trials")
+    print(f"{'t - nT/2':>9s} {'nu':>9s} {'sigma':>9s} {'alpha':>7s} "
+          f"{'analytic':>10s} {'empirical':>10s} {'wilson95':>19s}")
+    for offset, nu, sigma, alpha, analytic, empirical, _, low, high in rows:
+        print(f"{offset:>9s} {nu:>9.3f} {sigma:>9.3f} {alpha:>7.3f} {analytic:>10.5f} "
+              f"{empirical:>10.5f} {low:>9.5f} {high:>9.5f}")
+    if args.json:
+        print(json.dumps([dict(zip(MODEL_COLUMNS, row)) for row in rows]))
     print(f"wrote {csv_path}")
     return 0
 
@@ -284,7 +342,10 @@ def cmd_filter_dump(args, config: dict) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it is the larger part of a short
+    command's time."""
     parser = argparse.ArgumentParser(
         prog="fbmc-preamble",
         description="Low-PAPR FBMC/OQAM preamble toolkit",
@@ -324,17 +385,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guards", type=int, default=None)
     p.set_defaults(func=cmd_papr)
 
-    p = sub.add_parser("ccdf", help="Monte Carlo PAPR CCDF")
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--preamble-file", help="default: the sparse Golay preamble")
-    source.add_argument("--channel-len", dest="channel_len", type=int, default=None,
-                        help="pilots of the sparse Golay preamble (default 32)")
-    p.add_argument("--filter", choices=FILTER_NAMES, default="phydyas4")
-    p.add_argument("--subcarriers", type=int, default=None)
-    p.add_argument("--guards", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--out", help="output stem (CSV + JSON + manifest)")
-    p.set_defaults(func=cmd_ccdf)
+    for name, func, help_text, out_help in [
+            ("ccdf", cmd_ccdf, "Monte Carlo PAPR CCDF", "output stem (CSV + JSON + manifest)"),
+            ("model", cmd_model, "Rician exceedance model vs Monte Carlo at 8 probe times",
+             "output stem (CSV + manifest)")]:
+        p = sub.add_parser(name, help=help_text)
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--preamble-file", help="default: the sparse Golay preamble")
+        source.add_argument("--channel-len", dest="channel_len", type=int, default=None,
+                            help="pilots of the sparse Golay preamble (default 32)")
+        p.add_argument("--filter", choices=FILTER_NAMES, default="phydyas4")
+        p.add_argument("--subcarriers", type=int, default=None)
+        p.add_argument("--guards", type=int, default=None)
+        p.add_argument("--trials", type=int, default=None)
+        p.add_argument("--out", help=out_help)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("compare", help="PAPR of sparse Golay / m-sequence / IAM-C")
     p.add_argument("--filter", choices=FILTER_NAMES, default="phydyas4")

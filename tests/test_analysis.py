@@ -517,6 +517,15 @@ class TestRicianInputChecks:
         with pytest.raises(AnalysisError, match="threshold must be finite and >= 0"):
             iapr_exceedance(alpha, model)
 
+    def test_signal_at_times_refuses_a_2d_time_array(self):
+        # Its result is (trials, len(t)); a (2, 3) t used to end in a bare
+        # numpy broadcast ValueError.
+        cfg = FrameConfig(subcarriers=16, guards=1, oversample=4, rng_seed=9)
+        filt = phydyas_taps(4, cfg.samples_per_symbol)
+        t = (cfg.preamble_slot + 4) / 2 + np.linspace(-0.5, 0.5, 6).reshape(2, 3)
+        with pytest.raises(AnalysisError, match=r"1-D array, not of shape \(2, 3\)"):
+            signal_at_times(golay_seed(16), filt, cfg, t, 2)
+
 
 class TestSignalAtTimes:
     @settings(max_examples=20, deadline=None)

@@ -1,12 +1,17 @@
+import csv
 import json
 import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fbmc_preamble import cli
-from fbmc_preamble.analysis import engine_processes, monte_carlo_ccdf
+from fbmc_preamble import analysis, cli
+from fbmc_preamble.analysis import (RicianPointModel, average_power, engine_processes,
+                                    iapr_exceedance, monte_carlo_ccdf, signal_at_times,
+                                    wilson_interval)
 from fbmc_preamble.cli import main
 from fbmc_preamble.prototype import make_filter
 from fbmc_preamble.sequences import (GOLAY_C16, GOLAY_D16, complex_to_json,
@@ -15,6 +20,9 @@ from fbmc_preamble.sequences import (GOLAY_C16, GOLAY_D16, complex_to_json,
 from fbmc_preamble.waveform import RNG_SCHEME, FrameConfig
 
 GOLAY32_FILE = "golay32.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
+# A small sparse Golay problem for the Monte Carlo commands.
+SMALL = ["--subcarriers", "64", "--channel-len", "16"]
 
 
 def write_preamble(tmp_path, name, values):
@@ -254,6 +262,94 @@ class TestCcdf:
                    "--trials", "0"])
         assert rc == 1
 
+    def test_progress_reports_the_tail_interval(self, tmp_path, capsys):
+        assert main(["--out-dir", str(tmp_path), "ccdf", *SMALL, "--guards", "2",
+                     "--trials", "256"]) == 0
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("256/256 trials, ")
+        # No hits at G = 2: a Wilson interval, upper end z^2 / (n + z^2), not "+/- 4e-153".
+        assert "0 hits > 3 dB, 95% interval [0.00e+00, 1.48e-02]" in last
+
+    def test_one_progress_line_per_shard(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_SHARD_TRIALS", 64)
+        assert main(["--out-dir", str(tmp_path), "ccdf", *SMALL, "--guards", "1",
+                     "--trials", "256", "--out", "run"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[0] for line in lines] == ["64/256", "128/256", "192/256",
+                                                       "256/256"]
+        hits = [int(re.search(r"(\d+) hits > 3 dB", line).group(1)) for line in lines]
+        assert hits == sorted(hits)
+        with open(tmp_path / "run.csv", newline="") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["threshold_db"] == "3.0000")
+        assert hits[-1] == int(row["exceed_count"]) > 0
+
+
+class TestModel:
+    def test_rows_match_the_library(self, tmp_path, capsys):
+        assert main(["--out-dir", str(tmp_path), "--seed", "13", "model", *SMALL,
+                     "--guards", "1", "--trials", "256"]) == 0
+        csv_path = tmp_path / "model_phydyas4_G1.csv"
+        with open(csv_path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert tuple(reader.fieldnames) == cli.MODEL_COLUMNS
+            rows = list(reader)
+        assert len(rows) == 8
+        cfg = FrameConfig(subcarriers=64, guards=1, rng_seed=13)
+        filt = make_filter("phydyas4", cfg.samples_per_symbol)
+        preamble = sparse_golay_preamble(64, 16)
+        offsets = np.linspace(1.05, 2.80, 8)
+        times = cfg.preamble_slot / 2 + offsets
+        iapr = np.abs(signal_at_times(preamble, filt, cfg, times, 256)) ** 2 / average_power(64)
+        for row, offset, t, probe in zip(rows, offsets, times, iapr.T):
+            model = RicianPointModel.at_time(preamble, filt, cfg, float(t))
+            alpha = (model.nu**2 + 2 * model.sigma**2) / model.p_avg
+            hits = int(np.sum(probe >= alpha))
+            low, high = wilson_interval(hits, 256)
+            assert row["t - nT/2"] == f"{offset:.2f}"
+            assert [float(row[k]) for k in ("nu", "sigma", "alpha", "analytic", "empirical",
+                                            "wilson95_low", "wilson95_high")] == [
+                model.nu, model.sigma, alpha, iapr_exceedance(alpha, model), hits / 256,
+                float(low), float(high)]
+            assert int(row["hits"]) == hits
+            assert float(row["wilson95_low"]) <= hits / 256 <= float(row["wilson95_high"])
+        manifest = json.loads(csv_path.with_suffix(".manifest.json").read_text())
+        assert manifest["command"] == "model" and manifest["seed"] == 13
+        assert manifest["outputs"] == [str(csv_path)]
+        assert manifest["config"]["trials"] == 256
+        assert manifest["config"]["channel_len"] == 16
+
+
+BAD_INPUTS = [(command, globals_, args) for command in ("ccdf", "model")
+              for globals_, args in ((["--seed", "-1"], []), ([], ["--subcarriers", "100"]),
+                                     ([], ["--guards", "-1"]))]
+
+
+class TestMonteCarloInput:
+    """Input errors of the two Monte Carlo commands, ccdf and model."""
+
+    @pytest.mark.parametrize("command, globals_, args", BAD_INPUTS,
+                             ids=[f"{c}:{' '.join(g + a)}" for c, g, a in BAD_INPUTS])
+    def test_reported_as_errors(self, tmp_path, capsys, command, globals_, args):
+        rc = main(["--out-dir", str(tmp_path), *globals_, command, *SMALL, "--trials", "16",
+                   *args])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, trials", [("ccdf", "0"), ("ccdf", "-1"),
+                                                 ("model", "0"), ("model", "-3")])
+    def test_trials_below_one(self, tmp_path, capsys, command, trials):
+        rc = main(["--out-dir", str(tmp_path), command, *SMALL, "--trials", trials])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["ccdf", "model"])
+    def test_unknown_filter(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *SMALL, "--filter", "foo"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'foo'" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_golay_wins(self, capsys):
@@ -332,3 +428,23 @@ class TestConfigFile:
         rc = main(["--config", str(cfg_path), "bounds", "--filter", "hermite"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every fbmc-preamble command in README's sh blocks,
+    with continuation lines joined and the loop variables $f and $g set."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        block = block.replace("\\\n", " ").replace("$f", "phydyas4").replace("$g", "2")
+        for line in block.splitlines():
+            if "fbmc-preamble " in line and not line.lstrip().startswith("#"):
+                command = line[line.index("fbmc-preamble "):].split(";")[0]
+                commands.append(shlex.split(command, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 12
+    for argv in commands:
+        assert cli.build_parser().parse_args(argv).func is not None, argv
