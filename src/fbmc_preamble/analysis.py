@@ -37,7 +37,6 @@ def average_power(subcarriers: int) -> float:
 
 @dataclass(frozen=True)
 class AnalysisWindow:
-    preamble_slot: int
     start_index: int       # first sample inside the window
     length: int            # 2T worth of samples
 
@@ -46,7 +45,7 @@ class AnalysisWindow:
         spt = signal.samples_per_symbol
         t_start = (preamble_slot + 2) / 2.0
         start = round((t_start - signal.t0) * spt)
-        win = cls(preamble_slot=preamble_slot, start_index=start, length=2 * spt)
+        win = cls(start_index=start, length=2 * spt)
         if start < 0 or start + win.length > len(signal.samples):
             raise AnalysisError("analysis window exceeds the sampled signal")
         return win
@@ -326,16 +325,18 @@ class _WindowSampler:
         return self.window(slot_data(self.cfg, trials, self.data_slots[:, None]))
 
 
+# Trials per sampler call.  _papr_db_shards reads it at call time and hands
+# it to every shard, so a worker uses the caller's value.
 DEFAULT_CHUNK = 16
 # Trials per shard at most: bounds a shard's reply (512 KB) and the memory
 # of a long call, which then runs in rounds of one shard per process.
 MAX_SHARD_TRIALS = 1 << 16
 
 
-def engine_processes(trials: int, chunk: int = DEFAULT_CHUNK) -> int:
+def engine_processes(trials: int) -> int:
     """Processes an engine call over `trials` trials runs on: one per CPU
     this process may use, at most one per chunk."""
-    return max(1, min(cpu_count(), -(-trials // chunk)))
+    return max(1, min(cpu_count(), -(-trials // DEFAULT_CHUNK)))
 
 
 def _papr_db(sampler: _WindowSampler, first_trial: int, trials: int, chunk: int) -> np.ndarray:
@@ -349,7 +350,7 @@ def _papr_db(sampler: _WindowSampler, first_trial: int, trials: int, chunk: int)
 
 
 def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
-                    trials: int, chunk: int, first_trial: int = 0):
+                    trials: int, first_trial: int = 0):
     """Per-trial window PAPR in dB, one array per shard of whole chunks.
 
     The range is cut into one shard per engine process, which run at the
@@ -358,8 +359,6 @@ def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     values do not depend on the number of processes.  All input is checked
     here, before any worker is fed.
     """
-    if chunk < 1:
-        raise AnalysisError("chunk must be >= 1")
     if trials < 0:
         raise AnalysisError("trials must be >= 0")
     sampler = _WindowSampler(preamble, filt, cfg)
@@ -367,8 +366,9 @@ def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     check_trials(first_trial, stop)
     if trials < 1:
         return
+    chunk = DEFAULT_CHUNK
     chunks = -(-trials // chunk)
-    processes = engine_processes(trials, chunk)
+    processes = engine_processes(trials)
     span = chunk * min(-(-chunks // processes), max(1, MAX_SHARD_TRIALS // chunk))
     starts = range(first_trial, stop, span)
     for k in range(0, len(starts), processes):
@@ -378,7 +378,7 @@ def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
 
 def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
                      trials: int, thresholds_db: np.ndarray | None = None,
-                     chunk: int = DEFAULT_CHUNK, progress=None) -> CcdfResult:
+                     progress=None) -> CcdfResult:
     """Estimate Pr{PAPR > X} over random data realizations.
 
     Deterministic given cfg.rng_seed: trial i draws its data from
@@ -395,7 +395,7 @@ def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConf
     exceed = np.zeros(len(thresholds_db), dtype=np.int64)
     max_db = float("-inf")
     done = 0
-    for peak_db in _papr_db_shards(preamble, filt, cfg, trials, chunk):
+    for peak_db in _papr_db_shards(preamble, filt, cfg, trials):
         exceed += len(peak_db) - np.searchsorted(np.sort(peak_db), thresholds_db, side="right")
         max_db = max(max_db, float(np.max(peak_db)))
         done += len(peak_db)
@@ -411,13 +411,13 @@ def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConf
 
 
 def papr_samples(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
-                 trials: int, chunk: int = DEFAULT_CHUNK, first_trial: int = 0) -> np.ndarray:
+                 trials: int, first_trial: int = 0) -> np.ndarray:
     """Per-trial preamble PAPR values in dB (same trials as monte_carlo_ccdf).
 
     Trial i of the returned array is keyed on the absolute index
     first_trial + i, so disjoint calls tile one reproducible stream.
     """
-    shards = list(_papr_db_shards(preamble, filt, cfg, trials, chunk, first_trial))
+    shards = list(_papr_db_shards(preamble, filt, cfg, trials, first_trial))
     return np.concatenate(shards) if shards else np.empty(0)
 
 

@@ -42,9 +42,6 @@ class PhaseSequence:
             raise SequenceError("phase entries must lie in [0, Q)")
         object.__setattr__(self, "phases", phases)
 
-    def __len__(self):
-        return len(self.phases)
-
     def to_complex(self) -> np.ndarray:
         """Unit-magnitude amplitudes omega^phase with omega = exp(j2pi/Q)."""
         roots = _EXACT_ROOTS.get(self.modulus)

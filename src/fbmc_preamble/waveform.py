@@ -312,8 +312,6 @@ def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> Sampl
     """
     spt = cfg.samples_per_symbol
     filt = filt.resample(spt)
-    if filt.samples_per_symbol != spt:
-        raise FrameError("filter sample rate does not match oversample * M")
     if grid.symbols.ndim != 2 or len(grid.symbols) != cfg.subcarriers:
         raise FrameError(f"grid of shape {grid.symbols.shape} is not "
                          f"({cfg.subcarriers}, columns)")

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -620,7 +621,7 @@ class TestPaprWindow:
     def test_out_of_range_window(self):
         sig = synthesize(build_frame(self.cfg, self.preamble), self.filt, self.cfg)
         with pytest.raises(AnalysisError):
-            papr(sig, AnalysisWindow(0, len(sig.samples) - 4, 8), 1.0)
+            papr(sig, AnalysisWindow(len(sig.samples) - 4, 8), 1.0)
 
     @pytest.mark.parametrize("p_avg", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_average_power_not_finite_and_positive(self, p_avg):
@@ -675,9 +676,11 @@ class TestMonteCarloCcdf:
         assert r1.max_papr_db == r2.max_papr_db
 
     def test_chunking_invariance(self):
-        r1 = monte_carlo_ccdf(self.preamble, self.filt, self.cfg, 100, chunk=7)
-        r2 = monte_carlo_ccdf(self.preamble, self.filt, self.cfg, 100, chunk=100)
-        assert np.array_equal(r1.exceed_prob, r2.exceed_prob)
+        runs = []
+        for chunk in (7, 100):
+            with mock.patch.object(analysis, "DEFAULT_CHUNK", chunk):
+                runs.append(monte_carlo_ccdf(self.preamble, self.filt, self.cfg, 100))
+        assert np.array_equal(runs[0].exceed_prob, runs[1].exceed_prob)
 
     def test_curve_shape(self):
         res = monte_carlo_ccdf(self.preamble, self.filt, self.cfg, 300)

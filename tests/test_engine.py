@@ -99,8 +99,10 @@ def test_chunk_size_does_not_change_papr_samples(m, guards, name, oversample, se
     cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample, rng_seed=seed)
     filt = make_filter(name, cfg.samples_per_symbol)
     preamble = golay_seed(m) if m & (m - 1) == 0 else np.ones(m)
-    runs = [papr_samples(preamble, filt, cfg, 30, chunk=c, first_trial=first_trial)
-            for c in (1, 7, 16, 256)]
+    runs = []
+    for chunk in (1, 7, 16, 256):
+        with mock.patch.object(analysis, "DEFAULT_CHUNK", chunk):
+            runs.append(papr_samples(preamble, filt, cfg, 30, first_trial=first_trial))
     for other in runs[1:]:
         assert np.array_equal(runs[0], other)
 
@@ -299,8 +301,9 @@ def deadline(seconds: int):
 
 
 def small_papr(trials, chunk=4, first_trial=0):
-    return papr_samples(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, trials, chunk=chunk,
-                        first_trial=first_trial)
+    with mock.patch.object(analysis, "DEFAULT_CHUNK", chunk):
+        return papr_samples(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, trials,
+                            first_trial=first_trial)
 
 
 class TestSharding:
@@ -319,10 +322,11 @@ class TestSharding:
         from_zero = single_chunk_calls(0)
         # Sample values among the thresholds: a tie does not exceed.
         thresholds = np.concatenate([np.linspace(-3.0, 9.0, 25), from_zero[:3]])
-        with mock.patch.object(analysis, "MAX_SHARD_TRIALS", shard_cap):
-            whole = small_papr(trials, chunk, first_trial)
-            res = monte_carlo_ccdf(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, trials, thresholds,
-                                   chunk=chunk)
+        with mock.patch.object(analysis, "MAX_SHARD_TRIALS", shard_cap), \
+                mock.patch.object(analysis, "DEFAULT_CHUNK", chunk):
+            whole = papr_samples(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, trials,
+                                 first_trial=first_trial)
+            res = monte_carlo_ccdf(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, trials, thresholds)
         assert np.array_equal(whole, single_chunk_calls(first_trial))
         assert res.exceed_count.tolist() == np.sum(from_zero[:, None] > thresholds,
                                                    axis=0).tolist()
@@ -418,9 +422,13 @@ class TestSharding:
         expected = {f: small_papr(40, first_trial=f) for f in firsts}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
+        # Patched once for all threads: a patch per thread could restore
+        # another thread's value on exit.
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = {f: pool.submit(small_papr, 40, 4, f) for f in firsts}
+            with ThreadPoolExecutor(max_workers=4) as pool, \
+                    mock.patch.object(analysis, "DEFAULT_CHUNK", 4):
+                futures = {f: pool.submit(papr_samples, SMALL_PREAMBLE, SMALL_FILT,
+                                          SMALL_CFG, 40, f) for f in firsts}
                 got = {f: fut.result(timeout=60) for f, fut in futures.items()}
         finally:
             sys.setswitchinterval(interval)
