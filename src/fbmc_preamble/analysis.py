@@ -151,8 +151,13 @@ class RicianPointModel:
     def at_time(cls, preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
                 t: float) -> "RicianPointModel":
         """The model at one time t, a real number; raises AnalysisError for
-        any other t, such as an array, a bool or a string."""
+        any other t, such as an array, a bool or a string, and for a preamble
+        that is not one entry per subcarrier.  Its energy is not checked
+        here: that sum would cost a large share of a point."""
         t = _real("t", t)
+        if np.shape(preamble) != (cfg.subcarriers,):
+            raise AnalysisError(f"preamble of shape {np.shape(preamble)} is not "
+                                f"({cfg.subcarriers},)")
         return cls(
             t=t,
             nu=nu_of_t(preamble, filt, cfg.preamble_slot, t),
@@ -428,17 +433,17 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
 
     Used to validate the pointwise Rician model against simulation.  Raises
     AnalysisError for a negative trial count and for a t of more than one
-    dimension.
+    dimension, and FrameError for a preamble that build_frame refuses.
     """
     if trials < 0:
         raise AnalysisError("trials must be >= 0")
+    preamble = checked_preamble(preamble, cfg.subcarriers)
     t = np.asarray(_check("t", t))
     if t.ndim > 1:
         raise AnalysisError(f"t must be a number or a 1-D array, not of shape {t.shape}")
     filt = filt.resample(cfg.samples_per_symbol)
     n = cfg.preamble_slot
-    preamble = np.asarray(preamble, dtype=complex)[None, :]
-    out = np.tile(slot_signal(preamble, [n], t, filt), (trials, 1))
+    out = np.tile(slot_signal(preamble[None, :], [n], t, filt), (trials, 1))
     slots = reaching_data_slots(n, cfg.guards, filt.overlap, t)
     for lo in range(0, trials, DEFAULT_CHUNK):
         rows = np.arange(lo, min(lo + DEFAULT_CHUNK, trials))

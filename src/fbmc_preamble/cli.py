@@ -2,8 +2,8 @@
 
 Subcommands: gen-golay, verify-gcp, bounds, papr, ccdf, model, compare,
 filter-dump.  Curves go to CSV, reports and manifests to JSON; plotting is
-left to external tools.  Exit codes: 0 success, 1 validation error, 2
-runtime/numerical failure.
+left to external tools.  Exit codes: 0 success, 1 validation error (a file
+that cannot be read or written included), 2 runtime/numerical failure.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ MODEL_COLUMNS = ("t - nT/2", "nu", "sigma", "alpha", "analytic", "empirical", "h
                  "wilson95_low", "wilson95_high")
 # The checkout this package's source lies in, if it is run from one.
 SOURCE_ROOT = Path(__file__).resolve().parents[2]
+# The --config keys some command reads.  One file may serve every command,
+# so a key is refused only if no command reads it.
+CONFIG_KEYS = frozenset({"out_dir", "seed", "oversample", "subcarriers", "guards", "trials",
+                         "channel_len"})
 
 
 class CliError(Exception):
@@ -68,6 +72,10 @@ def _load_config(path: str | None) -> dict:
         raise CliError(f"cannot read config file {path}: {exc}")
     if not isinstance(config, dict):
         raise CliError(f"config file {path}: top level must be a JSON object")
+    unknown = sorted(config.keys() - CONFIG_KEYS)
+    if unknown:
+        raise CliError(f"config file {path}: no command reads {', '.join(unknown)}; "
+                       f"the keys are {', '.join(sorted(CONFIG_KEYS))}")
     return config
 
 
@@ -86,6 +94,12 @@ def _out_path(args, config: dict, filename: str) -> Path:
     out_dir = Path(_opt(args, config, "out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / filename
+
+
+def _print_json(args, payload) -> None:
+    """With --json, the command's last line of stdout: payload as one line."""
+    if args.json:
+        print(json.dumps(payload))
 
 
 def _git_revision() -> str | None:
@@ -166,6 +180,7 @@ def cmd_gen_golay(args, config: dict) -> int:
         _write_manifest(out.with_suffix(".manifest.json"), "gen-golay",
                         report["spec"], 0, started, [str(out)])
         print(f"wrote {out}")
+    _print_json(args, report)
     return 0
 
 
@@ -175,6 +190,8 @@ def cmd_verify_gcp(args, config: dict) -> int:
     ok = residual <= args.tol
     print(f"max |rho_c + rho_d| = {residual:.3e} (tol {args.tol:g}): "
           f"{'GCP' if ok else 'NOT a GCP'}")
+    _print_json(args, {"max_complementarity_residual": residual, "tol": args.tol,
+                       "gcp": ok})
     return 0 if ok else 1
 
 
@@ -183,8 +200,7 @@ def cmd_bounds(args, config: dict) -> int:
     filt = make_filter(name, 256)
     bound = papr_bound_sigma0(filt)
     print(f"{name} sigma0 PAPR bound: {bound:.4f} dB")
-    if args.json:
-        print(json.dumps({"filter": name, "bound_db": round(bound, 4)}))
+    _print_json(args, {"filter": name, "bound_db": round(bound, 4)})
     return 0
 
 
@@ -204,8 +220,7 @@ def cmd_papr(args, config: dict) -> int:
     value = float(papr_samples(preamble, filt, cfg, trials=1)[0])
     print(f"PAPR over the preamble window: {value:.4f} dB "
           f"(G={cfg.guards}, M={cfg.subcarriers}, seed={cfg.rng_seed})")
-    if args.json:
-        print(json.dumps({"papr_db": round(value, 4), "config": cfg.to_json_dict()}))
+    _print_json(args, {"papr_db": round(value, 4), "config": cfg.to_json_dict()})
     return 0
 
 
@@ -227,6 +242,9 @@ def cmd_ccdf(args, config: dict) -> int:
     filt = make_filter(args.filter, cfg.samples_per_symbol)
     thresholds = default_thresholds()
     tail = int(np.flatnonzero(thresholds == TAIL_THRESHOLD_DB)[0])
+    # Before the run, so that an unusable --out-dir costs no engine time.
+    csv_path = _out_path(args, config, (args.out or f"ccdf_{args.filter}_G{cfg.guards}")
+                         + ".csv")
 
     def report(done, exceed, max_db):
         hits = int(exceed[tail])
@@ -239,8 +257,6 @@ def cmd_ccdf(args, config: dict) -> int:
     engine_started = time.perf_counter()
     result = monte_carlo_ccdf(preamble, filt, cfg, trials, thresholds, progress=report)
     trials_per_s = trials / (time.perf_counter() - engine_started)
-    stem = args.out or f"ccdf_{args.filter}_G{cfg.guards}"
-    csv_path = _out_path(args, config, stem + ".csv")
     result.write_csv(csv_path)
     json_path = csv_path.with_suffix(".json")
     json_path.write_text(result.to_json() + "\n")
@@ -252,6 +268,8 @@ def cmd_ccdf(args, config: dict) -> int:
                     engine_processes=engine_processes(trials))
     print(f"{trials} trials, empirical max PAPR {result.max_papr_db:.4f} dB")
     print(f"wrote {csv_path}")
+    _print_json(args, {"trials": trials, "max_papr_db": result.max_papr_db,
+                       "outputs": [str(csv_path), str(json_path)]})
     return 0
 
 
@@ -290,9 +308,8 @@ def cmd_model(args, config: dict) -> int:
     for offset, nu, sigma, alpha, analytic, empirical, _, low, high in rows:
         print(f"{offset:>9s} {nu:>9.3f} {sigma:>9.3f} {alpha:>7.3f} {analytic:>10.5f} "
               f"{empirical:>10.5f} {low:>9.5f} {high:>9.5f}")
-    if args.json:
-        print(json.dumps([dict(zip(MODEL_COLUMNS, row)) for row in rows]))
     print(f"wrote {csv_path}")
+    _print_json(args, [dict(zip(MODEL_COLUMNS, row)) for row in rows])
     return 0
 
 
@@ -318,10 +335,9 @@ def cmd_compare(args, config: dict) -> int:
           f"L_h={channel_len} (bound {bound:.4f} dB)")
     for name, value in rows.items():
         print(f"  {name:<14s} {value:.4f} dB")
-    if args.json:
-        print(json.dumps({"filter": args.filter, "subcarriers": subcarriers,
-                          "channel_len": channel_len, "bound_db": round(bound, 4),
-                          "papr_db": {k: round(v, 4) for k, v in rows.items()}}))
+    _print_json(args, {"filter": args.filter, "subcarriers": subcarriers,
+                       "channel_len": channel_len, "bound_db": round(bound, 4),
+                       "papr_db": {k: round(v, 4) for k, v in rows.items()}})
     if args.out:
         out = _out_path(args, config, args.out)
         out.write_text(json.dumps({"bound_db": bound, "papr_db": rows}, indent=2) + "\n")
@@ -337,6 +353,8 @@ def cmd_filter_dump(args, config: dict) -> int:
     out = _out_path(args, config, args.out)
     filt.write_csv(out)
     print(f"wrote {out} ({len(filt.taps)} taps, energy {filt.energy:.12f})")
+    _print_json(args, {"filter": args.filter, "samples_per_symbol": filt.samples_per_symbol,
+                       "taps": len(filt.taps), "energy": filt.energy, "output": str(out)})
     return 0
 
 
@@ -355,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--oversample", type=int, default=None,
                         help="samples per symbol interval / subcarrier count")
     parser.add_argument("--out-dir", dest="out_dir", default=None)
-    parser.add_argument("--json", action="store_true", help="also print JSON")
+    parser.add_argument("--json", action="store_true",
+                        help="also print the result as one JSON line, last on stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-golay", help="construct a Davis-Jedwab Golay pair")
@@ -429,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FloatingPointError, np.linalg.LinAlgError, MemoryError, ChildProcessError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:      # a file the command reads or writes; after ChildProcessError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -200,8 +200,11 @@ class TestNuSigma:
         n = cfg.preamble_slot
         t = np.array([(n + 4) / 2])  # window center
         trials = 50_000
-        # zero preamble isolates the data interference term
-        s = signal_at_times(np.zeros(64), filt, cfg, t, trials)[:, 0]
+        # Less the preamble's share, which is the same in every trial: the
+        # data interference term.
+        preamble = golay_seed(64)
+        s = (signal_at_times(preamble, filt, cfg, t, trials)[:, 0]
+             - slot_signal(preamble[None, :], [n], t, filt)[0])
         per_component = 0.5 * float(np.mean(np.abs(s) ** 2))
         predicted = sigma2_of_t(cfg.guards, filt, 64, n, float(t[0]))
         assert per_component == pytest.approx(predicted, rel=0.02)
@@ -452,6 +455,13 @@ class TestRicianRefusesNonNumbers:
         with pytest.raises(AnalysisError, match="t must be a real number"):
             RicianPointModel.at_time(self.preamble, self.filt, self.cfg, t)
 
+    @pytest.mark.parametrize("preamble", [golay_seed(32), np.ones((1, 64)), np.ones(65)])
+    def test_at_time_refuses_a_preamble_of_another_length(self, preamble):
+        # A 32-entry preamble at M = 64 used to give a nu.
+        t = (self.cfg.preamble_slot + 4) / 2
+        with pytest.raises(AnalysisError, match=r"is not \(64,\)"):
+            RicianPointModel.at_time(preamble, self.filt, self.cfg, t)
+
     @pytest.mark.parametrize("alpha", [np.array([1.0, 2.0]), "2", True])
     def test_iapr_exceedance(self, alpha):
         with pytest.raises(AnalysisError, match="threshold must be a real number"):
@@ -617,6 +627,13 @@ class TestPaprWindow:
         assert win.length == 2 * self.cfg.samples_per_symbol
         t_start = sig.times[win.start_index]
         assert t_start == pytest.approx((self.cfg.preamble_slot + 2) / 2)
+
+    @pytest.mark.parametrize("preamble_slot", [-10, 40])
+    def test_window_outside_the_signal_is_refused(self, preamble_slot):
+        # 40 puts the window past the frame's end, -10 before its start.
+        sig = synthesize(build_frame(self.cfg, self.preamble), self.filt, self.cfg)
+        with pytest.raises(AnalysisError, match="exceeds the sampled signal"):
+            AnalysisWindow.for_signal(sig, preamble_slot)
 
     def test_out_of_range_window(self):
         sig = synthesize(build_frame(self.cfg, self.preamble), self.filt, self.cfg)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import re
@@ -319,6 +320,17 @@ class TestModel:
         assert manifest["config"]["channel_len"] == 16
 
 
+    def test_short_preamble_file_refused_as_ccdf_refuses_it(self, tmp_path, capsys):
+        # 32 entries at M = 64: model used to run and write a CSV.
+        pre = write_preamble(tmp_path, "pre.json", golay_seed(32))
+        for command in ("ccdf", "model"):
+            rc = main(["--out-dir", str(tmp_path), command, "--preamble-file", pre,
+                       "--subcarriers", "64", "--trials", "16"])
+            assert rc == 1
+            assert capsys.readouterr().err == "error: preamble length 32 != 64 subcarriers\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+
 BAD_INPUTS = [(command, globals_, args) for command in ("ccdf", "model")
               for globals_, args in ((["--seed", "-1"], []), ([], ["--subcarriers", "100"]),
                                      ([], ["--guards", "-1"]))]
@@ -422,12 +434,99 @@ class TestConfigFile:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_key_no_command_reads(self, tmp_path, capsys):
+        # Misspelt keys used to run silently with the defaults.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"subcarrier": 64, "trails": 5, "guards": 2}))
+        rc = main(["--config", str(cfg_path), "bounds", "--filter", "hermite"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no command reads subcarrier, trails;" in err
+
+    def test_key_another_command_reads(self, tmp_path, capsys):
+        # One file serves every command: compare runs at guards 6 whatever it says.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"subcarriers": 64, "channel_len": 16, "guards": 2,
+                                        "trials": 16}))
+        assert main(["--config", str(cfg_path), "compare"]) == 0
+
+    def test_config_keys_are_the_keys_commands_read(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        read = {node.args[2].value for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_opt"}
+        assert read == cli.CONFIG_KEYS
+
     def test_top_level_not_an_object(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("[1, 2]")
         rc = main(["--config", str(cfg_path), "bounds", "--filter", "hermite"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def json_argv(tmp_path) -> dict[str, list[str]]:
+    """A quick run of every command, keyed by its name."""
+    c = write_preamble(tmp_path, "c.json", signs_to_array(GOLAY_C16))
+    d = write_preamble(tmp_path, "d.json", signs_to_array(GOLAY_D16))
+    pre = write_preamble(tmp_path, "pre.json", golay_seed(32))
+    return {
+        "gen-golay": ["gen-golay", "--q", "2", "--mu", "3", "--pi", "1,2,3", "--b", "0,0,0",
+                      "--out", "pair.json"],
+        "verify-gcp": ["verify-gcp", "--file-c", c, "--file-d", d],
+        "bounds": ["bounds", "--filter", "hermite"],
+        "papr": ["papr", "--preamble-file", pre, "--subcarriers", "32"],
+        "ccdf": ["ccdf", *SMALL, "--trials", "16"],
+        "model": ["model", *SMALL, "--guards", "1", "--trials", "16"],
+        "compare": ["compare", *SMALL],
+        "filter-dump": ["filter-dump", "--filter", "hermite", "--samples-per-symbol", "8",
+                        "--out", "taps.csv"],
+    }
+
+
+COMMANDS = ("gen-golay", "verify-gcp", "bounds", "papr", "ccdf", "model", "compare",
+            "filter-dump")
+
+
+def test_every_command_has_a_quick_run_here(tmp_path):
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(COMMANDS) == set(commands) == set(json_argv(tmp_path))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_is_the_last_line_of_stdout(tmp_path, capsys, command):
+    argv = json_argv(tmp_path)[command]
+    assert main(["--out-dir", str(tmp_path), "--json", *argv]) == 0
+    out = capsys.readouterr().out.splitlines()
+    payload = json.loads(out[-1])
+    # Only that line is JSON: a table is not printed twice.
+    assert all(not line.startswith(("{", "[")) for line in out[:-1])
+    if command == "model":
+        assert [row["t - nT/2"] for row in payload] == [f"{v:.2f}" for v in cli.MODEL_OFFSETS]
+        with open(tmp_path / "model_phydyas4_G1.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["hits"] for row in payload] == [int(row["hits"]) for row in rows]
+    if command == "ccdf":
+        stored = json.loads((tmp_path / "ccdf_phydyas4_G3.json").read_text())
+        assert payload["max_papr_db"] == stored["max_papr_db"]
+        assert payload["outputs"] == [str(tmp_path / f"ccdf_phydyas4_G3.{ext}")
+                                      for ext in ("csv", "json")]
+
+
+@pytest.mark.parametrize("command", ["ccdf", "filter-dump", "gen-golay"])
+def test_out_dir_that_is_a_file(tmp_path, capsys, command):
+    # Used to end in a FileExistsError traceback.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = json_argv(tmp_path)[command]
+    assert main(["--out-dir", str(taken), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+
+
+def test_output_file_that_is_a_directory(tmp_path, capsys):
+    (tmp_path / "taps.csv").mkdir()
+    assert main(["--out-dir", str(tmp_path), *json_argv(tmp_path)["filter-dump"]]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def readme_commands() -> list[list[str]]:
