@@ -279,6 +279,8 @@ def cmd_model(args, config: dict) -> int:
     preamble, source = _preamble_source(args, config, cfg)
     trials = _opt(args, config, "trials", 20_000)
     filt = make_filter(args.filter, cfg.samples_per_symbol)
+    csv_path = _out_path(args, config, (args.out or f"model_{args.filter}_G{cfg.guards}")
+                         + ".csv")
     times = cfg.preamble_slot / 2 + MODEL_OFFSETS
     s = signal_at_times(preamble, filt, cfg, times, trials)
     iapr = np.abs(s) ** 2 / average_power(cfg.subcarriers)
@@ -292,8 +294,6 @@ def cmd_model(args, config: dict) -> int:
         rows.append([f"{MODEL_OFFSETS[j]:.2f}", model.nu, model.sigma, alpha,
                      iapr_exceedance(alpha, model), hits / trials, hits,
                      float(low), float(high)])
-    stem = args.out or f"model_{args.filter}_G{cfg.guards}"
-    csv_path = _out_path(args, config, stem + ".csv")
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(MODEL_COLUMNS)
@@ -448,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FloatingPointError, np.linalg.LinAlgError, MemoryError, ChildProcessError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:      # a file the command reads or writes; after ChildProcessError
+    except OSError as exc:      # a file it writes; ChildProcessError, also one, is above
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -512,7 +512,7 @@ def test_json_is_the_last_line_of_stdout(tmp_path, capsys, command):
                                       for ext in ("csv", "json")]
 
 
-@pytest.mark.parametrize("command", ["ccdf", "filter-dump", "gen-golay"])
+@pytest.mark.parametrize("command", ["ccdf", "model", "filter-dump", "gen-golay"])
 def test_out_dir_that_is_a_file(tmp_path, capsys, command):
     # Used to end in a FileExistsError traceback.
     taken = tmp_path / "taken"
