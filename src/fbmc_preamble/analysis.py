@@ -99,6 +99,14 @@ def _not_finite(what: str, low: float) -> AnalysisError:
     return AnalysisError(f"{what} must be finite{bound}")
 
 
+def _trial_count(trials, low: int) -> int:
+    """trials as an int, if it is an integer (not a bool) >= low; raises
+    AnalysisError otherwise."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < low:
+        raise AnalysisError(f"trials must be an integer >= {low}, not {trials!r}")
+    return int(trials)
+
+
 def nu_of_t(preamble: np.ndarray, filt: PrototypeFilter, preamble_slot: int, t) -> np.ndarray:
     """Preamble-only envelope |g(t - nT/2)| |sum_m c_m j^m e^{j2pi m t}|.
 
@@ -364,8 +372,7 @@ def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     values do not depend on the number of processes.  All input is checked
     here, before any worker is fed.
     """
-    if trials < 0:
-        raise AnalysisError("trials must be >= 0")
+    trials = _trial_count(trials, 0)
     sampler = _WindowSampler(preamble, filt, cfg)
     stop = first_trial + trials
     check_trials(first_trial, stop)
@@ -392,11 +399,12 @@ def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConf
     progress(trials_done, exceed_count, max_papr_db), with the running
     counts (an array that later shards update in place).
     """
-    if trials < 1:
-        raise AnalysisError("need at least one trial")
+    trials = _trial_count(trials, 1)
     if thresholds_db is None:
         thresholds_db = default_thresholds()
-    thresholds_db = np.asarray(thresholds_db, dtype=float)
+    thresholds_db = np.asarray(_check("thresholds_db", thresholds_db))
+    if thresholds_db.ndim != 1:
+        raise AnalysisError(f"thresholds_db must be 1-D, not of shape {thresholds_db.shape}")
     exceed = np.zeros(len(thresholds_db), dtype=np.int64)
     max_db = float("-inf")
     done = 0
@@ -432,11 +440,11 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     every data slot whose support reaches a probe time contributes.
 
     Used to validate the pointwise Rician model against simulation.  Raises
-    AnalysisError for a negative trial count and for a t of more than one
-    dimension, and FrameError for a preamble that build_frame refuses.
+    AnalysisError for a trial count that is not an integer >= 0 and for a
+    t of more than one dimension, and FrameError for a preamble that
+    build_frame refuses.
     """
-    if trials < 0:
-        raise AnalysisError("trials must be >= 0")
+    trials = _trial_count(trials, 0)
     preamble = checked_preamble(preamble, cfg.subcarriers)
     t = np.asarray(_check("t", t))
     if t.ndim > 1:

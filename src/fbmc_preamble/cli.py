@@ -79,27 +79,20 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _opt(args, config: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    value = config.get(name, default)
+def _opt(args, name: str, default):
+    """The flag's value, else the config file's, else `default`.  Only a
+    config value can fail the type check: argparse types the flags."""
+    value = getattr(args, name, default)
     if type(value) is not type(default):
         raise CliError(f"config value {name}={value!r} must be of type "
                        f"{type(default).__name__}")
     return value
 
 
-def _out_path(args, config: dict, filename: str) -> Path:
-    out_dir = Path(_opt(args, config, "out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / filename
-
-
-def _print_json(args, payload) -> None:
-    """With --json, the command's last line of stdout: payload as one line."""
-    if args.json:
-        print(json.dumps(payload))
+def _out_path(args, filename: str) -> Path:
+    out = Path(_opt(args, "out_dir", ".")) / filename
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _git_revision() -> str | None:
@@ -115,18 +108,18 @@ def _git_revision() -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def _write_manifest(path: Path, command: str, config: dict, seed: int,
-                    started: float, outputs: list[str], **run) -> None:
+def _write_manifest(args, path: Path, config: dict, seed: int, outputs: list[str],
+                    **run) -> None:
     """Writes what a command did and where it ran; `run` adds fields that
     describe how the command's work went."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": seed,
         "library_version": __version__,
         "git_revision": _git_revision(),
         "rng_scheme": RNG_SCHEME,
-        "duration_s": round(time.time() - started, 3),
+        "duration_s": round(time.time() - args.started, 3),
         "outputs": outputs,
         **run,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
@@ -155,8 +148,7 @@ def _load_preamble(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen_golay(args, config: dict) -> int:
-    started = time.time()
+def cmd_gen_golay(args) -> tuple[int, dict]:
     spec = GbfSpec(q=args.q, mu=args.mu, pi=_int_list(args.pi),
                    b=_int_list(args.b), const=args.const, offset=args.offset)
     c_seq, d_seq = dj_pair(spec)
@@ -175,76 +167,76 @@ def cmd_gen_golay(args, config: dict) -> int:
         print(f"d = {array_to_signs(d)}")
     print(f"length {len(c)}, max |rho_c + rho_d| over nonzero shifts = {residual:.3e}")
     if args.out:
-        out = _out_path(args, config, args.out)
+        out = _out_path(args, args.out)
         out.write_text(json.dumps(report, indent=2) + "\n")
-        _write_manifest(out.with_suffix(".manifest.json"), "gen-golay",
-                        report["spec"], 0, started, [str(out)])
+        _write_manifest(args, out.with_suffix(".manifest.json"), report["spec"], 0,
+                        [str(out)])
         print(f"wrote {out}")
-    _print_json(args, report)
-    return 0
+    return 0, report
 
 
-def cmd_verify_gcp(args, config: dict) -> int:
+def cmd_verify_gcp(args) -> tuple[int, dict]:
     c, d = _load_preamble(args.file_c), _load_preamble(args.file_d)
     residual = gcp_residual(c, d)
     ok = residual <= args.tol
     print(f"max |rho_c + rho_d| = {residual:.3e} (tol {args.tol:g}): "
           f"{'GCP' if ok else 'NOT a GCP'}")
-    _print_json(args, {"max_complementarity_residual": residual, "tol": args.tol,
-                       "gcp": ok})
-    return 0 if ok else 1
+    return 0 if ok else 1, {"max_complementarity_residual": residual, "tol": args.tol,
+                            "gcp": ok}
 
 
-def cmd_bounds(args, config: dict) -> int:
+def cmd_bounds(args) -> tuple[int, dict]:
     name = args.filter
     filt = make_filter(name, 256)
     bound = papr_bound_sigma0(filt)
     print(f"{name} sigma0 PAPR bound: {bound:.4f} dB")
-    _print_json(args, {"filter": name, "bound_db": round(bound, 4)})
-    return 0
+    return 0, {"filter": name, "bound_db": round(bound, 4)}
 
 
-def _frame_config(args, config: dict) -> FrameConfig:
+def _frame_config(args) -> FrameConfig:
     return FrameConfig(
-        subcarriers=_opt(args, config, "subcarriers", 512),
-        guards=_opt(args, config, "guards", 3),
-        oversample=_opt(args, config, "oversample", 4),
-        rng_seed=_opt(args, config, "seed", 0),
+        subcarriers=_opt(args, "subcarriers", 512),
+        guards=_opt(args, "guards", 3),
+        oversample=_opt(args, "oversample", 4),
+        rng_seed=_opt(args, "seed", 0),
     )
 
 
-def cmd_papr(args, config: dict) -> int:
-    cfg = _frame_config(args, config)
+def cmd_papr(args) -> tuple[int, dict]:
+    cfg = _frame_config(args)
     preamble = _load_preamble(args.preamble_file)
     filt = make_filter(args.filter, cfg.samples_per_symbol)
     value = float(papr_samples(preamble, filt, cfg, trials=1)[0])
     print(f"PAPR over the preamble window: {value:.4f} dB "
           f"(G={cfg.guards}, M={cfg.subcarriers}, seed={cfg.rng_seed})")
-    _print_json(args, {"papr_db": round(value, 4), "config": cfg.to_json_dict()})
-    return 0
+    return 0, {"papr_db": round(value, 4), "config": cfg.to_json_dict()}
 
 
-def _preamble_source(args, config: dict, cfg: FrameConfig) -> tuple[np.ndarray, dict]:
-    """The preamble of `--preamble-file`, else the sparse Golay preamble
-    with `--channel-len` pilots, and how the manifest names it."""
+def _monte_carlo_run(args, default_trials: int):
+    """What ccdf and model run: the frame, the preamble (that of
+    `--preamble-file`, else the sparse Golay preamble with `--channel-len`
+    pilots), the filter and the trial count; then the CSV path, resolved
+    before the run so that an unusable output costs no engine time, and the
+    configuration the manifest records."""
+    cfg = _frame_config(args)
     if args.preamble_file is not None:
-        return _load_preamble(args.preamble_file), {"preamble_file": args.preamble_file}
-    channel_len = _opt(args, config, "channel_len", 32)
-    return (sparse_golay_preamble(cfg.subcarriers, channel_len),
-            {"preamble": "sparse-golay", "channel_len": channel_len})
-
-
-def cmd_ccdf(args, config: dict) -> int:
-    started = time.time()
-    cfg = _frame_config(args, config)
-    preamble, source = _preamble_source(args, config, cfg)
-    trials = _opt(args, config, "trials", 100_000)
+        preamble, source = (_load_preamble(args.preamble_file),
+                            {"preamble_file": args.preamble_file})
+    else:
+        channel_len = _opt(args, "channel_len", 32)
+        preamble, source = (sparse_golay_preamble(cfg.subcarriers, channel_len),
+                            {"preamble": "sparse-golay", "channel_len": channel_len})
+    trials = _opt(args, "trials", default_trials)
     filt = make_filter(args.filter, cfg.samples_per_symbol)
+    stem = args.out or f"{args.command}_{args.filter}_G{cfg.guards}"
+    config = {**cfg.to_json_dict(), "filter": args.filter, "trials": trials, **source}
+    return cfg, preamble, filt, trials, _out_path(args, stem + ".csv"), config
+
+
+def cmd_ccdf(args) -> tuple[int, dict]:
+    cfg, preamble, filt, trials, csv_path, config = _monte_carlo_run(args, 100_000)
     thresholds = default_thresholds()
     tail = int(np.flatnonzero(thresholds == TAIL_THRESHOLD_DB)[0])
-    # Before the run, so that an unusable --out-dir costs no engine time.
-    csv_path = _out_path(args, config, (args.out or f"ccdf_{args.filter}_G{cfg.guards}")
-                         + ".csv")
 
     def report(done, exceed, max_db):
         hits = int(exceed[tail])
@@ -260,27 +252,17 @@ def cmd_ccdf(args, config: dict) -> int:
     result.write_csv(csv_path)
     json_path = csv_path.with_suffix(".json")
     json_path.write_text(result.to_json() + "\n")
-    _write_manifest(csv_path.with_suffix(".manifest.json"), "ccdf",
-                    {**cfg.to_json_dict(), "filter": args.filter, "trials": trials,
-                     **source},
-                    cfg.rng_seed, started, [str(csv_path), str(json_path)],
-                    trials_per_s=round(trials_per_s, 1),
+    outputs = [str(csv_path), str(json_path)]
+    _write_manifest(args, csv_path.with_suffix(".manifest.json"), config, cfg.rng_seed,
+                    outputs, trials_per_s=round(trials_per_s, 1),
                     engine_processes=engine_processes(trials))
     print(f"{trials} trials, empirical max PAPR {result.max_papr_db:.4f} dB")
     print(f"wrote {csv_path}")
-    _print_json(args, {"trials": trials, "max_papr_db": result.max_papr_db,
-                       "outputs": [str(csv_path), str(json_path)]})
-    return 0
+    return 0, {"trials": trials, "max_papr_db": result.max_papr_db, "outputs": outputs}
 
 
-def cmd_model(args, config: dict) -> int:
-    started = time.time()
-    cfg = _frame_config(args, config)
-    preamble, source = _preamble_source(args, config, cfg)
-    trials = _opt(args, config, "trials", 20_000)
-    filt = make_filter(args.filter, cfg.samples_per_symbol)
-    csv_path = _out_path(args, config, (args.out or f"model_{args.filter}_G{cfg.guards}")
-                         + ".csv")
+def cmd_model(args) -> tuple[int, list]:
+    cfg, preamble, filt, trials, csv_path, config = _monte_carlo_run(args, 20_000)
     times = cfg.preamble_slot / 2 + MODEL_OFFSETS
     s = signal_at_times(preamble, filt, cfg, times, trials)
     iapr = np.abs(s) ** 2 / average_power(cfg.subcarriers)
@@ -298,10 +280,8 @@ def cmd_model(args, config: dict) -> int:
         w = csv.writer(fh)
         w.writerow(MODEL_COLUMNS)
         w.writerows(rows)
-    _write_manifest(csv_path.with_suffix(".manifest.json"), "model",
-                    {**cfg.to_json_dict(), "filter": args.filter, "trials": trials,
-                     **source},
-                    cfg.rng_seed, started, [str(csv_path)])
+    _write_manifest(args, csv_path.with_suffix(".manifest.json"), config, cfg.rng_seed,
+                    [str(csv_path)])
     print(f"{args.filter}, M={cfg.subcarriers}, G={cfg.guards}, {trials} trials")
     print(f"{'t - nT/2':>9s} {'nu':>9s} {'sigma':>9s} {'alpha':>7s} "
           f"{'analytic':>10s} {'empirical':>10s} {'wilson95':>19s}")
@@ -309,19 +289,17 @@ def cmd_model(args, config: dict) -> int:
         print(f"{offset:>9s} {nu:>9.3f} {sigma:>9.3f} {alpha:>7.3f} {analytic:>10.5f} "
               f"{empirical:>10.5f} {low:>9.5f} {high:>9.5f}")
     print(f"wrote {csv_path}")
-    _print_json(args, [dict(zip(MODEL_COLUMNS, row)) for row in rows])
-    return 0
+    return 0, [dict(zip(MODEL_COLUMNS, row)) for row in rows]
 
 
-def cmd_compare(args, config: dict) -> int:
-    started = time.time()
-    subcarriers = _opt(args, config, "subcarriers", 512)
-    channel_len = _opt(args, config, "channel_len", 32)
-    oversample = _opt(args, config, "oversample", 4)
+def cmd_compare(args) -> tuple[int, dict]:
+    subcarriers = _opt(args, "subcarriers", 512)
+    channel_len = _opt(args, "channel_len", 32)
+    oversample = _opt(args, "oversample", 4)
     # Guards wide enough that no data symbol reaches the analysis window:
     # the sigma = 0 regime of the published comparison.
     cfg = FrameConfig(subcarriers=subcarriers, guards=6, oversample=oversample,
-                      rng_seed=_opt(args, config, "seed", 0))
+                      rng_seed=_opt(args, "seed", 0))
     filt = make_filter(args.filter, cfg.samples_per_symbol)
     preambles = {
         "sparse-golay": sparse_golay_preamble(subcarriers, channel_len),
@@ -335,27 +313,25 @@ def cmd_compare(args, config: dict) -> int:
           f"L_h={channel_len} (bound {bound:.4f} dB)")
     for name, value in rows.items():
         print(f"  {name:<14s} {value:.4f} dB")
-    _print_json(args, {"filter": args.filter, "subcarriers": subcarriers,
-                       "channel_len": channel_len, "bound_db": round(bound, 4),
-                       "papr_db": {k: round(v, 4) for k, v in rows.items()}})
     if args.out:
-        out = _out_path(args, config, args.out)
+        out = _out_path(args, args.out)
         out.write_text(json.dumps({"bound_db": bound, "papr_db": rows}, indent=2) + "\n")
-        _write_manifest(out.with_suffix(".manifest.json"), "compare",
+        _write_manifest(args, out.with_suffix(".manifest.json"),
                         {"filter": args.filter, "subcarriers": subcarriers,
                          "channel_len": channel_len, "oversample": oversample},
-                        _opt(args, config, "seed", 0), started, [str(out)])
-    return 0
+                        cfg.rng_seed, [str(out)])
+    return 0, {"filter": args.filter, "subcarriers": subcarriers, "channel_len": channel_len,
+               "bound_db": round(bound, 4),
+               "papr_db": {k: round(v, 4) for k, v in rows.items()}}
 
 
-def cmd_filter_dump(args, config: dict) -> int:
+def cmd_filter_dump(args) -> tuple[int, dict]:
     filt = make_filter(args.filter, args.samples_per_symbol)
-    out = _out_path(args, config, args.out)
+    out = _out_path(args, args.out)
     filt.write_csv(out)
     print(f"wrote {out} ({len(filt.taps)} taps, energy {filt.energy:.12f})")
-    _print_json(args, {"filter": args.filter, "samples_per_symbol": filt.samples_per_symbol,
-                       "taps": len(filt.taps), "energy": filt.energy, "output": str(out)})
-    return 0
+    return 0, {"filter": args.filter, "samples_per_symbol": filt.samples_per_symbol,
+               "taps": len(filt.taps), "energy": filt.energy, "output": str(out)}
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Runs one command.  Each `cmd_*` takes the parsed arguments, with the
+    config file folded in and the start time as `started`, and returns its
+    exit code and its report, which --json prints as the last line of
+    stdout."""
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
+        # Flags beat the config file.  A key that neither sets is left off the
+        # namespace, so that _opt tells a null in the file from an absent key.
+        given = {k: v for k, v in vars(args).items() if v is not None or k not in CONFIG_KEYS}
+        args = argparse.Namespace(**{**_load_config(args.config), **given},
+                                  started=time.time())
+        code, report = args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -451,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:      # a file it writes; ChildProcessError, also one, is above
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        print(json.dumps(report))
+    return code
 
 
 if __name__ == "__main__":

@@ -43,6 +43,8 @@ class FrameConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise FrameError(f"{f.name} must be an integer, not {value!r}")
+            # A numpy integer would reach the JSON of a run's results.
+            object.__setattr__(self, f.name, int(value))
         if self.subcarriers < 2:
             raise FrameError("need at least 2 subcarriers")
         if self.guards < 0:

@@ -728,11 +728,21 @@ class TestMonteCarloCcdf:
 
     def test_rejects_negative_trials(self):
         assert papr_samples(self.preamble, self.filt, self.cfg, trials=0).shape == (0,)
-        with pytest.raises(AnalysisError, match="trials"):
-            papr_samples(self.preamble, self.filt, self.cfg, trials=-3)
+        assert type(monte_carlo_ccdf(self.preamble, self.filt, self.cfg, np.int64(4)).trials) is int
         t = np.array([(self.cfg.preamble_slot + 4) / 2])
-        with pytest.raises(AnalysisError, match="trials"):
-            signal_at_times(self.preamble, self.filt, self.cfg, t, trials=-2)
+        # Each engine entry point refuses what another refused or let through:
+        # True ran one trial and wrote "trials": true, 2.0 and "3" got a TypeError.
+        for trials in (-3, True, 2.0, "3", None):
+            with pytest.raises(AnalysisError, match="trials"):
+                papr_samples(self.preamble, self.filt, self.cfg, trials=trials)
+            with pytest.raises(AnalysisError, match="trials"):
+                signal_at_times(self.preamble, self.filt, self.cfg, t, trials=trials)
+            with pytest.raises(AnalysisError, match="trials"):
+                monte_carlo_ccdf(self.preamble, self.filt, self.cfg, trials)
+        # A 2-D array ended in a numpy ValueError, and NaN was written to the JSON.
+        for thresholds in (np.zeros((2, 3)), [0.0, np.nan], [np.inf], 3.0):
+            with pytest.raises(AnalysisError, match="thresholds_db"):
+                monte_carlo_ccdf(self.preamble, self.filt, self.cfg, 4, thresholds)
 
     def test_export(self, tmp_path):
         res = monte_carlo_ccdf(self.preamble, self.filt, self.cfg, 50)
@@ -749,6 +759,9 @@ class TestMonteCarloCcdf:
         assert obj["exceed_count"] == counts
         low, high = res.wilson95
         assert obj["wilson95_low"] == low.tolist() and obj["wilson95_high"] == high.tolist()
+        # A config of numpy integers writes the same JSON; it used to raise TypeError.
+        np_cfg = FrameConfig(**{k: np.int64(v) for k, v in self.cfg.to_json_dict().items()})
+        assert monte_carlo_ccdf(self.preamble, self.filt, np_cfg, 50).to_json() == res.to_json()
 
 
 class TestWilsonInterval:

@@ -101,6 +101,14 @@ class TestVerifyGcp:
         assert rc == 1
         assert "NOT a GCP" in capsys.readouterr().out
 
+    def test_non_pair_prints_its_json_line_last(self, tmp_path, capsys):
+        fc = write_preamble(tmp_path, "c.json", np.ones(8))
+        assert main(["--json", "verify-gcp", "--file-c", fc, "--file-d", fc]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith("NOT a GCP")
+        assert json.loads(out[-1]) == {"max_complementarity_residual": 14.0, "tol": 1e-9,
+                                       "gcp": False}
+
     @pytest.mark.parametrize("payload", [{"re": [1.0] * 4, "im": [0.0] * 3}, [1, 2],
                                          {"re": None, "im": None}])
     def test_malformed_file(self, tmp_path, capsys, payload):
@@ -246,6 +254,13 @@ class TestCcdf:
         rc = main(["ccdf", "--subcarriers", "64", "--channel-len", "24", "--trials", "16"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_stem_in_a_new_subdirectory(self, tmp_path, capsys):
+        # The directory used to be missing when the run's CSV was written.
+        assert main(["--out-dir", str(tmp_path), "ccdf", *SMALL, "--trials", "16",
+                     "--out", "sub/run"]) == 0
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == [
+            "run.csv", "run.json", "run.manifest.json"]
 
     def test_dead_engine_worker_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
         def dead(*args, **kwargs):
@@ -424,7 +439,7 @@ class TestConfigFile:
         assert rc == 1
 
     @pytest.mark.parametrize("config", [{"subcarriers": 16, "trials": "10"},
-                                        {"subcarriers": 16.0}])
+                                        {"subcarriers": 16.0}, {"subcarriers": None}])
     def test_wrong_value_type(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
@@ -452,7 +467,7 @@ class TestConfigFile:
 
     def test_config_keys_are_the_keys_commands_read(self):
         tree = ast.parse(Path(cli.__file__).read_text())
-        read = {node.args[2].value for node in ast.walk(tree)
+        read = {node.args[1].value for node in ast.walk(tree)
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_opt"}
         assert read == cli.CONFIG_KEYS
 

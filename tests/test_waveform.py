@@ -54,8 +54,9 @@ class TestFrameConfig:
     def test_rejects_non_integer_fields(self, name, value):
         with pytest.raises(FrameError, match=name):
             small_cfg(**{name: value})
-        # numpy integers are integers
-        assert small_cfg(**{name: np.int64(30 if name == "preamble_slot" else 16)})
+        # numpy integers are integers, stored as Python ints
+        cfg = small_cfg(**{name: np.int64(30 if name == "preamble_slot" else 16)})
+        assert type(getattr(cfg, name)) is int
 
     def test_json_roundtrip(self):
         cfg = small_cfg()
