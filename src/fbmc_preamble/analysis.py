@@ -309,33 +309,75 @@ class _WindowSampler:
 
         self._terms = [term(s) for s in self.data_slots]
         phase, offset = term(n)
-        coeff = np.zeros((1, spt), dtype=complex)
-        coeff[0, :m] = preamble * phase
+        ws = self.workspace(1)
+        ws.coeff[0, :m] = preamble * phase
         self.preamble_window = np.zeros((1, 2, spt), dtype=complex)
-        add_weighted(self.preamble_window, slot_sums(coeff, coeff), self.pairs, offset)
+        add_weighted(self.preamble_window, slot_sums(ws.coeff, ws.base), self.pairs, offset,
+                     ws.product)
 
-    def window(self, data: np.ndarray) -> np.ndarray:
+    def window(self, data: np.ndarray, ws: "_Workspace | None" = None) -> np.ndarray:
         """Window samples, shape (count, 2 * spt), for the real data
-        (len(data_slots), count, M) of the data slots that reach it."""
+        (len(data_slots), count, M) of the data slots that reach it.
+
+        They are written to ws.out and returned as a view of it; without a
+        workspace, the call builds one of its own.
+        """
         data = np.asarray(data)
         m = self.cfg.subcarriers
         if data.ndim != 3 or data.shape[0] != len(self.data_slots) or data.shape[2] != m:
             raise AnalysisError(f"data of shape {data.shape} is not "
                                 f"({len(self.data_slots)}, count, {m})")
         count = data.shape[1]
-        out = np.tile(self.preamble_window, (count, 1, 1))
-        coeff = np.zeros((count, self.spt), dtype=complex)
-        base = np.empty_like(coeff)
+        if ws is None:
+            ws = self.workspace(count)
+        out, coeff, base, product = (ws.out[:count], ws.coeff[:count], ws.base[:count],
+                                     ws.product[:count])
+        out[...] = self.preamble_window
         for (phase, offset), a in zip(self._terms, data):
             np.multiply(a, phase, out=coeff[:, :m])
-            add_weighted(out, slot_sums(coeff, base), self.pairs, offset)
+            add_weighted(out, slot_sums(coeff, base), self.pairs, offset, product)
         return out.reshape(count, 2 * self.spt)
 
-    def sample_trials(self, first_trial: int, count: int) -> np.ndarray:
+    def sample_trials(self, first_trial: int, count: int,
+                      ws: "_Workspace | None" = None) -> np.ndarray:
         """Window samples, shape (count, 2 * spt), of trials
-        [first_trial, first_trial + count)."""
+        [first_trial, first_trial + count), written as window() writes them."""
+        if ws is None:
+            ws = self.workspace(count)
         trials = np.arange(first_trial, first_trial + count)
-        return self.window(slot_data(self.cfg, trials, self.data_slots[:, None]))
+        data = slot_data(self.cfg, trials, self.data_slots[:, None], out=ws.data(count))
+        return self.window(data, ws)
+
+    def workspace(self, rows: int) -> "_Workspace":
+        """A workspace for chunks of at most `rows` trials."""
+        return _Workspace(rows, self.spt, len(self.data_slots), self.cfg.subcarriers)
+
+
+class _Workspace:
+    """The arrays that a chunk of at most `rows` trials works in.
+
+    An engine shard builds one and all its chunks write into it, so that
+    the hot loop allocates no array the size of a chunk: each such
+    allocation, freed again, cost page faults under glibc's adaptive
+    malloc thresholds.  A ragged last chunk uses the first rows.
+    """
+
+    def __init__(self, rows: int, spt: int, slots: int, m: int):
+        # slot_data's output, flat, so that a ragged chunk's is a
+        # contiguous prefix.
+        self._data = np.empty(slots * rows * m)
+        self._slots, self._m = slots, m
+        self.out = np.empty((rows, 2, spt), dtype=complex)     # the window
+        # Phased coefficients; the zero padding past M is never written.
+        self.coeff = np.zeros((rows, spt), dtype=complex)
+        # A slot's IFFT, and |w| once every slot is added.
+        self.base = np.empty((rows, spt), dtype=complex)
+        self.product = np.empty((rows, 2, 2 * spt))             # add_weighted's products
+        self.peak = np.empty(rows)
+
+    def data(self, count: int) -> np.ndarray:
+        """The (slots, count, M) data array of a chunk of count trials."""
+        return self._data[:self._slots * count * self._m].reshape(self._slots, count, self._m)
 
 
 # Trials per sampler call.  _papr_db_shards reads it at call time and hands
@@ -355,10 +397,18 @@ def engine_processes(trials: int) -> int:
 def _papr_db(sampler: _WindowSampler, first_trial: int, trials: int, chunk: int) -> np.ndarray:
     """Per-trial window PAPR in dB of trials [first_trial, first_trial + trials)."""
     p_avg = average_power(sampler.cfg.subcarriers)
+    ws = sampler.workspace(min(chunk, trials))
     out = np.empty(trials)
     for lo in range(0, trials, chunk):
-        win = sampler.sample_trials(first_trial + lo, min(chunk, trials - lo))
-        out[lo: lo + chunk] = 10.0 * np.log10(np.max(np.abs(win) ** 2, axis=1) / p_avg)
+        count = min(chunk, trials - lo)
+        win = sampler.sample_trials(first_trial + lo, count, ws)
+        peak = ws.peak[:count]
+        np.max(np.abs(win, out=ws.base[:count].view(float)), axis=1, out=peak)
+        # max |w| squared is max |w|^2 bit for bit: rounding x * x is
+        # monotone for x >= 0.
+        np.multiply(peak, peak, out=peak)
+        np.divide(peak, p_avg, out=peak)
+        np.multiply(10.0, np.log10(peak, out=peak), out=out[lo: lo + count])
     return out
 
 

@@ -13,6 +13,7 @@ thin caller of the signal core below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -109,7 +110,7 @@ def check_trials(first_trial, stop) -> None:
         _key_field("trial", np.array([first_trial, stop - 1]), TRIAL_BITS)
 
 
-def slot_data(cfg: FrameConfig, trial, slot) -> np.ndarray:
+def slot_data(cfg: FrameConfig, trial, slot, out: np.ndarray | None = None) -> np.ndarray:
     """Deterministic +-1 data for (trial, slot) cells.
 
     Each cell owns a counter-based Philox4x64-10 stream keyed on
@@ -119,7 +120,8 @@ def slot_data(cfg: FrameConfig, trial, slot) -> np.ndarray:
 
     `trial` and `slot` are integers or integer arrays that broadcast
     together; the result has their broadcast shape plus a last axis of M,
-    so two scalars give shape (M,).
+    so two scalars give shape (M,).  It is written to out, a C-contiguous
+    float64 array of that shape, if one is given.
     """
     keys = (_key_field("trial", trial, TRIAL_BITS) << SLOT_BITS) | _key_field("slot", slot,
                                                                               SLOT_BITS)
@@ -136,8 +138,17 @@ def slot_data(cfg: FrameConfig, trial, slot) -> np.ndarray:
         key[0] = k
         bitgen.state = state
         raw[i] = bitgen.random_raw(words)
-    bits = raw.astype("<u8", copy=False).view("<u4")[:, :m] >> 31
-    return (bits * 2.0 - 1.0).reshape(keys.shape + (m,))
+    if out is None:
+        out = np.empty(keys.shape + (m,))
+    elif (out.shape != keys.shape + (m,) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise FrameError(f"out must be a C-contiguous float64 array of shape "
+                         f"{keys.shape + (m,)}")
+    rows = out.reshape(-1, m)
+    np.right_shift(raw.astype("<u8", copy=False).view("<u4")[:, :m], 31, out=rows)
+    rows *= 2.0
+    rows -= 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,13 +214,29 @@ def reaching_data_slots(preamble_slot: int, guards: int, overlap: float, t) -> n
     return slots[reach & (np.abs(slots - preamble_slot) > guards)]
 
 
+@functools.lru_cache(maxsize=16)
+def _phase_table(subcarriers: int) -> np.ndarray:
+    """j^{m+slot} (-1)^{m start} for slot % 4 and start % 2, shape (4, 2, M),
+    read-only: the phase repeats with period 4 in the slot and 2 in the
+    start."""
+    m = np.arange(subcarriers)
+    r, q = np.arange(4)[:, None, None], np.arange(2)[:, None]
+    table = _J[(m + r + 2 * m * q) % 4]
+    table.flags.writeable = False
+    return table
+
+
 def carrier_phase(subcarriers: int, slot, start=0) -> np.ndarray:
     """Phase j^{m+slot} e^{j2pi m t0} of a slot's coefficients when their
     subcarrier sum is referenced to the half-integer time t0 = start/2,
-    where e^{j2pi m t0} = (-1)^{m start}.  slot and start may be integer
-    arrays, such as columns (n, 1), that broadcast with the M subcarriers."""
-    m = np.arange(subcarriers)
-    return _J[(m + slot + 2 * m * start) % 4]
+    where e^{j2pi m t0} = (-1)^{m start}.
+
+    slot and start are integers or integer arrays that broadcast together;
+    the result, read-only, has their broadcast shape plus a last axis of M.
+    """
+    phase = _phase_table(subcarriers)[slot % 4, start % 2]
+    phase.flags.writeable = False
+    return phase
 
 
 def slot_sums(coeff: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -230,7 +257,8 @@ def slot_sums(coeff: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: int) -> None:
+def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: int,
+                 product: np.ndarray) -> None:
     """out (count, P, spt) += g[k - offset] * sums (count, spt) at each sample
     k of out's P symbol intervals, with each row's sum repeated over them and
     the taps g zero outside their K intervals.
@@ -238,7 +266,10 @@ def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: i
     pairs is g with each tap repeated for the (re, im) pair of a complex
     sample (PrototypeFilter.pairs).  offset, any integer, is the slot's
     first sample counted from out's first sample; out is left as it is
-    outside [offset, offset + K * spt).
+    outside [offset, offset + K * spt).  product, a float array of shape
+    (count, P, 2 * spt) like out's float view, takes the products before
+    they are added, in the places of their samples; what it held is
+    overwritten.
     """
     spt = out.shape[2]
     lo = max(offset, 0)
@@ -251,18 +282,24 @@ def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: i
     sums_f = sums.view(float)
     out_f = out.view(float)
     w = pairs[2 * (lo - offset): 2 * (hi - offset)]
+
+    def add(at, s, g):
+        # out_f[at] += s * g, with the product in product[at]: the same bits.
+        np.multiply(s, g, out=product[at])
+        np.add(out_f[at], product[at], out=out_f[at])
+
     # The support spans at least one interval, so a partial first and a
     # partial last interval are never the same one.
     if r0:
         head = 2 * (spt - r0)
-        out_f[:, p0, 2 * r0:] += sums_f[:, 2 * r0:] * w[:head]
+        add(np.s_[:, p0, 2 * r0:], sums_f[:, 2 * r0:], w[:head])
         w = w[head:]
         p0 += 1
     if r1:
         tail = len(w) - 2 * r1
-        out_f[:, p1, :2 * r1] += sums_f[:, :2 * r1] * w[tail:]
+        add(np.s_[:, p1, :2 * r1], sums_f[:, :2 * r1], w[tail:])
         w = w[:tail]
-    out_f[:, p0:p1] += sums_f[:, None] * w.reshape(p1 - p0, 2 * spt)
+    add(np.s_[:, p0:p1], sums_f[:, None], w.reshape(p1 - p0, 2 * spt))
 
 
 def slot_pulses(slots, t, filt: PrototypeFilter) -> np.ndarray:
@@ -319,7 +356,7 @@ def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> Sampl
                          f"({cfg.subcarriers}, columns)")
     m_count, n_cols = grid.symbols.shape
     cols = np.flatnonzero(np.any(grid.symbols, axis=0))
-    slots = (grid.first_slot + cols)[:, None]
+    slots = grid.first_slot + cols
     coeff = np.zeros((len(cols), spt), dtype=complex)
     # Referenced to the slot's own start, its sum lines up with its taps.
     np.multiply(grid.symbols[:, cols].T, carrier_phase(m_count, slots, slots),
@@ -327,10 +364,11 @@ def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> Sampl
     sums = slot_sums(coeff, coeff)
     k_len = filt.overlap * spt
     out = np.zeros((n_cols - 1) * spt // 2 + k_len, dtype=complex)
+    product = np.empty((1, filt.overlap, 2 * spt))
     for i, col in enumerate(cols.tolist()):
         offset = col * spt // 2
         window = out[offset: offset + k_len].reshape(1, filt.overlap, spt)
-        add_weighted(window, sums[i:i + 1], filt.pairs, 0)
+        add_weighted(window, sums[i:i + 1], filt.pairs, 0, product)
     return SampledSignal(samples=out, samples_per_symbol=spt, t0=grid.first_slot / 2.0)
 
 

@@ -14,6 +14,7 @@ import select
 import signal
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from unittest import mock
@@ -169,7 +170,9 @@ def test_add_weighted_equals_tiled_oracle(spt, overlap, intervals, count, data, 
     shape = (count, intervals, spt)
     before = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     out = before.copy()
-    add_weighted(out, sums, np.repeat(taps, 2), offset)
+    # Stale products must not reach out.
+    product = np.full((count, intervals, 2 * spt), np.nan)
+    add_weighted(out, sums, np.repeat(taps, 2), offset, product)
     # g on out's samples, zero where the slot's taps do not reach.
     k = np.arange(intervals * spt) - offset
     inside = (k >= 0) & (k < len(taps))
@@ -240,6 +243,55 @@ class TestWindow:
         assert len(sampler.data_slots) == 8
         with pytest.raises(AnalysisError, match="shape"):
             sampler.window(np.ones(shape))
+
+
+class TestWorkspace:
+    """Each shard works in one workspace: its chunks allocate no array the
+    size of a chunk, and calls without a workspace return fresh arrays."""
+
+    @pytest.mark.parametrize("guards", [1, 2, 3])
+    def test_further_chunks_allocate_no_chunk_sized_array(self, guards):
+        cfg = FrameConfig(subcarriers=512, guards=guards, oversample=4)
+        spt, chunk = cfg.samples_per_symbol, 16
+        sampler = _WindowSampler(sparse_golay_preamble(512, 32),
+                                 phydyas_taps(4, spt), cfg)
+        calls, base = [], []
+
+        def reset_after_first_chunk(*args, **kwargs):
+            # Each chunk starts with one slot_data call.
+            calls.append(None)
+            if len(calls) == 2:
+                tracemalloc.reset_peak()
+                base.append(tracemalloc.get_traced_memory()[0])
+            return slot_data(*args, **kwargs)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(analysis, "slot_data", reset_after_first_chunk):
+                _papr_db(sampler, 0, 5 * chunk, chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 5
+        assert peak - base[0] < chunk * 2 * spt * 8
+
+    def test_calls_without_a_workspace_return_fresh_arrays(self):
+        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
+        data = slot_data(SMALL_CFG, np.arange(3), sampler.data_slots[:, None])
+        first = sampler.window(data)
+        kept = first.copy()
+        sampler.window(-data)
+        assert first.tobytes() == kept.tobytes()
+        first = sampler.sample_trials(0, 3)
+        kept = first.copy()
+        sampler.sample_trials(3, 3)
+        assert first.tobytes() == kept.tobytes()
+
+    def test_ragged_chunk_leaves_no_stale_samples(self):
+        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
+        ws = sampler.workspace(4)
+        sampler.sample_trials(100, 4, ws)
+        assert same_bits(sampler.sample_trials(7, 3, ws), sampler.sample_trials(7, 3))
 
 
 class TestKeyRanges:

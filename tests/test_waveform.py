@@ -100,6 +100,49 @@ class TestBuildFrame:
         assert not np.array_equal(a, slot_data(cfg, trial=4, slot=7))
 
 
+    def test_slot_data_writes_to_out(self):
+        cfg = small_cfg()
+        trials, slots = np.arange(3), np.array([[5], [9]])
+        out = np.full((2, 3, 16), np.nan)
+        assert slot_data(cfg, trials, slots, out=out) is out
+        assert np.array_equal(out, slot_data(cfg, trials, slots))
+
+    @pytest.mark.parametrize("out", [np.empty((2, 3, 15)), np.empty((2, 3, 16), np.float32),
+                                     np.empty((2, 16, 3)).transpose(0, 2, 1)])
+    def test_slot_data_rejects_bad_out(self, out):
+        with pytest.raises(FrameError, match="out"):
+            slot_data(small_cfg(), np.arange(3), np.array([[5], [9]]), out=out)
+
+
+class TestCarrierPhase:
+    """The phase, read from its period table, against the formula it
+    replaced."""
+
+    J = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
+    SLOTS = np.arange(-9, 41)
+    STARTS = np.arange(-5, 21)
+
+    @pytest.mark.parametrize("m_count", [2, 3, 8, 512])
+    def test_equals_the_formula(self, m_count):
+        m = np.arange(m_count)
+        for slot in self.SLOTS.tolist():
+            for start in self.STARTS.tolist():
+                expected = self.J[(m + slot + 2 * m * start) % 4]
+                assert carrier_phase(m_count, slot, start).tobytes() == expected.tobytes()
+        slot, start = self.SLOTS[:, None], self.STARTS
+        got = carrier_phase(m_count, slot, start)
+        assert got.shape == (len(self.SLOTS), len(self.STARTS), m_count)
+        expected = self.J[(m + slot[..., None] + 2 * m * start[..., None]) % 4]
+        assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(carrier_phase(m_count, self.SLOTS),
+                              self.J[(m + self.SLOTS[:, None]) % 4])
+
+    def test_result_is_read_only(self):
+        for phase in (carrier_phase(8, 3, 5), carrier_phase(8, self.SLOTS, self.SLOTS)):
+            with pytest.raises(ValueError):
+                phase[0] = 0.0
+
+
 def one_symbol_grid(m_count, m, slot, value=1.0):
     symbols = np.zeros((m_count, 1), dtype=complex)
     symbols[m, 0] = value
