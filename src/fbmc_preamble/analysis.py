@@ -1,8 +1,8 @@
 """Preamble PAPR measurement, Monte Carlo CCDF estimation, and the
 analytic Rician/Marcum-Q exceedance model.
 
-The observation window spans [(n+2)T/2, (n+6)T/2): two symbol intervals
-centered on the preamble pulse peak at t = (n+4)T/2.  At a fixed t the
+The window [(n+K-2)T/2, (n+K+2)T/2), K the filter's overlap, spans two symbol
+intervals centered on the preamble pulse peak at t = (n+K)T/2.  At a fixed t the
 signal magnitude is Rician: a deterministic preamble envelope nu(t) plus
 circular Gaussian data interference with per-component variance sigma^2(t).
 """
@@ -35,6 +35,11 @@ def average_power(subcarriers: int) -> float:
     return 2.0 * subcarriers
 
 
+def window_start_slot(preamble_slot: int, overlap: int) -> int:
+    """The slot n + K - 2 at whose start the analysis window begins."""
+    return preamble_slot + overlap - 2
+
+
 @dataclass(frozen=True)
 class AnalysisWindow:
     start_index: int       # first sample inside the window
@@ -43,8 +48,7 @@ class AnalysisWindow:
     @classmethod
     def for_signal(cls, signal: SampledSignal, preamble_slot: int) -> "AnalysisWindow":
         spt = signal.samples_per_symbol
-        t_start = (preamble_slot + 2) / 2.0
-        start = round((t_start - signal.t0) * spt)
+        start = round((window_start_slot(preamble_slot, signal.overlap) / 2 - signal.t0) * spt)
         win = cls(start_index=start, length=2 * spt)
         if start < 0 or start + win.length > len(signal.samples):
             raise AnalysisError("analysis window exceeds the sampled signal")
@@ -293,19 +297,18 @@ class _WindowSampler:
     def __init__(self, preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig):
         preamble = checked_preamble(preamble, cfg.subcarriers)
         self.cfg = cfg
-        spt = cfg.samples_per_symbol
-        self.spt = spt
+        self.spt = spt = cfg.samples_per_symbol
         filt = filt.resample(spt)
-        n = cfg.preamble_slot
-        m = cfg.subcarriers
-        t_win = (n + 2) / 2.0 + np.arange(2 * spt) / spt
+        n, m = cfg.preamble_slot, cfg.subcarriers
+        start = window_start_slot(n, filt.overlap)
+        t_win = start / 2.0 + np.arange(2 * spt) / spt
         self.data_slots = reaching_data_slots(n, cfg.guards, filt.overlap, t_win)
         self.pairs = filt.pairs
 
         def term(s):
             """Slot s's coefficient phase, referenced to the window start, and
             its first sample counted from the window start."""
-            return carrier_phase(m, s, n + 2), (s - n - 2) * spt // 2
+            return carrier_phase(m, s, start), (s - start) * spt // 2
 
         self._terms = [term(s) for s in self.data_slots]
         phase, offset = term(n)

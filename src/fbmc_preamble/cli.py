@@ -24,7 +24,7 @@ import scipy
 from . import __version__
 from .analysis import (AnalysisError, RicianPointModel, average_power, default_thresholds,
                        engine_processes, iapr_exceedance, monte_carlo_ccdf, papr_samples,
-                       signal_at_times, wilson_interval)
+                       signal_at_times, wilson_interval, window_start_slot)
 from .prototype import FilterError, make_filter, papr_bound_sigma0
 from .sequences import (GbfSpec, PhaseSequence, SequenceError, array_to_signs,
                         complex_from_json, complex_to_json, dj_pair, gcp_residual,
@@ -35,8 +35,8 @@ from .workers import cpu_count
 FILTER_NAMES = ("phydyas3", "phydyas4", "hermite")
 # The paper's PAPR threshold: ccdf reports Pr{PAPR > 3 dB} as it runs.
 TAIL_THRESHOLD_DB = 3.0
-# Probe times of `model`, t - nT/2, across the preamble pulse's main lobe
-# (the times of acceptance criterion 4(f)).
+# Probe times of `model`, t - nT/2, across the preamble pulse's main lobe at
+# overlap K = 4 (acceptance criterion 4(f)); `model` adds the window's shift.
 MODEL_OFFSETS = np.linspace(1.05, 2.80, 8)
 MODEL_COLUMNS = ("t - nT/2", "nu", "sigma", "alpha", "analytic", "empirical", "hits",
                  "wilson95_low", "wilson95_high")
@@ -263,7 +263,9 @@ def cmd_ccdf(args) -> tuple[int, dict]:
 
 def cmd_model(args) -> tuple[int, list]:
     cfg, preamble, filt, trials, csv_path, config = _monte_carlo_run(args, 20_000)
-    times = cfg.preamble_slot / 2 + MODEL_OFFSETS
+    # The window's shift from K = 4 is 0.0 there, which keeps the offsets' bits.
+    offsets = MODEL_OFFSETS + (window_start_slot(0, filt.overlap) - window_start_slot(0, 4)) / 2
+    times = cfg.preamble_slot / 2 + offsets
     s = signal_at_times(preamble, filt, cfg, times, trials)
     iapr = np.abs(s) ** 2 / average_power(cfg.subcarriers)
     rows = []
@@ -273,7 +275,7 @@ def cmd_model(args) -> tuple[int, list]:
         alpha = (model.nu**2 + 2 * model.sigma**2) / model.p_avg
         hits = int(np.sum(iapr[:, j] >= alpha))
         low, high = wilson_interval(hits, trials)
-        rows.append([f"{MODEL_OFFSETS[j]:.2f}", model.nu, model.sigma, alpha,
+        rows.append([f"{offsets[j]:.2f}", model.nu, model.sigma, alpha,
                      iapr_exceedance(alpha, model), hits / trials, hits,
                      float(low), float(high)])
     with open(csv_path, "w", newline="") as fh:

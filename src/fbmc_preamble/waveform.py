@@ -184,8 +184,9 @@ def build_frame(cfg: FrameConfig, preamble: np.ndarray, trial: int = 0) -> FbmcG
 @dataclass(frozen=True)
 class SampledSignal:
     samples: np.ndarray = field(compare=False)
-    samples_per_symbol: int = 0
-    t0: float = 0.0
+    samples_per_symbol: int
+    t0: float
+    overlap: int                  # K of the filter that shaped the samples
 
     @property
     def times(self) -> np.ndarray:
@@ -369,7 +370,8 @@ def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> Sampl
         offset = col * spt // 2
         window = out[offset: offset + k_len].reshape(1, filt.overlap, spt)
         add_weighted(window, sums[i:i + 1], filt.pairs, 0, product)
-    return SampledSignal(samples=out, samples_per_symbol=spt, t0=grid.first_slot / 2.0)
+    return SampledSignal(samples=out, samples_per_symbol=spt, t0=grid.first_slot / 2.0,
+                         overlap=filt.overlap)
 
 
 def transmultiplexer_response(filt: PrototypeFilter, m: int, n: int, p: int, q: int) -> complex:

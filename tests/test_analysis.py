@@ -621,12 +621,14 @@ class TestPaprWindow:
         self.filt = phydyas_taps(4, self.cfg.samples_per_symbol)
         self.preamble = golay_seed(64)
 
-    def test_window_geometry(self):
-        sig = synthesize(build_frame(self.cfg, self.preamble), self.filt, self.cfg)
+    @pytest.mark.parametrize("name", ["phydyas3", "phydyas4", "hermite"])
+    def test_window_geometry(self, name):
+        filt = make_filter(name, self.cfg.samples_per_symbol)
+        sig = synthesize(build_frame(self.cfg, self.preamble), filt, self.cfg)
         win = AnalysisWindow.for_signal(sig, self.cfg.preamble_slot)
         assert win.length == 2 * self.cfg.samples_per_symbol
         t_start = sig.times[win.start_index]
-        assert t_start == pytest.approx((self.cfg.preamble_slot + 2) / 2)
+        assert t_start == pytest.approx((self.cfg.preamble_slot + filt.overlap - 2) / 2)
 
     @pytest.mark.parametrize("preamble_slot", [-10, 40])
     def test_window_outside_the_signal_is_refused(self, preamble_slot):

@@ -334,6 +334,23 @@ class TestModel:
         assert manifest["config"]["trials"] == 256
         assert manifest["config"]["channel_len"] == 16
 
+    def test_phydyas3_probes_move_with_the_window(self, tmp_path):
+        # At K = 3 the pulse peaks at t - nT/2 = 1.5, half a symbol before
+        # K = 4's, and the window is [0.5, 2.5).
+        assert main(["--out-dir", str(tmp_path), "model", *SMALL, "--filter", "phydyas3",
+                     "--trials", "16"]) == 0
+        with open(tmp_path / "model_phydyas3_G3.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        offsets = cli.MODEL_OFFSETS - 0.5
+        assert [row["t - nT/2"] for row in rows] == [f"{v:.2f}" for v in offsets]
+        assert np.all((0.5 <= offsets) & (offsets < 2.5))
+        cfg = FrameConfig(subcarriers=64, guards=3)
+        filt = make_filter("phydyas3", cfg.samples_per_symbol)
+        preamble = sparse_golay_preamble(64, 16)
+        assert [float(row["nu"]) for row in rows] == [
+            RicianPointModel.at_time(preamble, filt, cfg, float(t)).nu
+            for t in cfg.preamble_slot / 2 + offsets]
+
 
     def test_short_preamble_file_refused_as_ccdf_refuses_it(self, tmp_path, capsys):
         # 32 entries at M = 64: model used to run and write a CSV.

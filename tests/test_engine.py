@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fbmc_preamble import analysis
@@ -127,11 +127,13 @@ def full_window_oracle(preamble, filt, cfg, data):
     """The window as the engine summed it before weights were cut to their
     support: the preamble's window tiled per trial, then for each reaching
     data slot in order a complex out += g * sum over the whole window, with
-    g cast to complex."""
+    g cast to complex.  The window starts at slot n + K - 2, so that it is
+    centred on the preamble pulse's peak (n + K)/2."""
     spt = cfg.samples_per_symbol
     filt = filt.resample(spt)
     n, m = cfg.preamble_slot, cfg.subcarriers
-    t_win = (n + 2) / 2.0 + np.arange(2 * spt) / spt
+    start = n + filt.overlap - 2
+    t_win = start / 2.0 + np.arange(2 * spt) / spt
     exact = spt & (spt - 1) == 0
 
     def slot_sum(coeff, s):
@@ -143,11 +145,11 @@ def full_window_oracle(preamble, filt, cfg, data):
         return filt(t_win - s / 2.0).reshape(2, spt) * base[:, None, :]
 
     coeff = np.zeros((1, spt), dtype=complex)
-    coeff[0, :m] = preamble * carrier_phase(m, n, n + 2)
+    coeff[0, :m] = preamble * carrier_phase(m, n, start)
     out = np.tile(slot_sum(coeff, n), (data.shape[1], 1, 1))
     coeff = np.zeros((data.shape[1], spt), dtype=complex)
     for s, a in zip(reaching_data_slots(n, cfg.guards, filt.overlap, t_win), data):
-        coeff[:, :m] = a * carrier_phase(m, s, n + 2)
+        coeff[:, :m] = a * carrier_phase(m, s, start)
         out += slot_sum(coeff, s)
     return out.reshape(data.shape[1], 2 * spt)
 
@@ -198,6 +200,7 @@ class TestWindow:
            name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
            guards=st.integers(0, 4), chunk=st.integers(1, 16), seed=st.integers(0, 2**32),
            first_trial=st.integers(0, 2**48 - 64))
+    @example(m=16, oversample=4, name="phydyas3", guards=2, chunk=5, seed=3, first_trial=0)
     def test_equals_full_window_oracle_bit_for_bit(self, m, oversample, name, guards, chunk,
                                                    seed, first_trial):
         # Odd M with an even oversample, and oversample 3, 5 or 6, give spt
@@ -219,6 +222,7 @@ class TestWindow:
     @given(m=st.sampled_from([8, 12, 13, 16, 32]), oversample=st.integers(2, 5),
            name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
            guards=st.integers(0, 4), seed=st.integers(0, 2**32))
+    @example(m=16, oversample=4, name="phydyas3", guards=2, seed=3)
     def test_real_data_equals_full_frame_synthesis(self, m, oversample, name, guards, seed):
         assume(m * oversample % 2 == 0)
         cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample, rng_seed=seed)
@@ -243,6 +247,32 @@ class TestWindow:
         assert len(sampler.data_slots) == 8
         with pytest.raises(AnalysisError, match="shape"):
             sampler.window(np.ones(shape))
+
+
+class TestWindowCentre:
+    """The window is centred on the preamble pulse for every overlap K."""
+
+    @pytest.mark.parametrize("name", ["phydyas3", "phydyas4", "hermite"])
+    def test_preamble_envelope_peaks_at_the_centre_sample(self, name):
+        cfg = FrameConfig(subcarriers=512, guards=3, oversample=4)
+        filt = make_filter(name, cfg.samples_per_symbol)
+        envelope = np.abs(_WindowSampler(sparse_golay_preamble(512, 32), filt,
+                                         cfg).preamble_window.ravel())
+        assert len(envelope) == 4096
+        assert np.argmax(envelope) == 2048
+
+    @pytest.mark.parametrize("name, overlap", [("phydyas3", 3), ("phydyas4", 4),
+                                               ("hermite", 4)])
+    def test_data_leaves_the_window_from_k_plus_one_guards(self, name, overlap):
+        # compare's guard count of 6 leaves every filter with no data in the
+        # window, the sigma = 0 regime.
+        reaching = []
+        for guards in range(7):
+            cfg = FrameConfig(subcarriers=16, guards=guards, oversample=2)
+            filt = make_filter(name, cfg.samples_per_symbol)
+            assert filt.overlap == overlap
+            reaching.append(len(_WindowSampler(SMALL_PREAMBLE, filt, cfg).data_slots))
+        assert [g for g in range(7) if reaching[g] == 0] == list(range(overlap + 1, 7))
 
 
 class TestWorkspace:
