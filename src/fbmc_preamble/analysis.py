@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special.cython_special import chndtr as _chndtr
 
 from .prototype import PrototypeFilter
-from .waveform import (FbmcGrid, FrameConfig, SampledSignal, add_weighted, carrier_phase,
+from .waveform import (FrameConfig, SampledSignal, add_weighted, carrier_phase, check_rate,
                        check_trials, checked_preamble, reaching_data_slots, slot_data,
                        slot_pulses, slot_signal, slot_sums, synthesize)
 from .workers import POOL, cpu_count
@@ -131,9 +131,11 @@ def sigma2_of_t(guards: int, filt: PrototypeFilter, subcarriers: int,
     """Per-component variance (M/2) sum_{data slots} g^2(t - n'T/2) of the
     data interference; guard and preamble slots contribute nothing.  A
     number t gives a float, summed in Python floats, an array an array of
-    its shape.  Raises AnalysisError for a negative guard count or a time
-    that is not finite."""
+    its shape.  Raises AnalysisError for a guard count that is not an
+    integer >= 0 or a time that is not finite."""
     _real("guard count", guards, 0.0)
+    if not isinstance(guards, (int, np.integer)):
+        raise AnalysisError(f"guard count must be an integer, not {guards!r}")
     t = _check("t", t)
     slots = reaching_data_slots(preamble_slot, guards, filt.overlap, t)
     acc = 0.0 if isinstance(t, float) else np.zeros_like(t)
@@ -164,9 +166,11 @@ class RicianPointModel:
                 t: float) -> "RicianPointModel":
         """The model at one time t, a real number; raises AnalysisError for
         any other t, such as an array, a bool or a string, and for a preamble
-        that is not one entry per subcarrier.  Its energy is not checked
-        here: that sum would cost a large share of a point."""
+        that is not one entry per subcarrier, and FrameError for a filter
+        not sampled at the frame's rate.  The preamble's energy is not
+        checked here: that sum would cost a large share of a point."""
         t = _real("t", t)
+        check_rate(filt, cfg)
         if np.shape(preamble) != (cfg.subcarriers,):
             raise AnalysisError(f"preamble of shape {np.shape(preamble)} is not "
                                 f"({cfg.subcarriers},)")
@@ -216,8 +220,9 @@ def iapr_exceedance(alpha: float, model: RicianPointModel) -> float:
 # ---------------------------------------------------------------------------
 # Monte Carlo engine
 
-def default_thresholds() -> np.ndarray:
-    return np.round(np.arange(0.0, 9.0 + 1e-9, 0.05), 6)
+# The CCDF's thresholds: 0 to 9 dB in steps of 0.05 dB.
+THRESHOLDS_DB = np.round(np.arange(0.0, 9.0 + 1e-9, 0.05), 6)
+THRESHOLDS_DB.flags.writeable = False
 
 
 _Z95 = 1.959963984540054       # standard normal quantile at 0.975
@@ -298,7 +303,7 @@ class _WindowSampler:
         preamble = checked_preamble(preamble, cfg.subcarriers)
         self.cfg = cfg
         self.spt = spt = cfg.samples_per_symbol
-        filt = filt.resample(spt)
+        check_rate(filt, cfg)
         n, m = cfg.preamble_slot, cfg.subcarriers
         start = window_start_slot(n, filt.overlap)
         t_win = start / 2.0 + np.arange(2 * spt) / spt
@@ -318,21 +323,16 @@ class _WindowSampler:
         add_weighted(self.preamble_window, slot_sums(ws.coeff, ws.base), self.pairs, offset,
                      ws.product)
 
-    def window(self, data: np.ndarray, ws: "_Workspace | None" = None) -> np.ndarray:
+    def window(self, data: np.ndarray, ws: "_Workspace") -> np.ndarray:
         """Window samples, shape (count, 2 * spt), for the real data
-        (len(data_slots), count, M) of the data slots that reach it.
-
-        They are written to ws.out and returned as a view of it; without a
-        workspace, the call builds one of its own.
-        """
+        (len(data_slots), count, M) of the data slots that reach it,
+        written to ws.out and returned as a view of it."""
         data = np.asarray(data)
         m = self.cfg.subcarriers
         if data.ndim != 3 or data.shape[0] != len(self.data_slots) or data.shape[2] != m:
             raise AnalysisError(f"data of shape {data.shape} is not "
                                 f"({len(self.data_slots)}, count, {m})")
         count = data.shape[1]
-        if ws is None:
-            ws = self.workspace(count)
         out, coeff, base, product = (ws.out[:count], ws.coeff[:count], ws.base[:count],
                                      ws.product[:count])
         out[...] = self.preamble_window
@@ -341,12 +341,9 @@ class _WindowSampler:
             add_weighted(out, slot_sums(coeff, base), self.pairs, offset, product)
         return out.reshape(count, 2 * self.spt)
 
-    def sample_trials(self, first_trial: int, count: int,
-                      ws: "_Workspace | None" = None) -> np.ndarray:
+    def sample_trials(self, first_trial: int, count: int, ws: "_Workspace") -> np.ndarray:
         """Window samples, shape (count, 2 * spt), of trials
         [first_trial, first_trial + count), written as window() writes them."""
-        if ws is None:
-            ws = self.workspace(count)
         trials = np.arange(first_trial, first_trial + count)
         data = slot_data(self.cfg, trials, self.data_slots[:, None], out=ws.data(count))
         return self.window(data, ws)
@@ -442,9 +439,8 @@ def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
 
 
 def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
-                     trials: int, thresholds_db: np.ndarray | None = None,
-                     progress=None) -> CcdfResult:
-    """Estimate Pr{PAPR > X} over random data realizations.
+                     trials: int, progress=None) -> CcdfResult:
+    """Estimate Pr{PAPR > X} over random data realizations, X in THRESHOLDS_DB.
 
     Deterministic given cfg.rng_seed: trial i draws its data from
     counter-based streams keyed on (seed, i, slot).  `progress`, if given,
@@ -453,22 +449,17 @@ def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConf
     counts (an array that later shards update in place).
     """
     trials = _trial_count(trials, 1)
-    if thresholds_db is None:
-        thresholds_db = default_thresholds()
-    thresholds_db = np.asarray(_check("thresholds_db", thresholds_db))
-    if thresholds_db.ndim != 1:
-        raise AnalysisError(f"thresholds_db must be 1-D, not of shape {thresholds_db.shape}")
-    exceed = np.zeros(len(thresholds_db), dtype=np.int64)
+    exceed = np.zeros(len(THRESHOLDS_DB), dtype=np.int64)
     max_db = float("-inf")
     done = 0
     for peak_db in _papr_db_shards(preamble, filt, cfg, trials):
-        exceed += len(peak_db) - np.searchsorted(np.sort(peak_db), thresholds_db, side="right")
+        exceed += len(peak_db) - np.searchsorted(np.sort(peak_db), THRESHOLDS_DB, side="right")
         max_db = max(max_db, float(np.max(peak_db)))
         done += len(peak_db)
         if progress is not None:
             progress(done, exceed, max_db)
     return CcdfResult(
-        thresholds_db=thresholds_db,
+        thresholds_db=THRESHOLDS_DB,
         exceed_count=exceed,
         trials=trials,
         max_papr_db=max_db,
@@ -495,14 +486,14 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     Used to validate the pointwise Rician model against simulation.  Raises
     AnalysisError for a trial count that is not an integer >= 0 and for a
     t of more than one dimension, and FrameError for a preamble that
-    build_frame refuses.
+    build_frame refuses or a filter not sampled at the frame's rate.
     """
     trials = _trial_count(trials, 0)
     preamble = checked_preamble(preamble, cfg.subcarriers)
     t = np.asarray(_check("t", t))
     if t.ndim > 1:
         raise AnalysisError(f"t must be a number or a 1-D array, not of shape {t.shape}")
-    filt = filt.resample(cfg.samples_per_symbol)
+    check_rate(filt, cfg)
     n = cfg.preamble_slot
     out = np.tile(slot_signal(preamble[None, :], [n], t, filt), (trials, 1))
     slots = reaching_data_slots(n, cfg.guards, filt.overlap, t)
@@ -512,17 +503,16 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     return out
 
 
-def empirical_mean_power(subcarriers: int, n_symbols: int = 256, oversample: int = 4,
-                         seed: int = 0) -> float:
-    """Time-averaged |s(t)|^2 of an all-data frame, for checking 2M/T."""
+def empirical_mean_power(subcarriers: int, n_symbols: int = 256, seed: int = 0) -> float:
+    """Time-averaged |s(t)|^2 of an all-data frame at oversample 4, for
+    checking 2M/T."""
     from .prototype import phydyas_taps
 
     cfg = FrameConfig(subcarriers=subcarriers, guards=0, data_span=max(12, n_symbols // 2),
-                      oversample=oversample, rng_seed=seed)
+                      rng_seed=seed)
     filt = phydyas_taps(4, cfg.samples_per_symbol)
     symbols = slot_data(cfg, 0, cfg.first_slot + np.arange(cfg.total_slots)).T.astype(complex)
-    grid = FbmcGrid(symbols=symbols, first_slot=cfg.first_slot)
-    sig = synthesize(grid, filt, cfg)
+    sig = synthesize(symbols, filt, cfg)
     spt = cfg.samples_per_symbol
     # Exclude one filter length at each edge so the average sees a fully
     # loaded signal.

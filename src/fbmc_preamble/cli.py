@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import (AnalysisError, RicianPointModel, average_power, default_thresholds,
+from .analysis import (THRESHOLDS_DB, AnalysisError, RicianPointModel, average_power,
                        engine_processes, iapr_exceedance, monte_carlo_ccdf, papr_samples,
                        signal_at_times, wilson_interval, window_start_slot)
 from .prototype import FilterError, make_filter, papr_bound_sigma0
@@ -235,8 +235,7 @@ def _monte_carlo_run(args, default_trials: int):
 
 def cmd_ccdf(args) -> tuple[int, dict]:
     cfg, preamble, filt, trials, csv_path, config = _monte_carlo_run(args, 100_000)
-    thresholds = default_thresholds()
-    tail = int(np.flatnonzero(thresholds == TAIL_THRESHOLD_DB)[0])
+    tail = int(np.flatnonzero(THRESHOLDS_DB == TAIL_THRESHOLD_DB)[0])
 
     def report(done, exceed, max_db):
         hits = int(exceed[tail])
@@ -247,7 +246,7 @@ def cmd_ccdf(args) -> tuple[int, dict]:
               f"[{low:.2e}, {high:.2e}]", file=sys.stderr, flush=True)
 
     engine_started = time.perf_counter()
-    result = monte_carlo_ccdf(preamble, filt, cfg, trials, thresholds, progress=report)
+    result = monte_carlo_ccdf(preamble, filt, cfg, trials, progress=report)
     trials_per_s = trials / (time.perf_counter() - engine_started)
     result.write_csv(csv_path)
     json_path = csv_path.with_suffix(".json")
@@ -331,6 +330,9 @@ def cmd_filter_dump(args) -> tuple[int, dict]:
     filt = make_filter(args.filter, args.samples_per_symbol)
     out = _out_path(args, args.out)
     filt.write_csv(out)
+    _write_manifest(args, out.with_suffix(".manifest.json"),
+                    {"filter": args.filter, "samples_per_symbol": filt.samples_per_symbol}, 0,
+                    [str(out)])
     print(f"wrote {out} ({len(filt.taps)} taps, energy {filt.energy:.12f})")
     return 0, {"filter": args.filter, "samples_per_symbol": filt.samples_per_symbol,
                "taps": len(filt.taps), "energy": filt.energy, "output": str(out)}

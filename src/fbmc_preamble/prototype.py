@@ -80,13 +80,6 @@ class PrototypeFilter:
         out[inside] = self.taps[np.minimum(idx, len(self.taps) - 1)]
         return out
 
-    def resample(self, samples_per_symbol: int) -> "PrototypeFilter":
-        if samples_per_symbol == self.samples_per_symbol:
-            return self
-        if self.kind == "phydyas":
-            return phydyas_taps(self.overlap, samples_per_symbol)
-        return hermite_taps(samples_per_symbol)
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -151,12 +151,6 @@ def slot_data(cfg: FrameConfig, trial, slot, out: np.ndarray | None = None) -> n
     return out
 
 
-@dataclass(frozen=True)
-class FbmcGrid:
-    symbols: np.ndarray = field(compare=False)   # (M, total_slots)
-    first_slot: int = 0
-
-
 def checked_preamble(preamble: np.ndarray, subcarriers: int) -> np.ndarray:
     """The preamble as a complex array, if it has one entry per subcarrier
     and energy M; raises FrameError otherwise."""
@@ -169,16 +163,24 @@ def checked_preamble(preamble: np.ndarray, subcarriers: int) -> np.ndarray:
     return preamble
 
 
-def build_frame(cfg: FrameConfig, preamble: np.ndarray, trial: int = 0) -> FbmcGrid:
-    """Grid with the preamble at cfg.preamble_slot, zero guards, and seeded
-    +-1 data elsewhere.  Complex preambles are accepted only as a baseline
-    affordance (IAM-C); OQAM symbols proper are real."""
+def build_frame(cfg: FrameConfig, preamble: np.ndarray, trial: int = 0) -> np.ndarray:
+    """Symbols (M, total_slots) of slots cfg.first_slot onwards: the preamble
+    at cfg.preamble_slot, zero guards, and seeded +-1 data elsewhere.
+    Complex preambles are accepted only as a baseline affordance (IAM-C);
+    OQAM symbols proper are real."""
     preamble = checked_preamble(preamble, cfg.subcarriers)
     symbols = np.zeros((cfg.subcarriers, cfg.total_slots), dtype=complex)
     symbols[:, cfg.preamble_slot - cfg.first_slot] = preamble
     slots = np.array(cfg.data_slots())
     symbols[:, slots - cfg.first_slot] = slot_data(cfg, trial, slots).T
-    return FbmcGrid(symbols=symbols, first_slot=cfg.first_slot)
+    return symbols
+
+
+def check_rate(filt: PrototypeFilter, cfg: FrameConfig) -> None:
+    """Raise FrameError unless the filter is sampled at the frame's rate."""
+    if filt.samples_per_symbol != cfg.samples_per_symbol:
+        raise FrameError(f"filter sampled at {filt.samples_per_symbol} samples per symbol, "
+                         f"the frame at {cfg.samples_per_symbol}")
 
 
 @dataclass(frozen=True)
@@ -344,23 +346,24 @@ def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
     return out
 
 
-def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> SampledSignal:
+def synthesize(symbols: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig) -> SampledSignal:
     """Accumulate every symbol's filtered subcarrier sum on the sample grid.
 
-    One IFFT transforms every nonzero column; their weighted sums are then
-    added in column order.
+    symbols (M, columns) holds slots cfg.first_slot onwards, as build_frame
+    returns them.  One IFFT transforms every nonzero column; their weighted
+    sums are then added in column order.
     """
     spt = cfg.samples_per_symbol
-    filt = filt.resample(spt)
-    if grid.symbols.ndim != 2 or len(grid.symbols) != cfg.subcarriers:
-        raise FrameError(f"grid of shape {grid.symbols.shape} is not "
+    check_rate(filt, cfg)
+    if symbols.ndim != 2 or len(symbols) != cfg.subcarriers:
+        raise FrameError(f"symbols of shape {symbols.shape} are not "
                          f"({cfg.subcarriers}, columns)")
-    m_count, n_cols = grid.symbols.shape
-    cols = np.flatnonzero(np.any(grid.symbols, axis=0))
-    slots = grid.first_slot + cols
+    m_count, n_cols = symbols.shape
+    cols = np.flatnonzero(np.any(symbols, axis=0))
+    slots = cfg.first_slot + cols
     coeff = np.zeros((len(cols), spt), dtype=complex)
     # Referenced to the slot's own start, its sum lines up with its taps.
-    np.multiply(grid.symbols[:, cols].T, carrier_phase(m_count, slots, slots),
+    np.multiply(symbols[:, cols].T, carrier_phase(m_count, slots, slots),
                 out=coeff[:, :m_count])
     sums = slot_sums(coeff, coeff)
     k_len = filt.overlap * spt
@@ -370,7 +373,7 @@ def synthesize(grid: FbmcGrid, filt: PrototypeFilter, cfg: FrameConfig) -> Sampl
         offset = col * spt // 2
         window = out[offset: offset + k_len].reshape(1, filt.overlap, spt)
         add_weighted(window, sums[i:i + 1], filt.pairs, 0, product)
-    return SampledSignal(samples=out, samples_per_symbol=spt, t0=grid.first_slot / 2.0,
+    return SampledSignal(samples=out, samples_per_symbol=spt, t0=cfg.first_slot / 2.0,
                          overlap=filt.overlap)
 
 

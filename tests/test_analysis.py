@@ -10,13 +10,13 @@ from scipy import integrate, special, stats
 
 from fbmc_preamble import analysis
 from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, CcdfResult,
-                                    RicianPointModel, average_power, default_thresholds,
+                                    RicianPointModel, _WindowSampler, average_power,
                                     empirical_mean_power, iapr_exceedance, marcum_q1,
                                     monte_carlo_ccdf, nu_of_t, papr, papr_samples,
                                     sigma2_of_t, signal_at_times)
 from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
-from fbmc_preamble.waveform import (FbmcGrid, FrameConfig, build_frame, carrier_phase,
+from fbmc_preamble.waveform import (FrameConfig, FrameError, build_frame, carrier_phase,
                                     reaching_data_slots, slot_signal, synthesize)
 
 
@@ -161,8 +161,7 @@ class TestNuSigma:
         cfg, n = self.cfg, self.cfg.preamble_slot
         symbols = np.zeros((64, cfg.total_slots), dtype=complex)
         symbols[:, n - cfg.first_slot] = self.preamble
-        grid = FbmcGrid(symbols=symbols, first_slot=cfg.first_slot)
-        sig = synthesize(grid, self.filt, cfg)
+        sig = synthesize(symbols, self.filt, cfg)
         win = AnalysisWindow.for_signal(sig, n)
         seg = np.abs(sig.samples[win.start_index: win.start_index + win.length])
         t = sig.times[win.start_index: win.start_index + win.length]
@@ -509,6 +508,28 @@ class TestRicianInputChecks:
         with pytest.raises(AnalysisError, match="guard count must be finite and >= 0"):
             sigma2_of_t(-1, self.filt, 64, n, (n + 4) / 2)
 
+    @pytest.mark.parametrize("guards", [2.5, 2.999, 2.0, np.float64(2.0)])
+    def test_fractional_guard_count(self, guards):
+        # 2.5 and 2.999 used to give G = 2's variance.
+        n = self.cfg.preamble_slot
+        with pytest.raises(AnalysisError, match="guard count must be an integer"):
+            sigma2_of_t(guards, self.filt, 64, n, (n + 4) / 2)
+
+    @pytest.mark.parametrize("call", ["sampler", "signal_at_times", "at_time"])
+    def test_filter_at_another_rate(self, call):
+        # A filter of another rate was resampled by the engine but read as
+        # given by the model.
+        filt = phydyas_taps(4, self.cfg.samples_per_symbol // 4)
+        n = self.cfg.preamble_slot
+        calls = {"sampler": lambda: _WindowSampler(self.preamble, filt, self.cfg),
+                 "signal_at_times": lambda: signal_at_times(self.preamble, filt, self.cfg,
+                                                            [n / 2 + 2.0], 2),
+                 "at_time": lambda: RicianPointModel.at_time(self.preamble, filt, self.cfg,
+                                                             n / 2 + 2.0)}
+        with pytest.raises(FrameError, match="filter sampled at 64 samples per symbol, "
+                                             "the frame at 256"):
+            calls[call]()
+
     @pytest.mark.parametrize("name,value", [
         ("nu", math.nan), ("nu", -1.0), ("nu", math.inf), ("sigma", math.nan),
         ("sigma", -0.5), ("sigma", math.inf), ("p_avg", math.nan), ("p_avg", math.inf),
@@ -741,10 +762,6 @@ class TestMonteCarloCcdf:
                 signal_at_times(self.preamble, self.filt, self.cfg, t, trials=trials)
             with pytest.raises(AnalysisError, match="trials"):
                 monte_carlo_ccdf(self.preamble, self.filt, self.cfg, trials)
-        # A 2-D array ended in a numpy ValueError, and NaN was written to the JSON.
-        for thresholds in (np.zeros((2, 3)), [0.0, np.nan], [np.inf], 3.0):
-            with pytest.raises(AnalysisError, match="thresholds_db"):
-                monte_carlo_ccdf(self.preamble, self.filt, self.cfg, 4, thresholds)
 
     def test_export(self, tmp_path):
         res = monte_carlo_ccdf(self.preamble, self.filt, self.cfg, 50)
@@ -752,7 +769,7 @@ class TestMonteCarloCcdf:
         res.write_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "threshold_db,exceed_prob,exceed_count,wilson95_low,wilson95_high"
-        assert len(lines) == 1 + len(default_thresholds())
+        assert len(lines) == 1 + len(analysis.THRESHOLDS_DB)
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert counts == res.exceed_count.tolist()
         assert np.array_equal(res.exceed_prob, res.exceed_count / 50)

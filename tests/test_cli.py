@@ -437,6 +437,18 @@ class TestFilterDump:
         assert lines[0] == "index,t,tap"
         assert len(lines) == 1 + 4 * 16
 
+    def test_writes_a_manifest(self, tmp_path, capsys):
+        # README promises a manifest from every command that writes files.
+        rc = main(["--out-dir", str(tmp_path), "filter-dump", "--filter", "phydyas3",
+                   "--samples-per-symbol", "8", "--out", "taps.csv"])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "taps.manifest.json").read_text())
+        assert manifest["command"] == "filter-dump"
+        assert manifest["config"] == {"filter": "phydyas3", "samples_per_symbol": 8}
+        assert manifest["seed"] == 0
+        assert manifest["outputs"] == [str(tmp_path / "taps.csv")]
+        assert manifest["rng_scheme"] == RNG_SCHEME
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):

@@ -30,9 +30,8 @@ from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, _papr_db, _Wi
                                     papr_samples)
 from fbmc_preamble.prototype import make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
-from fbmc_preamble.waveform import (FbmcGrid, FrameConfig, FrameError, add_weighted,
-                                    build_frame, carrier_phase, reaching_data_slots, slot_data,
-                                    synthesize)
+from fbmc_preamble.waveform import (FrameConfig, FrameError, add_weighted, build_frame,
+                                    carrier_phase, reaching_data_slots, slot_data, synthesize)
 from fbmc_preamble.workers import POOL, cpu_count
 
 # (subcarriers, rng_seed, trial, slot, data bits with 1 for +1)
@@ -130,7 +129,6 @@ def full_window_oracle(preamble, filt, cfg, data):
     g cast to complex.  The window starts at slot n + K - 2, so that it is
     centred on the preamble pulse's peak (n + K)/2."""
     spt = cfg.samples_per_symbol
-    filt = filt.resample(spt)
     n, m = cfg.preamble_slot, cfg.subcarriers
     start = n + filt.overlap - 2
     t_win = start / 2.0 + np.arange(2 * spt) / spt
@@ -213,10 +211,12 @@ class TestWindow:
         trials = np.arange(first_trial, first_trial + chunk)
         data = slot_data(cfg, trials, sampler.data_slots[:, None])
         oracle = full_window_oracle(preamble, filt, cfg, data)
-        assert same_bits(sampler.sample_trials(first_trial, chunk), oracle)
-        assert same_bits(sampler.window(data), oracle)
+        ws = sampler.workspace(chunk)
+        assert same_bits(sampler.sample_trials(first_trial, chunk, ws), oracle)
+        assert same_bits(sampler.window(data, ws), oracle)
         real = np.random.default_rng(seed).standard_normal(data.shape)
-        assert same_bits(sampler.window(real), full_window_oracle(preamble, filt, cfg, real))
+        assert same_bits(sampler.window(real, ws),
+                         full_window_oracle(preamble, filt, cfg, real))
 
     @settings(max_examples=20, deadline=None)
     @given(m=st.sampled_from([8, 12, 13, 16, 32]), oversample=st.integers(2, 5),
@@ -232,11 +232,11 @@ class TestWindow:
         # Any real data, not only +-1, in the slots that reach the window;
         # the other data slots keep build_frame's data.
         data = np.random.default_rng(seed).standard_normal((len(sampler.data_slots), 1, m))
-        symbols = build_frame(cfg, preamble, trial=0).symbols.copy()
+        symbols = build_frame(cfg, preamble, trial=0)
         symbols[:, sampler.data_slots - cfg.first_slot] = data[:, 0, :].T
-        sig = synthesize(FbmcGrid(symbols=symbols, first_slot=cfg.first_slot), filt, cfg)
+        sig = synthesize(symbols, filt, cfg)
         p_avg = average_power(m)
-        win = sampler.window(data)[0]
+        win = sampler.window(data, sampler.workspace(1))[0]
         fast = 10.0 * np.log10(np.max(np.abs(win) ** 2) / p_avg)
         full = papr(sig, AnalysisWindow.for_signal(sig, cfg.preamble_slot), p_avg)
         assert abs(fast - full) <= 1e-9
@@ -246,7 +246,7 @@ class TestWindow:
         sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
         assert len(sampler.data_slots) == 8
         with pytest.raises(AnalysisError, match="shape"):
-            sampler.window(np.ones(shape))
+            sampler.window(np.ones(shape), sampler.workspace(8))
 
 
 class TestWindowCentre:
@@ -277,7 +277,7 @@ class TestWindowCentre:
 
 class TestWorkspace:
     """Each shard works in one workspace: its chunks allocate no array the
-    size of a chunk, and calls without a workspace return fresh arrays."""
+    size of a chunk."""
 
     @pytest.mark.parametrize("guards", [1, 2, 3])
     def test_further_chunks_allocate_no_chunk_sized_array(self, guards):
@@ -305,23 +305,13 @@ class TestWorkspace:
         assert len(calls) == 5
         assert peak - base[0] < chunk * 2 * spt * 8
 
-    def test_calls_without_a_workspace_return_fresh_arrays(self):
-        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
-        data = slot_data(SMALL_CFG, np.arange(3), sampler.data_slots[:, None])
-        first = sampler.window(data)
-        kept = first.copy()
-        sampler.window(-data)
-        assert first.tobytes() == kept.tobytes()
-        first = sampler.sample_trials(0, 3)
-        kept = first.copy()
-        sampler.sample_trials(3, 3)
-        assert first.tobytes() == kept.tobytes()
-
     def test_ragged_chunk_leaves_no_stale_samples(self):
         sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
         ws = sampler.workspace(4)
         sampler.sample_trials(100, 4, ws)
-        assert same_bits(sampler.sample_trials(7, 3, ws), sampler.sample_trials(7, 3))
+        # A result is a view of its workspace, so the reference has its own.
+        assert same_bits(sampler.sample_trials(7, 3, ws),
+                         sampler.sample_trials(7, 3, sampler.workspace(3)))
 
 
 class TestKeyRanges:
@@ -405,10 +395,11 @@ class TestSharding:
         # Sample values among the thresholds: a tie does not exceed.
         thresholds = np.concatenate([np.linspace(-3.0, 9.0, 25), from_zero[:3]])
         with mock.patch.object(analysis, "MAX_SHARD_TRIALS", shard_cap), \
-                mock.patch.object(analysis, "DEFAULT_CHUNK", chunk):
+                mock.patch.object(analysis, "DEFAULT_CHUNK", chunk), \
+                mock.patch.object(analysis, "THRESHOLDS_DB", thresholds):
             whole = papr_samples(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, trials,
                                  first_trial=first_trial)
-            res = monte_carlo_ccdf(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, trials, thresholds)
+            res = monte_carlo_ccdf(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, trials)
         assert np.array_equal(whole, single_chunk_calls(first_trial))
         assert res.exceed_count.tolist() == np.sum(from_zero[:, None] > thresholds,
                                                    axis=0).tolist()

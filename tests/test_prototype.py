@@ -112,13 +112,6 @@ class TestUtility:
         with pytest.raises(FilterError):
             make_filter("rrc", 32)
 
-    def test_resample_changes_rate_only(self):
-        f = phydyas_taps(4, 32)
-        g = f.resample(128)
-        assert g.samples_per_symbol == 128
-        assert g.peak == pytest.approx(f.peak, rel=1e-12)
-        assert f.resample(32) is f
-
     def test_taps_are_read_only(self):
         # The filter keeps the pairs it builds from its taps.
         filt = make_filter("hermite", 32)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -5,9 +7,8 @@ from hypothesis import strategies as st
 
 from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed
-from fbmc_preamble.waveform import (FbmcGrid, FrameConfig, FrameError, build_frame,
-                                    carrier_phase, slot_data, synthesize,
-                                    transmultiplexer_response)
+from fbmc_preamble.waveform import (FrameConfig, FrameError, build_frame, carrier_phase,
+                                    slot_data, synthesize, transmultiplexer_response)
 
 
 def small_cfg(**kw) -> FrameConfig:
@@ -66,8 +67,8 @@ class TestFrameConfig:
 class TestBuildFrame:
     def test_column_energies(self):
         cfg = small_cfg()
-        grid = build_frame(cfg, golay_seed(16))
-        energies = np.sum(np.abs(grid.symbols) ** 2, axis=0)
+        symbols = build_frame(cfg, golay_seed(16))
+        energies = np.sum(np.abs(symbols) ** 2, axis=0)
         n_col = cfg.preamble_slot - cfg.first_slot
         # guards are exactly zero, every other column carries energy M
         for p in range(1, cfg.guards + 1):
@@ -80,9 +81,9 @@ class TestBuildFrame:
         cfg = small_cfg()
         a = build_frame(cfg, golay_seed(16), trial=5)
         b = build_frame(cfg, golay_seed(16), trial=5)
-        assert np.array_equal(a.symbols, b.symbols)
+        assert np.array_equal(a, b)
         c = build_frame(cfg, golay_seed(16), trial=6)
-        assert not np.array_equal(a.symbols, c.symbols)
+        assert not np.array_equal(a, c)
 
     def test_rejects_bad_preamble(self):
         cfg = small_cfg()
@@ -143,28 +144,27 @@ class TestCarrierPhase:
                 phase[0] = 0.0
 
 
-def one_symbol_grid(m_count, m, slot, value=1.0):
+def one_symbol(m_count, m, value=1.0):
     symbols = np.zeros((m_count, 1), dtype=complex)
     symbols[m, 0] = value
-    return FbmcGrid(symbols=symbols, first_slot=slot)
+    return symbols
 
 
-def per_column_oracle(grid, filt, cfg):
+def per_column_oracle(symbols, filt, cfg):
     """synthesize as it was before one IFFT served every column: for each
     nonzero column in order, its own carrier phase, a one-row IFFT and the
     float-view product of the taps and the sum, added over the whole
     K-interval span."""
     spt = cfg.samples_per_symbol
-    filt = filt.resample(spt)
-    m_count, n_cols = grid.symbols.shape
+    m_count, n_cols = symbols.shape
     k_len = filt.overlap * spt
     out = np.zeros((n_cols - 1) * spt // 2 + k_len, dtype=complex)
     pairs = np.repeat(filt.taps, 2)
     exact = spt & (spt - 1) == 0
-    for col in np.flatnonzero(np.any(grid.symbols, axis=0)):
-        slot = grid.first_slot + col
+    for col in np.flatnonzero(np.any(symbols, axis=0)):
+        slot = cfg.first_slot + col
         coeff = np.zeros((1, spt), dtype=complex)
-        coeff[0, :m_count] = grid.symbols[:, col] * carrier_phase(m_count, slot, slot)
+        coeff[0, :m_count] = symbols[:, col] * carrier_phase(m_count, slot, slot)
         base = np.fft.ifft(coeff, axis=1, norm="forward" if exact else "backward")
         if not exact:
             base *= spt
@@ -190,26 +190,26 @@ class TestSynthesize:
         cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample, rng_seed=seed)
         filt = make_filter(name, cfg.samples_per_symbol)
         preamble = np.exp(2j * np.pi * np.random.default_rng(seed).random(m))
-        grid = build_frame(cfg, preamble, trial=seed)
+        symbols = build_frame(cfg, preamble, trial=seed)
         # Zeroed columns, beside the guards, between nonzero ones.
-        grid.symbols[:, ~np.array(kept[:cfg.total_slots])] = 0.0
-        got = synthesize(grid, filt, cfg).samples
-        assert got.tobytes() == per_column_oracle(grid, filt, cfg).tobytes()
+        symbols[:, ~np.array(kept[:cfg.total_slots])] = 0.0
+        got = synthesize(symbols, filt, cfg).samples
+        assert got.tobytes() == per_column_oracle(symbols, filt, cfg).tobytes()
 
     @pytest.mark.parametrize("shape", [(17, 31), (15, 31), (16,), (16, 31, 1)])
     def test_rejects_grid_without_one_row_per_subcarrier(self, shape):
         cfg = small_cfg()
-        grid = FbmcGrid(symbols=np.ones(shape, dtype=complex), first_slot=cfg.first_slot)
-        with pytest.raises(FrameError, match="grid of shape"):
-            synthesize(grid, phydyas_taps(4, cfg.samples_per_symbol), cfg)
+        with pytest.raises(FrameError, match="symbols of shape"):
+            synthesize(np.ones(shape, dtype=complex), phydyas_taps(4, cfg.samples_per_symbol),
+                       cfg)
 
     def test_pairs_are_built_once_per_filter(self):
         cfg = small_cfg()
         filt = phydyas_taps(4, cfg.samples_per_symbol)
-        grid = build_frame(cfg, golay_seed(16))
-        first = synthesize(grid, filt, cfg).samples
+        symbols = build_frame(cfg, golay_seed(16))
+        first = synthesize(symbols, filt, cfg).samples
         pairs = filt.pairs
-        assert first.tobytes() == synthesize(grid, filt, cfg).samples.tobytes()
+        assert first.tobytes() == synthesize(symbols, filt, cfg).samples.tobytes()
         assert filt.pairs is pairs
         assert np.array_equal(pairs, np.repeat(filt.taps, 2))
         assert not pairs.flags.writeable
@@ -217,7 +217,8 @@ class TestSynthesize:
     def test_single_dc_symbol_is_the_filter(self):
         cfg = small_cfg(guards=0)
         filt = phydyas_taps(4, cfg.samples_per_symbol)
-        sig = synthesize(one_symbol_grid(cfg.subcarriers, 0, 0), filt, cfg)
+        assert cfg.first_slot == 0
+        sig = synthesize(one_symbol(cfg.subcarriers, 0), filt, cfg)
         assert np.allclose(sig.samples.imag, 0.0, atol=1e-12)
         assert np.allclose(sig.samples.real, filt.taps, atol=1e-12)
         assert sig.times[np.argmax(np.abs(sig.samples))] == pytest.approx(2.0)
@@ -225,7 +226,7 @@ class TestSynthesize:
     def test_single_subcarrier_modulus(self):
         cfg = small_cfg(guards=0)
         filt = phydyas_taps(4, cfg.samples_per_symbol)
-        sig = synthesize(one_symbol_grid(cfg.subcarriers, 1, 0), filt, cfg)
+        sig = synthesize(one_symbol(cfg.subcarriers, 1), filt, cfg)
         # unimodular subcarrier factor: |s| = |g| (g itself dips negative)
         assert np.allclose(np.abs(sig.samples), np.abs(filt.taps), atol=1e-10)
 
@@ -234,7 +235,7 @@ class TestSynthesize:
         filt = hermite_taps(cfg.samples_per_symbol)
         g1 = build_frame(cfg, golay_seed(16), trial=0)
         g2 = build_frame(cfg, golay_seed(16), trial=1)
-        total = FbmcGrid(symbols=g1.symbols + g2.symbols, first_slot=g1.first_slot)
+        total = g1 + g2
         s1 = synthesize(g1, filt, cfg).samples
         s2 = synthesize(g2, filt, cfg).samples
         s12 = synthesize(total, filt, cfg).samples
@@ -247,10 +248,11 @@ class TestSynthesize:
         # sign (j^2 = -1, and e^{j2pi m T} = 1).
         cfg = small_cfg()
         filt = phydyas_taps(4, cfg.samples_per_symbol)
-        grid = build_frame(cfg, golay_seed(16))
-        shifted = FbmcGrid(symbols=grid.symbols, first_slot=grid.first_slot + 2)
-        s0 = synthesize(grid, filt, cfg).samples
-        s2 = synthesize(shifted, filt, cfg).samples
+        symbols = build_frame(cfg, golay_seed(16))
+        shifted = dataclasses.replace(cfg, preamble_slot=cfg.preamble_slot + 2)
+        assert shifted.first_slot == cfg.first_slot + 2
+        s0 = synthesize(symbols, filt, cfg).samples
+        s2 = synthesize(symbols, filt, shifted).samples
         assert np.max(np.abs(s2 + s0)) < 1e-10 * np.max(np.abs(s0))
 
     def test_one_slot_shift_covariance(self):
@@ -258,21 +260,20 @@ class TestSynthesize:
         # referenced to absolute time, modulates subcarrier m by (-1)^m.
         cfg = small_cfg()
         filt = phydyas_taps(4, cfg.samples_per_symbol)
-        grid = build_frame(cfg, golay_seed(16))
-        shifted = FbmcGrid(symbols=grid.symbols, first_slot=grid.first_slot + 1)
+        symbols = build_frame(cfg, golay_seed(16))
+        shifted = dataclasses.replace(cfg, preamble_slot=cfg.preamble_slot + 1)
+        assert shifted.first_slot == cfg.first_slot + 1
         signs = np.where(np.arange(cfg.subcarriers) % 2 == 0, 1.0, -1.0)
-        modulated = FbmcGrid(symbols=grid.symbols * signs[:, None],
-                             first_slot=grid.first_slot)
-        s_shift = synthesize(shifted, filt, cfg).samples
-        s_mod = 1j * synthesize(modulated, filt, cfg).samples
+        s_shift = synthesize(symbols, filt, shifted).samples
+        s_mod = 1j * synthesize(symbols * signs[:, None], filt, cfg).samples
         assert np.max(np.abs(s_shift - s_mod)) < 1e-10 * np.max(np.abs(s_mod))
 
-    def test_resamples_mismatched_filter(self):
+    def test_refuses_filter_at_another_rate(self):
         cfg = small_cfg()
         filt = phydyas_taps(4, 32)  # wrong rate on purpose
-        grid = build_frame(cfg, golay_seed(16))
-        sig = synthesize(grid, filt, cfg)
-        assert sig.samples_per_symbol == cfg.samples_per_symbol
+        with pytest.raises(FrameError, match="filter sampled at 32 samples per symbol, "
+                                             "the frame at 64"):
+            synthesize(build_frame(cfg, golay_seed(16)), filt, cfg)
 
 
 class TestTransmultiplexer:
