@@ -83,21 +83,6 @@ def _real(what: str, value, low: float = -math.inf) -> float:
     return value
 
 
-def _check(what: str, value, low: float = -math.inf):
-    """value as a float if it is a real number, else as a float array of
-    its shape, if it is finite and >= low throughout; raises AnalysisError
-    otherwise, also for an array that does not hold real numbers."""
-    if isinstance(value, _REAL):
-        return _real(what, value, low)
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise AnalysisError(f"{what} must hold real numbers, not {value!r}")
-    arr = arr.astype(float, copy=False)
-    if not (np.isfinite(arr) & (arr >= low)).all():
-        raise _not_finite(what, low)
-    return arr
-
-
 def _not_finite(what: str, low: float) -> AnalysisError:
     bound = f" and >= {low:g}" if low > -math.inf else ""
     return AnalysisError(f"{what} must be finite{bound}")
@@ -111,41 +96,44 @@ def _trial_count(trials, low: int) -> int:
     return int(trials)
 
 
-def nu_of_t(preamble: np.ndarray, filt: PrototypeFilter, preamble_slot: int, t) -> np.ndarray:
-    """Preamble-only envelope |g(t - nT/2)| |sum_m c_m j^m e^{j2pi m t}|.
+def _preamble_share(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
+                    t: float) -> np.ndarray:
+    """The preamble's term of s(t) at one float time t, shape (1,)."""
+    return slot_signal(np.asarray(preamble, dtype=complex)[None, :], [cfg.preamble_slot], t,
+                       filt)
+
+
+def nu_of_t(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig, t) -> float:
+    """Preamble-only envelope |g(t - nT/2)| |sum_m c_m j^m e^{j2pi m t}| at
+    one time t, a real number.
 
     Independent of the guard count by construction.  The pulse enters in
-    magnitude because nu is the mean length of the Rician phasor.  A number
-    t gives a float, an array an array of its shape.  Raises AnalysisError
-    for a time that is not finite.
+    magnitude because nu is the mean length of the Rician phasor.  Raises
+    AnalysisError for a t that is not a finite real number and for a
+    preamble that is not one entry per subcarrier, and FrameError for a
+    filter not sampled at the frame's rate.
     """
-    t = _check("t", t)
-    scalar = isinstance(t, float)
-    coeffs = np.asarray(preamble, dtype=complex)[None, :]
-    out = np.abs(slot_signal(coeffs, [preamble_slot], t if scalar else t.ravel(), filt))
-    return float(out[0]) if scalar else out.reshape(t.shape)
+    t = _real("t", t)
+    check_rate(filt, cfg)
+    if np.shape(preamble) != (cfg.subcarriers,):
+        raise AnalysisError(f"preamble of shape {np.shape(preamble)} is not "
+                            f"({cfg.subcarriers},)")
+    return float(np.abs(_preamble_share(preamble, filt, cfg, t))[0])
 
 
-def sigma2_of_t(guards: int, filt: PrototypeFilter, subcarriers: int,
-                preamble_slot: int, t) -> np.ndarray:
+def sigma2_of_t(filt: PrototypeFilter, cfg: FrameConfig, t) -> float:
     """Per-component variance (M/2) sum_{data slots} g^2(t - n'T/2) of the
-    data interference; guard and preamble slots contribute nothing.  A
-    number t gives a float, summed in Python floats, an array an array of
-    its shape.  Raises AnalysisError for a guard count that is not an
-    integer >= 0 or a time that is not finite."""
-    _real("guard count", guards, 0.0)
-    if not isinstance(guards, (int, np.integer)):
-        raise AnalysisError(f"guard count must be an integer, not {guards!r}")
-    t = _check("t", t)
-    slots = reaching_data_slots(preamble_slot, guards, filt.overlap, t)
-    acc = 0.0 if isinstance(t, float) else np.zeros_like(t)
-    # Row by row in slot order: a sum over axis 0 would pair the adds.
-    for g in slot_pulses(slots, t, filt):
+    data interference at one time t, a real number, summed in Python floats
+    in slot order; guard and preamble slots contribute nothing.  Raises
+    AnalysisError for a t that is not a finite real number, and FrameError
+    for a filter not sampled at the frame's rate."""
+    t = _real("t", t)
+    check_rate(filt, cfg)
+    acc = 0.0
+    for g in slot_pulses(reaching_data_slots(cfg.preamble_slot, cfg.guards, filt.overlap, t),
+                         t, filt):
         acc += g * g
-    # In place, so that a 0-d t keeps an array; (M/2) acc and acc (M/2) are
-    # the same product.
-    acc *= 0.5 * subcarriers
-    return acc
+    return acc * (0.5 * cfg.subcarriers)
 
 
 @dataclass(frozen=True)
@@ -164,23 +152,12 @@ class RicianPointModel:
     @classmethod
     def at_time(cls, preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
                 t: float) -> "RicianPointModel":
-        """The model at one time t, a real number; raises AnalysisError for
-        any other t, such as an array, a bool or a string, and for a preamble
-        that is not one entry per subcarrier, and FrameError for a filter
-        not sampled at the frame's rate.  The preamble's energy is not
-        checked here: that sum would cost a large share of a point."""
-        t = _real("t", t)
-        check_rate(filt, cfg)
-        if np.shape(preamble) != (cfg.subcarriers,):
-            raise AnalysisError(f"preamble of shape {np.shape(preamble)} is not "
-                                f"({cfg.subcarriers},)")
-        return cls(
-            t=t,
-            nu=nu_of_t(preamble, filt, cfg.preamble_slot, t),
-            sigma=math.sqrt(sigma2_of_t(cfg.guards, filt, cfg.subcarriers,
-                                        cfg.preamble_slot, t)),
-            p_avg=average_power(cfg.subcarriers),
-        )
+        """The model at one time t, with the input checks of nu_of_t and
+        sigma2_of_t.  The preamble's energy is not checked here: that sum
+        would cost a large share of a point."""
+        nu = nu_of_t(preamble, filt, cfg, t)        # checks t before float(t) reads it
+        return cls(t=float(t), nu=nu, sigma=math.sqrt(sigma2_of_t(filt, cfg, t)),
+                   p_avg=average_power(cfg.subcarriers))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +189,10 @@ def iapr_exceedance(alpha: float, model: RicianPointModel) -> float:
     if alpha == 0.0:
         return 1.0
     if model.sigma == 0.0:
-        return 1.0 if model.nu**2 >= alpha * model.p_avg else 0.0
+        # As `model` compares |s|^2 / P_avg >= alpha: in the units of alpha,
+        # since nu^2 >= alpha P_avg can differ by a rounding, and with nu * nu,
+        # numpy's square, since Python's nu**2 (pow) can differ from it.
+        return 1.0 if model.nu * model.nu / model.p_avg >= alpha else 0.0
     return marcum_q1(model.nu / model.sigma,
                      math.sqrt(alpha * model.p_avg) / model.sigma)
 
@@ -490,12 +470,19 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     """
     trials = _trial_count(trials, 0)
     preamble = checked_preamble(preamble, cfg.subcarriers)
-    t = np.asarray(_check("t", t))
+    t = np.atleast_1d(t)
+    if t.dtype.kind not in "iuf":
+        raise AnalysisError(f"t must hold real numbers, not {t!r}")
     if t.ndim > 1:
         raise AnalysisError(f"t must be a number or a 1-D array, not of shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise _not_finite("t", -math.inf)
+    t = t.astype(float)
     check_rate(filt, cfg)
     n = cfg.preamble_slot
-    out = np.tile(slot_signal(preamble[None, :], [n], t, filt), (trials, 1))
+    # The float-t evaluation nu_of_t makes, so that |share| is nu bit for bit.
+    out = np.empty((trials, len(t)), dtype=complex)
+    out[:] = [_preamble_share(preamble, filt, cfg, x)[0] for x in t.tolist()]
     slots = reaching_data_slots(n, cfg.guards, filt.overlap, t)
     for lo in range(0, trials, DEFAULT_CHUNK):
         rows = np.arange(lo, min(lo + DEFAULT_CHUNK, trials))

@@ -42,10 +42,12 @@ MODEL_COLUMNS = ("t - nT/2", "nu", "sigma", "alpha", "analytic", "empirical", "h
                  "wilson95_low", "wilson95_high")
 # The checkout this package's source lies in, if it is run from one.
 SOURCE_ROOT = Path(__file__).resolve().parents[2]
-# The --config keys some command reads.  One file may serve every command,
-# so a key is refused only if no command reads it.
-CONFIG_KEYS = frozenset({"out_dir", "seed", "oversample", "subcarriers", "guards", "trials",
-                         "channel_len"})
+# The default of each --config key, a key some command reads; `trials` has
+# one per command.  One file may serve every command, so a key is refused
+# only if no command reads it.
+OPTION_DEFAULTS = {"out_dir": ".", "seed": 0, "oversample": 4, "subcarriers": 512,
+                   "guards": 3, "trials": None, "channel_len": 32}
+CONFIG_KEYS = frozenset(OPTION_DEFAULTS)
 
 
 class CliError(Exception):
@@ -79,9 +81,12 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _opt(args, name: str, default):
-    """The flag's value, else the config file's, else `default`.  Only a
-    config value can fail the type check: argparse types the flags."""
+def _opt(args, name: str, default=None):
+    """The flag's value, else the config file's, else `default`, which is
+    OPTION_DEFAULTS[name] unless given.  Only a config value can fail the
+    type check: argparse types the flags."""
+    if default is None:
+        default = OPTION_DEFAULTS[name]
     value = getattr(args, name, default)
     if type(value) is not type(default):
         raise CliError(f"config value {name}={value!r} must be of type "
@@ -90,7 +95,7 @@ def _opt(args, name: str, default):
 
 
 def _out_path(args, filename: str) -> Path:
-    out = Path(_opt(args, "out_dir", ".")) / filename
+    out = Path(_opt(args, "out_dir")) / filename
     out.parent.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -195,10 +200,10 @@ def cmd_bounds(args) -> tuple[int, dict]:
 
 def _frame_config(args) -> FrameConfig:
     return FrameConfig(
-        subcarriers=_opt(args, "subcarriers", 512),
-        guards=_opt(args, "guards", 3),
-        oversample=_opt(args, "oversample", 4),
-        rng_seed=_opt(args, "seed", 0),
+        subcarriers=_opt(args, "subcarriers"),
+        guards=_opt(args, "guards"),
+        oversample=_opt(args, "oversample"),
+        rng_seed=_opt(args, "seed"),
     )
 
 
@@ -223,7 +228,7 @@ def _monte_carlo_run(args, default_trials: int):
         preamble, source = (_load_preamble(args.preamble_file),
                             {"preamble_file": args.preamble_file})
     else:
-        channel_len = _opt(args, "channel_len", 32)
+        channel_len = _opt(args, "channel_len")
         preamble, source = (sparse_golay_preamble(cfg.subcarriers, channel_len),
                             {"preamble": "sparse-golay", "channel_len": channel_len})
     trials = _opt(args, "trials", default_trials)
@@ -271,7 +276,7 @@ def cmd_model(args) -> tuple[int, list]:
     for j, t in enumerate(times):
         model = RicianPointModel.at_time(preamble, filt, cfg, float(t))
         # Near the local median, where the binomial error bar is tightest.
-        alpha = (model.nu**2 + 2 * model.sigma**2) / model.p_avg
+        alpha = (model.nu * model.nu + 2 * model.sigma**2) / model.p_avg
         hits = int(np.sum(iapr[:, j] >= alpha))
         low, high = wilson_interval(hits, trials)
         rows.append([f"{offsets[j]:.2f}", model.nu, model.sigma, alpha,
@@ -294,13 +299,13 @@ def cmd_model(args) -> tuple[int, list]:
 
 
 def cmd_compare(args) -> tuple[int, dict]:
-    subcarriers = _opt(args, "subcarriers", 512)
-    channel_len = _opt(args, "channel_len", 32)
-    oversample = _opt(args, "oversample", 4)
+    subcarriers = _opt(args, "subcarriers")
+    channel_len = _opt(args, "channel_len")
+    oversample = _opt(args, "oversample")
     # Guards wide enough that no data symbol reaches the analysis window:
     # the sigma = 0 regime of the published comparison.
     cfg = FrameConfig(subcarriers=subcarriers, guards=6, oversample=oversample,
-                      rng_seed=_opt(args, "seed", 0))
+                      rng_seed=_opt(args, "seed"))
     filt = make_filter(args.filter, cfg.samples_per_symbol)
     preambles = {
         "sparse-golay": sparse_golay_preamble(subcarriers, channel_len),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -82,9 +82,7 @@ class FrameConfig:
         return [s for s in slots if abs(s - self.preamble_slot) > self.guards]
 
     def to_json_dict(self) -> dict:
-        return {"subcarriers": self.subcarriers, "guards": self.guards,
-                "preamble_slot": self.preamble_slot, "data_span": self.data_span,
-                "oversample": self.oversample, "rng_seed": self.rng_seed}
+        return asdict(self)
 
 
 TRIAL_BITS = 48

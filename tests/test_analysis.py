@@ -17,7 +17,7 @@ from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, CcdfResult,
 from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import (FrameConfig, FrameError, build_frame, carrier_phase,
-                                    reaching_data_slots, slot_signal, synthesize)
+                                    reaching_data_slots, slot_pulses, slot_signal, synthesize)
 
 
 def marcum_q1_quadrature(a: float, b: float) -> float:
@@ -155,7 +155,7 @@ class TestNuSigma:
     def test_zero_preamble(self):
         n = self.cfg.preamble_slot
         t = np.linspace((n + 2) / 2, (n + 6) / 2, 17)
-        assert np.all(nu_of_t(np.zeros(64), self.filt, n, t) == 0.0)
+        assert all(nu_of_t(np.zeros(64), self.filt, self.cfg, x) == 0.0 for x in t.tolist())
 
     def test_matches_preamble_only_synthesis(self):
         cfg, n = self.cfg, self.cfg.preamble_slot
@@ -165,32 +165,31 @@ class TestNuSigma:
         win = AnalysisWindow.for_signal(sig, n)
         seg = np.abs(sig.samples[win.start_index: win.start_index + win.length])
         t = sig.times[win.start_index: win.start_index + win.length]
-        nus = nu_of_t(self.preamble, self.filt, n, t)
+        nus = np.array([nu_of_t(self.preamble, self.filt, cfg, x) for x in t.tolist()])
         assert np.max(np.abs(seg - nus)) < 1e-9 * np.max(seg)
 
     def test_golay_envelope_bound(self):
         n = self.cfg.preamble_slot
         t = n / 2 + np.linspace(0, 4, 2049)[:-1]
-        nus = nu_of_t(self.preamble, self.filt, n, t)
+        nus = np.array([nu_of_t(self.preamble, self.filt, self.cfg, x) for x in t.tolist()])
         bound = math.sqrt(2 * 64) * np.abs(self.filt(t - n / 2))
         assert np.all(nus <= bound * (1 + 1e-6) + 1e-12)
 
     def test_sigma2_empty_with_huge_guard(self):
-        n = self.cfg.preamble_slot
-        t = (n + 4) / 2
-        assert sigma2_of_t(50, self.filt, 64, n, t) == 0.0
+        cfg = FrameConfig(subcarriers=64, guards=50, oversample=4)
+        assert sigma2_of_t(self.filt, cfg, (cfg.preamble_slot + 4) / 2) == 0.0
 
     def test_no_times_give_empty_results(self):
         # The slot range of no times used to be a reduction over an empty array.
-        n = self.cfg.preamble_slot
-        assert nu_of_t(self.preamble, self.filt, n, []).shape == (0,)
-        assert sigma2_of_t(2, self.filt, 64, n, []).shape == (0,)
-        assert signal_at_times(self.preamble, self.filt, self.cfg, [], 3).shape == (3, 0)
+        out = signal_at_times(self.preamble, self.filt, self.cfg, [], 3)
+        assert out.shape == (3, 0) and out.dtype == complex
 
     def test_sigma2_decreases_with_guards(self):
-        n = self.cfg.preamble_slot
-        t = np.linspace((n + 2) / 2, (n + 6) / 2, 65)
-        maxima = [np.max(sigma2_of_t(g, self.filt, 64, n, t)) for g in range(5)]
+        t = np.linspace((PRE + 2) / 2, (PRE + 6) / 2, 65)
+        maxima = []
+        for g in range(5):
+            cfg = FrameConfig(subcarriers=64, guards=g, preamble_slot=PRE, oversample=4)
+            maxima.append(max(sigma2_of_t(self.filt, cfg, x) for x in t.tolist()))
         assert all(b < a for a, b in zip(maxima, maxima[1:]))
 
     def test_sigma2_matches_empirical_variance(self):
@@ -205,7 +204,7 @@ class TestNuSigma:
         s = (signal_at_times(preamble, filt, cfg, t, trials)[:, 0]
              - slot_signal(preamble[None, :], [n], t, filt)[0])
         per_component = 0.5 * float(np.mean(np.abs(s) ** 2))
-        predicted = sigma2_of_t(cfg.guards, filt, 64, n, float(t[0]))
+        predicted = sigma2_of_t(filt, cfg, float(t[0]))
         assert per_component == pytest.approx(predicted, rel=0.02)
 
 
@@ -246,6 +245,12 @@ def probe_times(draw, filt):
     return np.array(rand + edges, dtype=float)
 
 
+def frame_at(filt, subcarriers, guards=0) -> FrameConfig:
+    """A frame of `subcarriers` at the filter's rate, its preamble at slot PRE."""
+    return FrameConfig(subcarriers=subcarriers, guards=guards, preamble_slot=PRE,
+                       oversample=filt.samples_per_symbol // subcarriers)
+
+
 def same_bits(a, b) -> bool:
     a, b = np.atleast_1d(a), np.atleast_1d(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -260,9 +265,10 @@ class TestPulseLookup:
            spt=st.sampled_from([8, 64, 256]), guards=st.integers(0, 4), data=st.data())
     def test_sigma2_equals_per_slot_oracle(self, name, spt, guards, data):
         filt = make_filter(name, spt)
+        cfg = frame_at(filt, spt // 4, guards)
         t = data.draw(probe_times(filt))
-        got = sigma2_of_t(guards, filt, 16, PRE, t)
-        assert same_bits(got, sigma2_per_slot_oracle(guards, filt, 16, PRE, t))
+        got = np.array([sigma2_of_t(filt, cfg, x) for x in t.tolist()])
+        assert same_bits(got, sigma2_per_slot_oracle(guards, filt, cfg.subcarriers, PRE, t))
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
@@ -309,11 +315,10 @@ class TestSparseCarriers:
     per-slot evaluation."""
 
     def check_nu(self, preamble, filt, t):
-        want = np.abs(slot_signal_per_slot_oracle(preamble[None, :], [PRE], t, filt))
-        assert same_bits(nu_of_t(preamble, filt, PRE, t), want)
+        cfg = frame_at(filt, len(preamble))
         for x in t.tolist():
             want = np.abs(slot_signal_per_slot_oracle(preamble[None, :], [PRE], x, filt))
-            assert same_bits(nu_of_t(preamble, filt, PRE, x), want)
+            assert same_bits(nu_of_t(preamble, filt, cfg, x), want)
 
     @settings(max_examples=80, deadline=None)
     @given(name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
@@ -329,20 +334,21 @@ class TestSparseCarriers:
             want = slot_signal_per_slot_oracle(coeffs, slot_list, t, filt)
             # By value: a zero carrier may turn a -0.0 into 0.0.
             assert np.array_equal(got, want)
-        self.check_nu(zero_masked(data.draw, rng, (m,)), filt, t)
+        # nu of a preamble at the filter's rate, 4 samples per subcarrier.
+        self.check_nu(zero_masked(data.draw, rng, (spt // 4,)), filt, t)
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
-           spt=st.sampled_from([8, 64, 256]), pilots=st.sampled_from([8, 16, 32]),
+           oversample=st.sampled_from([2, 4]), pilots=st.sampled_from([8, 16, 32]),
            data=st.data())
-    def test_sparse_golay_preamble(self, name, spt, pilots, data):
-        filt = make_filter(name, spt)
+    def test_sparse_golay_preamble(self, name, oversample, pilots, data):
+        filt = make_filter(name, 512 * oversample)
         self.check_nu(sparse_golay_preamble(512, pilots), filt, data.draw(probe_times(filt)))
 
     def test_nu_computes_used_carriers_only(self, monkeypatch):
         # Guards the sparse path: 512 arguments here mean the dense carriers
         # came back.
-        filt = make_filter("phydyas4", 64)
+        filt = make_filter("phydyas4", 2048)
         seen = []
         exp = np.exp
 
@@ -351,7 +357,7 @@ class TestSparseCarriers:
             return exp(arg)
 
         monkeypatch.setattr(np, "exp", spy)
-        nu_of_t(sparse_golay_preamble(512, 32), filt, PRE, PRE / 2 + 1.3)
+        nu_of_t(sparse_golay_preamble(512, 32), filt, frame_at(filt, 512), PRE / 2 + 1.3)
         assert seen == [32]
 
 
@@ -366,27 +372,30 @@ def scalar_times(draw, filt):
 
 
 class TestScalarPath:
-    """A float time takes Python-float forms of the lookup, the slot range
-    and the variance sum; they give the array forms' bits."""
+    """The filter lookup, the slot set and the pulses have a Python-float
+    form for one float time; each gives the bits of the array form's
+    element at that time, in an array of many times."""
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
            spt=st.sampled_from([8, 64, 256]), guards=st.integers(0, 4), data=st.data())
-    def test_float_equals_one_element_array(self, name, spt, guards, data):
+    def test_float_equals_array_elements(self, name, spt, guards, data):
         filt = make_filter(name, spt)
-        preamble = np.exp(2j * np.pi * np.arange(16) / 7)
-        for t in data.draw(scalar_times(filt)):
-            slots = reaching_data_slots(PRE, guards, filt.overlap, t)
-            want = reaching_data_slots(PRE, guards, filt.overlap, np.array([t]))
-            assert slots.dtype == want.dtype and np.array_equal(slots, want)
-            for arg in [t - s / 2 for s in range(PRE - 9, PRE + 10)]:
-                g = filt(arg)
-                assert type(g) is float and same_bits(g, filt(np.array([arg])))
-            sigma2 = sigma2_of_t(guards, filt, 16, PRE, t)
-            nu = nu_of_t(preamble, filt, PRE, t)
-            assert type(sigma2) is float and type(nu) is float
-            assert same_bits(sigma2, sigma2_of_t(guards, filt, 16, PRE, np.array([t])))
-            assert same_bits(nu, nu_of_t(preamble, filt, PRE, np.array([t])))
+        times = data.draw(scalar_times(filt))
+        t_arr = np.array(times, dtype=float)
+        slots = np.arange(PRE - 9, PRE + 10)
+        args = t_arr - slots[:, None] / 2.0
+        lookups = [filt(a) for a in args.ravel().tolist()]
+        assert all(type(g) is float for g in lookups)
+        assert same_bits(np.array(lookups, dtype=float), filt(args.ravel()))
+        pulses = slot_pulses(slots, t_arr, filt)
+        for j, t in enumerate(times):
+            assert same_bits(np.array(slot_pulses(slots, t, filt)), pulses[:, j])
+        # The array form's slot set is the union of each time's.
+        each = [reaching_data_slots(PRE, guards, filt.overlap, t) for t in times]
+        want = reaching_data_slots(PRE, guards, filt.overlap, t_arr)
+        assert all(s.dtype == want.dtype for s in each)
+        assert np.array_equal(np.unique(np.concatenate([want[:0], *each])), want)
 
     @pytest.mark.parametrize("name", ["phydyas4", "hermite"])
     def test_filter_ties_round_to_even(self, name):
@@ -414,32 +423,22 @@ class TestScalarPath:
 
 
 class TestShapeRule:
-    """nu_of_t and sigma2_of_t: a number gives a float, an array an array of
-    the times' shape."""
+    """nu_of_t and sigma2_of_t: a number gives a float."""
 
     def setup_method(self):
-        self.filt = make_filter("phydyas4", 16)
+        self.filt = make_filter("phydyas4", 64)
+        self.cfg = frame_at(self.filt, 16, guards=1)
         self.preamble = golay_seed(16)
         self.t = PRE / 2 + 1.3
 
     def evaluate(self, t):
-        return (nu_of_t(self.preamble, self.filt, PRE, t),
-                sigma2_of_t(1, self.filt, 16, PRE, t))
+        return (nu_of_t(self.preamble, self.filt, self.cfg, t),
+                sigma2_of_t(self.filt, self.cfg, t))
 
     @pytest.mark.parametrize("number", [lambda t: t, np.float64, lambda t: 12])
     def test_number_gives_float(self, number):
         for out in self.evaluate(number(self.t)):
             assert type(out) is float
-
-    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2, 3), (0,), (3, 0)])
-    def test_array_keeps_its_shape(self, shape):
-        t = np.asarray(self.t + np.arange(math.prod(shape)).reshape(shape) / 7)
-        flat = self.evaluate(t.ravel())
-        for out, want in zip(self.evaluate(t), flat):
-            assert type(out) is np.ndarray and out.shape == shape
-            assert same_bits(out.ravel(), want)
-        if t.size:
-            assert same_bits(flat[0][:1], self.evaluate(float(t.flat[0]))[0])
 
 
 class TestRicianRefusesNonNumbers:
@@ -472,13 +471,12 @@ class TestRicianRefusesNonNumbers:
         with pytest.raises(AnalysisError, match="must be a real number"):
             marcum_q1(a, b)
 
-    @pytest.mark.parametrize("t", ["40.1", True, ["40.1"], [None]])
+    @pytest.mark.parametrize("t", ["40.1", True, ["40.1"], [None], np.array([40.1, 40.2])])
     def test_nu_and_sigma2(self, t):
-        n = self.cfg.preamble_slot
-        with pytest.raises(AnalysisError, match="t must"):
-            nu_of_t(self.preamble, self.filt, n, t)
-        with pytest.raises(AnalysisError, match="t must"):
-            sigma2_of_t(2, self.filt, 64, n, t)
+        with pytest.raises(AnalysisError, match="t must be a real number"):
+            nu_of_t(self.preamble, self.filt, self.cfg, t)
+        with pytest.raises(AnalysisError, match="t must be a real number"):
+            sigma2_of_t(self.filt, self.cfg, t)
 
     def test_model_fields(self):
         with pytest.raises(AnalysisError, match="nu must be a real number"):
@@ -495,27 +493,29 @@ class TestRicianInputChecks:
     def test_time_not_finite(self, t):
         n = self.cfg.preamble_slot
         calls = [lambda: RicianPointModel.at_time(self.preamble, self.filt, self.cfg, t),
-                 lambda: nu_of_t(self.preamble, self.filt, n, t),
-                 lambda: sigma2_of_t(2, self.filt, 64, n, [n / 2 + 1.0, t]),
-                 lambda: signal_at_times(self.preamble, self.filt, self.cfg, [t], 2)]
+                 lambda: nu_of_t(self.preamble, self.filt, self.cfg, t),
+                 lambda: sigma2_of_t(self.filt, self.cfg, t),
+                 lambda: signal_at_times(self.preamble, self.filt, self.cfg, [n / 2 + 1.0, t],
+                                         2)]
         for call in calls:
             with pytest.raises(AnalysisError, match="t must be finite"):
                 call()
 
+    # The model reads the guard count from the frame, whose FrameConfig
+    # refuses one that is not an integer >= 0.
     def test_negative_guard_count(self):
         # -1 used to count the preamble slot as data.
-        n = self.cfg.preamble_slot
-        with pytest.raises(AnalysisError, match="guard count must be finite and >= 0"):
-            sigma2_of_t(-1, self.filt, 64, n, (n + 4) / 2)
+        with pytest.raises(FrameError, match="guard count must be >= 0"):
+            FrameConfig(subcarriers=64, guards=-1)
 
     @pytest.mark.parametrize("guards", [2.5, 2.999, 2.0, np.float64(2.0)])
     def test_fractional_guard_count(self, guards):
         # 2.5 and 2.999 used to give G = 2's variance.
-        n = self.cfg.preamble_slot
-        with pytest.raises(AnalysisError, match="guard count must be an integer"):
-            sigma2_of_t(guards, self.filt, 64, n, (n + 4) / 2)
+        with pytest.raises(FrameError, match="guards must be an integer"):
+            FrameConfig(subcarriers=64, guards=guards)
 
-    @pytest.mark.parametrize("call", ["sampler", "signal_at_times", "at_time"])
+    @pytest.mark.parametrize("call", ["sampler", "signal_at_times", "at_time", "nu_of_t",
+                                      "sigma2_of_t"])
     def test_filter_at_another_rate(self, call):
         # A filter of another rate was resampled by the engine but read as
         # given by the model.
@@ -525,7 +525,9 @@ class TestRicianInputChecks:
                  "signal_at_times": lambda: signal_at_times(self.preamble, filt, self.cfg,
                                                             [n / 2 + 2.0], 2),
                  "at_time": lambda: RicianPointModel.at_time(self.preamble, filt, self.cfg,
-                                                             n / 2 + 2.0)}
+                                                             n / 2 + 2.0),
+                 "nu_of_t": lambda: nu_of_t(self.preamble, filt, self.cfg, n / 2 + 2.0),
+                 "sigma2_of_t": lambda: sigma2_of_t(filt, self.cfg, n / 2 + 2.0)}
         with pytest.raises(FrameError, match="filter sampled at 64 samples per symbol, "
                                              "the frame at 256"):
             calls[call]()
@@ -586,6 +588,21 @@ class TestSignalAtTimes:
             assert np.max(np.abs(got[k] - sig.samples[idx])) <= 1e-12 * scale
 
 
+    @pytest.mark.parametrize("name", ["phydyas4", "hermite"])
+    @pytest.mark.parametrize("m", [64, 96, 160])
+    def test_preamble_share_is_nu_bit_for_bit(self, name, m):
+        # At G = 6 no data slot reaches `model`'s probes, so |s| is nu; an
+        # array-t evaluation of the preamble's share used to differ in the
+        # last bit at some, and `model` then read 0 where the probability is 1.
+        cfg = FrameConfig(subcarriers=m, guards=6, oversample=4)
+        filt = make_filter(name, cfg.samples_per_symbol)
+        preamble = sparse_golay_preamble(m, 32)
+        times = cfg.preamble_slot / 2 + np.linspace(1.05, 2.80, 8)
+        s = signal_at_times(preamble, filt, cfg, times, 2)
+        for j, t in enumerate(times.tolist()):
+            assert same_bits(np.abs(s[:, j]), np.full(2, nu_of_t(preamble, filt, cfg, t)))
+
+
 class TestIaprExceedance:
     def test_alpha_zero(self):
         model = RicianPointModel(t=0.0, nu=1.0, sigma=1.0, p_avg=2.0)
@@ -595,6 +612,15 @@ class TestIaprExceedance:
         model = RicianPointModel(t=0.0, nu=2.0, sigma=0.0, p_avg=2.0)
         assert iapr_exceedance(1.9, model) == 1.0
         assert iapr_exceedance(2.1, model) == 0.0
+
+    def test_sigma_zero_at_alpha_of_nu(self):
+        # alpha = nu^2 / P_avg, as `model` sets it where sigma = 0.  Compared
+        # as nu^2 >= alpha P_avg, a P_avg that is not a power of two could
+        # round the product below nu^2 and read 0.
+        for p_avg in (192.0, 320.0, 960.0):
+            for nu in np.linspace(0.1, 20.0, 200).tolist():
+                model = RicianPointModel(t=0.0, nu=nu, sigma=0.0, p_avg=p_avg)
+                assert iapr_exceedance(nu * nu / p_avg, model) == 1.0
 
     def test_monotone_in_alpha(self):
         model = RicianPointModel(t=0.0, nu=3.0, sigma=1.5, p_avg=8.0)

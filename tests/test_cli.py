@@ -318,7 +318,7 @@ class TestModel:
         iapr = np.abs(signal_at_times(preamble, filt, cfg, times, 256)) ** 2 / average_power(64)
         for row, offset, t, probe in zip(rows, offsets, times, iapr.T):
             model = RicianPointModel.at_time(preamble, filt, cfg, float(t))
-            alpha = (model.nu**2 + 2 * model.sigma**2) / model.p_avg
+            alpha = (model.nu * model.nu + 2 * model.sigma**2) / model.p_avg
             hits = int(np.sum(probe >= alpha))
             low, high = wilson_interval(hits, 256)
             assert row["t - nT/2"] == f"{offset:.2f}"
@@ -333,6 +333,19 @@ class TestModel:
         assert manifest["outputs"] == [str(csv_path)]
         assert manifest["config"]["trials"] == 256
         assert manifest["config"]["channel_len"] == 16
+
+    @pytest.mark.parametrize("name", ["phydyas4", "hermite"])
+    @pytest.mark.parametrize("m", ["64", "96", "160"])
+    def test_sigma_zero_rows_read_one(self, tmp_path, capsys, name, m):
+        # At G = 6 no data slot reaches a probe, so |s|^2 / P_avg >= alpha
+        # holds in every trial.  At M = 160 (phydyas4) and 96 (hermite) rows
+        # used to read 0 in one column.
+        assert main(["--out-dir", str(tmp_path), "--json", "model", "--filter", name,
+                     "--subcarriers", m, "--channel-len", "32", "--guards", "6",
+                     "--trials", "16"]) == 0
+        rows = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert [(r["sigma"], r["analytic"], r["empirical"]) for r in rows] == [
+            (0.0, 1.0, 1.0)] * 8
 
     def test_phydyas3_probes_move_with_the_window(self, tmp_path):
         # At K = 3 the pulse peaks at t - nT/2 = 1.5, half a symbol before
