@@ -229,12 +229,13 @@ def wilson_interval(hits, trials):
 @dataclass(frozen=True)
 class CcdfResult:
     """Monte Carlo CCDF: exceed_count[i] of the trials had PAPR above
-    thresholds_db[i]."""
-    thresholds_db: np.ndarray = field(compare=False)
+    thresholds_db[i], which reads THRESHOLDS_DB."""
     exceed_count: np.ndarray = field(compare=False)
     trials: int
     max_papr_db: float = float("-inf")
     config: dict = field(default_factory=dict, compare=False)
+
+    thresholds_db = property(lambda self: THRESHOLDS_DB)
 
     @property
     def exceed_prob(self) -> np.ndarray:
@@ -286,8 +287,9 @@ class _WindowSampler:
         check_rate(filt, cfg)
         n, m = cfg.preamble_slot, cfg.subcarriers
         start = window_start_slot(n, filt.overlap)
-        t_win = start / 2.0 + np.arange(2 * spt) / spt
-        self.data_slots = reaching_data_slots(n, cfg.guards, filt.overlap, t_win)
+        # Slot s's support [s/2, s/2 + K) meets the window for |s - n| <= K + 1.
+        slots = np.arange(n - filt.overlap - 1, n + filt.overlap + 2)
+        self.data_slots = slots[np.abs(slots - n) > cfg.guards]
         self.pairs = filt.pairs
 
         def term(s):
@@ -439,7 +441,6 @@ def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConf
         if progress is not None:
             progress(done, exceed, max_db)
     return CcdfResult(
-        thresholds_db=THRESHOLDS_DB,
         exceed_count=exceed,
         trials=trials,
         max_papr_db=max_db,
@@ -483,7 +484,8 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     # The float-t evaluation nu_of_t makes, so that |share| is nu bit for bit.
     out = np.empty((trials, len(t)), dtype=complex)
     out[:] = [_preamble_share(preamble, filt, cfg, x)[0] for x in t.tolist()]
-    slots = reaching_data_slots(n, cfg.guards, filt.overlap, t)
+    slots = np.array(sorted(set().union(*(reaching_data_slots(n, cfg.guards, filt.overlap, x)
+                                          for x in t.tolist()))), dtype=int)
     for lo in range(0, trials, DEFAULT_CHUNK):
         rows = np.arange(lo, min(lo + DEFAULT_CHUNK, trials))
         out[rows] += slot_signal(slot_data(cfg, rows[:, None], slots), slots, t, filt)

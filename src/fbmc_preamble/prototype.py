@@ -66,19 +66,15 @@ class PrototypeFilter:
         pairs.flags.writeable = False
         return pairs
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """Nearest-sample lookup of g(t); zero outside [0, K).  A float t
-        gives a float: Python's round, like np.round, rounds ties to even."""
-        if isinstance(t, float):
-            if not 0.0 <= t < self.overlap:
-                return 0.0
-            return float(self.taps[min(round(t * self.samples_per_symbol), len(self.taps) - 1)])
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        inside = (t >= 0.0) & (t < self.overlap)
-        idx = np.round(t[inside] * self.samples_per_symbol).astype(np.int64)
-        out[inside] = self.taps[np.minimum(idx, len(self.taps) - 1)]
-        return out
+    def __call__(self, t: float) -> float:
+        """Nearest-sample lookup of g(t) at one float time t (a numpy float
+        passes); zero outside [0, K).  Python's round rounds ties to even.
+        Raises FilterError for a t that is not a float."""
+        if not isinstance(t, float):
+            raise FilterError(f"t must be a float, not {t!r}")
+        if not 0.0 <= t < self.overlap:
+            return 0.0
+        return float(self.taps[min(round(t * self.samples_per_symbol), len(self.taps) - 1)])
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

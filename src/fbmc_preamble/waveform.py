@@ -196,23 +196,13 @@ class SampledSignal:
 # ---------------------------------------------------------------------------
 # Signal core
 
-def reaching_data_slots(preamble_slot: int, guards: int, overlap: float, t) -> np.ndarray:
+def reaching_data_slots(preamble_slot: int, guards: int, overlap: float, t: float) -> list[int]:
     """Data slots, those more than `guards` slots from the preamble, whose
-    filter support [s/2, s/2 + overlap) holds at least one of the times t.
-    A float t takes the same slot range and tests in Python floats."""
-    if isinstance(t, float):
-        slots = range(math.floor(2.0 * (t - overlap)), math.floor(2.0 * t) + 1)
-        return np.array([s for s in slots if 0.0 <= t - s / 2.0 < overlap
-                         and abs(s - preamble_slot) > guards], dtype=int)
-    t = np.asarray(t, dtype=float).ravel()
-    if not t.size:
-        return np.empty(0, dtype=int)
-    slots = np.arange(int(np.floor(2.0 * (t.min() - overlap))),
-                      int(np.floor(2.0 * t.max())) + 1)
-    # The filter's own argument, so that both agree at the support edges.
-    lag = t - slots[:, None] / 2.0
-    reach = np.any((lag >= 0.0) & (lag < overlap), axis=1)
-    return slots[reach & (np.abs(slots - preamble_slot) > guards)]
+    filter support [s/2, s/2 + overlap) holds the float time t, tested in
+    the filter's own argument t - s/2 so that both agree at the support
+    edges."""
+    slots = range(math.floor(2.0 * (t - overlap)), math.floor(2.0 * t) + 1)
+    return [s for s in slots if 0.0 <= t - s / 2.0 < overlap and abs(s - preamble_slot) > guards]
 
 
 @functools.lru_cache(maxsize=16)
@@ -303,22 +293,17 @@ def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: i
     add(np.s_[:, p0:p1], sums_f[:, None], w.reshape(p1 - p0, 2 * spt))
 
 
-def slot_pulses(slots, t, filt: PrototypeFilter) -> np.ndarray:
-    """g(t - s/2) of every slot s at every time t, in one filter lookup;
-    shape (len(slots),) + shape of t.  A float t gives a list of floats,
-    one scalar lookup per slot."""
-    if isinstance(t, float):
-        return [filt(t - s / 2.0) for s in np.asarray(slots).tolist()]
-    half = np.divide(slots, 2.0)
-    return filt(t - half.reshape(half.shape + (1,) * np.ndim(t)))
+def slot_pulses(slots, t: float, filt: PrototypeFilter) -> list[float]:
+    """g(t - s/2) of every slot s at the float time t, one lookup per slot."""
+    return [filt(t - s / 2.0) for s in np.asarray(slots).tolist()]
 
 
-def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
-                filt: PrototypeFilter) -> np.ndarray:
+def slot_signal(coeffs: np.ndarray, slots, t, filt: PrototypeFilter) -> np.ndarray:
     """sum_s (a_s j^{m+s}) e^{j2pi m t} g(t - s/2) at arbitrary times t.
 
     coeffs (..., len(slots), M) holds each slot's coefficients a_s; the
     result has shape (..., len(t)), where a float t counts as one time.
+    The pulses are the one-time lookups of slot_pulses, at every time.
 
     Carriers are computed only at the subcarriers where some coefficient
     is nonzero; the other rows hold 0.0, and the zero coefficients there
@@ -336,7 +321,10 @@ def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray,
         full = np.zeros((m_count, carriers.shape[1]), dtype=complex)
         full[used] = carriers
         carriers = full
-    pulses = slot_pulses(slots, t, filt)
+    if isinstance(t, float):
+        pulses = slot_pulses(slots, t, filt)
+    else:
+        pulses = np.reshape([slot_pulses(slots, x, filt) for x in t], (len(t), len(slots))).T
     out = 0
     for i, s in enumerate(slots):
         phased = coeffs[..., i, :] * carrier_phase(m_count, s)
@@ -376,14 +364,27 @@ def synthesize(symbols: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig) -> 
 
 
 def transmultiplexer_response(filt: PrototypeFilter, m: int, n: int, p: int, q: int) -> complex:
-    """Inner product of the synthesis pulses (m, n) and (p, q), evaluated by
-    a Riemann sum on the filter's own sample grid.  Real parts vanish except
-    on the diagonal (real-field orthogonality)."""
+    """Inner product of the synthesis pulses (m, n) and (p, q), each
+    j^{m+n} e^{j2pi m k/L} taps[k - nL/2] at the samples k of the filter's
+    grid, summed over both slots' span and divided by L.  Real parts vanish
+    except on the diagonal (real-field orthogonality).  Raises FrameError
+    for an index that is not an integer and for an odd L, at which a slot
+    would not start on a sample."""
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in (m, n, p, q)):
+        raise FrameError(f"indices must be integers, not {(m, n, p, q)!r}")
+    L = filt.samples_per_symbol
+    if L % 2:
+        raise FrameError(f"the filter's {L} samples per symbol must be even: slots start "
+                         "every half symbol, on the sample grid")
     if abs(n - q) >= 2 * filt.overlap:
         return 0.0 + 0.0j
-    L = filt.samples_per_symbol
     start = min(n, q) * L // 2
-    t = (start + np.arange(max(n, q) * L // 2 + filt.overlap * L - start)) / L
-    unit = np.eye(max(m, p) + 1)
-    u, v = (slot_signal(unit[[k]], [s], t, filt) for k, s in ((m, n), (p, q)))
-    return complex(np.sum(u * np.conj(v)) / L)
+    k = start + np.arange(max(n, q) * L // 2 + filt.overlap * L - start)
+
+    def pulse(m, n):
+        g = np.zeros(len(k))
+        first = n * L // 2 - start
+        g[first: first + len(filt.taps)] = filt.taps
+        return _J[(m + n) % 4] * np.exp(2j * np.pi * (m * (k / L))) * g
+
+    return complex(np.sum(pulse(m, n) * np.conj(pulse(p, q))) / L)

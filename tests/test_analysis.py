@@ -18,6 +18,9 @@ from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import (FrameConfig, FrameError, build_frame, carrier_phase,
                                     reaching_data_slots, slot_pulses, slot_signal, synthesize)
+from lookup_reference import filter_lookup, reaching_slots
+from lookup_reference import signal_at_times as reference_signal_at_times
+from lookup_reference import slot_pulses as reference_pulses
 
 
 def marcum_q1_quadrature(a: float, b: float) -> float:
@@ -172,7 +175,7 @@ class TestNuSigma:
         n = self.cfg.preamble_slot
         t = n / 2 + np.linspace(0, 4, 2049)[:-1]
         nus = np.array([nu_of_t(self.preamble, self.filt, self.cfg, x) for x in t.tolist()])
-        bound = math.sqrt(2 * 64) * np.abs(self.filt(t - n / 2))
+        bound = math.sqrt(2 * 64) * np.abs(filter_lookup(self.filt, t - n / 2))
         assert np.all(nus <= bound * (1 + 1e-6) + 1e-12)
 
     def test_sigma2_empty_with_huge_guard(self):
@@ -210,24 +213,25 @@ class TestNuSigma:
 
 def sigma2_per_slot_oracle(guards, filt, subcarriers, preamble_slot, t):
     """sigma2_of_t as it was before one lookup served every slot: one
-    filter call per reaching data slot, squared and added in slot order."""
+    filter call per reaching data slot, squared and added in slot order;
+    the lookups and the slot set are the array-time reference's."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     acc = np.zeros_like(t)
-    for slot in reaching_data_slots(preamble_slot, guards, filt.overlap, t):
-        acc += filt(t - slot / 2.0) ** 2
+    for slot in reaching_slots(preamble_slot, guards, filt.overlap, t):
+        acc += filter_lookup(filt, t - slot / 2.0) ** 2
     return 0.5 * subcarriers * acc
 
 
 def slot_signal_per_slot_oracle(coeffs, slots, t, filt):
     """slot_signal as it was before one lookup served every slot: one
-    filter call per slot inside the loop."""
+    filter call per slot inside the loop, the array-time reference's."""
     coeffs = np.asarray(coeffs)
     m_count = coeffs.shape[-1]
     carriers = np.exp(2j * np.pi * np.outer(np.arange(m_count), t))
     out = 0
     for i, s in enumerate(slots):
         phased = coeffs[..., i, :] * carrier_phase(m_count, s)
-        out = out + (phased @ carriers) * filt(t - s / 2.0)
+        out = out + (phased @ carriers) * filter_lookup(filt, t - s / 2.0)
     return out
 
 
@@ -280,7 +284,7 @@ class TestPulseLookup:
         rng = np.random.default_rng(seed)
         # The data slots, as signal_at_times passes them, and the preamble
         # slot as a list, as nu_of_t does.
-        slots = reaching_data_slots(PRE, guards, filt.overlap, t)
+        slots = reaching_slots(PRE, guards, filt.overlap, t)
         for slot_list in (slots, [PRE]):
             coeffs = rng.standard_normal((3, len(slot_list), m)) + 1j * rng.standard_normal(
                 (3, len(slot_list), m))
@@ -328,7 +332,7 @@ class TestSparseCarriers:
         filt = make_filter(name, spt)
         t = data.draw(probe_times(filt))
         rng = np.random.default_rng(seed)
-        for slot_list in (reaching_data_slots(PRE, guards, filt.overlap, t), [PRE]):
+        for slot_list in (reaching_slots(PRE, guards, filt.overlap, t), [PRE]):
             coeffs = zero_masked(data.draw, rng, (3, len(slot_list), m))
             got = slot_signal(coeffs, slot_list, t, filt)
             want = slot_signal_per_slot_oracle(coeffs, slot_list, t, filt)
@@ -372,9 +376,9 @@ def scalar_times(draw, filt):
 
 
 class TestScalarPath:
-    """The filter lookup, the slot set and the pulses have a Python-float
-    form for one float time; each gives the bits of the array form's
-    element at that time, in an array of many times."""
+    """The filter lookup, the slot set and the pulses take one float time;
+    each gives the bits of the array-time reference's element at that time,
+    in an array of many times."""
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
@@ -387,21 +391,20 @@ class TestScalarPath:
         args = t_arr - slots[:, None] / 2.0
         lookups = [filt(a) for a in args.ravel().tolist()]
         assert all(type(g) is float for g in lookups)
-        assert same_bits(np.array(lookups, dtype=float), filt(args.ravel()))
-        pulses = slot_pulses(slots, t_arr, filt)
+        assert same_bits(np.array(lookups, dtype=float), filter_lookup(filt, args.ravel()))
+        pulses = reference_pulses(slots, t_arr, filt)
         for j, t in enumerate(times):
             assert same_bits(np.array(slot_pulses(slots, t, filt)), pulses[:, j])
-        # The array form's slot set is the union of each time's.
+        # The reference's slot set is the union of each time's.
         each = [reaching_data_slots(PRE, guards, filt.overlap, t) for t in times]
-        want = reaching_data_slots(PRE, guards, filt.overlap, t_arr)
-        assert all(s.dtype == want.dtype for s in each)
-        assert np.array_equal(np.unique(np.concatenate([want[:0], *each])), want)
+        assert sorted(set().union(*each)) == reaching_slots(PRE, guards, filt.overlap,
+                                                            t_arr).tolist()
 
     @pytest.mark.parametrize("name", ["phydyas4", "hermite"])
     def test_filter_ties_round_to_even(self, name):
         filt = make_filter(name, 8)
         args = (np.arange(filt.overlap * 8) + 0.5) / 8
-        assert same_bits(np.array([filt(float(a)) for a in args]), filt(args))
+        assert same_bits(np.array([filt(float(a)) for a in args]), filter_lookup(filt, args))
 
     @pytest.mark.parametrize("t", [40.7, np.float64(40.7)])
     def test_at_time_looks_up_python_floats(self, monkeypatch, t):
@@ -601,6 +604,20 @@ class TestSignalAtTimes:
         s = signal_at_times(preamble, filt, cfg, times, 2)
         for j, t in enumerate(times.tolist()):
             assert same_bits(np.abs(s[:, j]), np.full(2, nu_of_t(preamble, filt, cfg, t)))
+
+    @pytest.mark.parametrize("name", ["phydyas3", "phydyas4", "hermite"])
+    @pytest.mark.parametrize("m, guards", [(64, 0), (96, 3), (160, 6), (512, 1)])
+    def test_equals_array_time_reference(self, name, m, guards):
+        # 47 probe times across and around the window, the support edges
+        # of the slots that reach it included.
+        cfg = FrameConfig(subcarriers=m, guards=guards, oversample=4, rng_seed=11)
+        filt = make_filter(name, cfg.samples_per_symbol)
+        preamble = sparse_golay_preamble(m, 32)
+        n = cfg.preamble_slot
+        times = np.concatenate([n / 2 + np.linspace(-0.5, 3.5, 41),
+                                (n + np.arange(-5, 1)) / 2 + filt.overlap])
+        got = signal_at_times(preamble, filt, cfg, times, 17)
+        assert same_bits(got, reference_signal_at_times(preamble, filt, cfg, times, 17))
 
 
 class TestIaprExceedance:

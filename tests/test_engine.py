@@ -31,8 +31,9 @@ from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, _papr_db, _Wi
 from fbmc_preamble.prototype import make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import (FrameConfig, FrameError, add_weighted, build_frame,
-                                    carrier_phase, reaching_data_slots, slot_data, synthesize)
+                                    carrier_phase, slot_data, synthesize)
 from fbmc_preamble.workers import POOL, cpu_count
+from lookup_reference import filter_lookup, reaching_slots
 
 # (subcarriers, rng_seed, trial, slot, data bits with 1 for +1)
 GOLDEN_CELLS = [
@@ -127,7 +128,8 @@ def full_window_oracle(preamble, filt, cfg, data):
     support: the preamble's window tiled per trial, then for each reaching
     data slot in order a complex out += g * sum over the whole window, with
     g cast to complex.  The window starts at slot n + K - 2, so that it is
-    centred on the preamble pulse's peak (n + K)/2."""
+    centred on the preamble pulse's peak (n + K)/2.  The weights and the
+    slots are the array-time reference's, at the window's sample times."""
     spt = cfg.samples_per_symbol
     n, m = cfg.preamble_slot, cfg.subcarriers
     start = n + filt.overlap - 2
@@ -140,16 +142,43 @@ def full_window_oracle(preamble, filt, cfg, data):
         base = np.fft.ifft(coeff, axis=1, norm="forward" if exact else "backward")
         if not exact:
             base *= spt
-        return filt(t_win - s / 2.0).reshape(2, spt) * base[:, None, :]
+        return filter_lookup(filt, t_win - s / 2.0).reshape(2, spt) * base[:, None, :]
 
     coeff = np.zeros((1, spt), dtype=complex)
     coeff[0, :m] = preamble * carrier_phase(m, n, start)
     out = np.tile(slot_sum(coeff, n), (data.shape[1], 1, 1))
     coeff = np.zeros((data.shape[1], spt), dtype=complex)
-    for s, a in zip(reaching_data_slots(n, cfg.guards, filt.overlap, t_win), data):
+    for s, a in zip(reaching_slots(n, cfg.guards, filt.overlap, t_win), data):
         coeff[:, :m] = a * carrier_phase(m, s, start)
         out += slot_sum(coeff, s)
     return out.reshape(data.shape[1], 2 * spt)
+
+
+@pytest.mark.parametrize("name", ["phydyas3", "phydyas4", "hermite"])
+def test_sampler_slots_are_the_closed_form(name):
+    # The slots s with G < |s - n| <= K + 1, those whose support
+    # [s/2, s/2 + K) meets the window [(n+K-2)/2, (n+K+2)/2), are the slots
+    # the array-time reference finds at the window's 2 spt sample times.
+    for m in (2, 3, 64, 96, 512):
+        for oversample in (2, 3, 4, 8):
+            spt = m * oversample
+            if spt % 2:
+                continue
+            filt = make_filter(name, spt)
+            k = filt.overlap
+            for guards in range(8):
+                # The default preamble slot, which is even, and an odd one.
+                for pre in (None, 2 * guards + 25):
+                    cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample,
+                                      preamble_slot=pre)
+                    n = cfg.preamble_slot
+                    start = n + k - 2
+                    t_win = start / 2.0 + np.arange(2 * spt) / spt
+                    got = _WindowSampler(unit_preamble(m, 0), filt, cfg).data_slots
+                    closed = [s for s in range(n - k - 1, n + k + 2) if abs(s - n) > guards]
+                    assert got.tolist() == closed
+                    assert np.array_equal(got, reaching_slots(n, guards, k, t_win))
+                    assert (got.size == 0) == (guards >= k + 1)
 
 
 def same_bits(a, b):

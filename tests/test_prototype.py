@@ -6,6 +6,7 @@ import pytest
 from fbmc_preamble.prototype import (FilterError, PrototypeFilter, hermite_poly,
                                      hermite_taps, make_filter, papr_bound_sigma0,
                                      phydyas_taps)
+from lookup_reference import filter_lookup
 
 # Frozen from the closed forms evaluated at high precision.
 BOUND_PHYDYAS4 = 1.634912
@@ -121,8 +122,18 @@ class TestUtility:
 
     def test_lookup_outside_support_is_zero(self):
         f = phydyas_taps(4, 64)
-        assert np.all(f(np.array([-0.1, 4.0, 7.3])) == 0.0)
-        assert f(np.array([2.0]))[0] == f.peak
+        outside = [-0.1, 4.0, 7.3]
+        assert [f(t) for t in outside] == [0.0] * 3
+        assert np.all(filter_lookup(f, np.array(outside)) == 0.0)
+        assert f(2.0) == filter_lookup(f, np.array([2.0]))[0] == f.peak
+
+    @pytest.mark.parametrize("t", [np.array([1.0, 2.0]), np.array(2.0), "2.0", True, 2])
+    def test_lookup_refuses_what_is_not_a_float(self, t):
+        # An array used to end in numpy's "truth value ... is ambiguous".
+        f = phydyas_taps(4, 64)
+        with pytest.raises(FilterError, match="t must be a float"):
+            f(t)
+        assert f(np.float64(2.0)) == f.peak
 
     def test_csv_export(self, tmp_path):
         f = hermite_taps(16)

@@ -9,6 +9,7 @@ from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed
 from fbmc_preamble.waveform import (FrameConfig, FrameError, build_frame, carrier_phase,
                                     slot_data, synthesize, transmultiplexer_response)
+from lookup_reference import transmultiplexer_response as reference_response
 
 
 def small_cfg(**kw) -> FrameConfig:
@@ -302,3 +303,41 @@ class TestTransmultiplexer:
                 delta = 1.0 if (m, n) == (p, q) else 0.0
                 worst = max(worst, abs(z.real - delta))
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("name", ["phydyas3", "phydyas4", "hermite"])
+    @pytest.mark.parametrize("L", [8, 64, 512])
+    def test_equals_array_time_reference(self, name, L):
+        # Taps indexed on the filter's grid against slot_signal's pulses at
+        # the sample times: the same bits, once -0 is folded into +0.
+        filt = make_filter(name, L)
+        for m, n in [(0, 0), (1, 3), (5, 1), (2, 6)]:
+            for p in range(4):
+                for q in (-1, 0, 2, 3, 7):
+                    got = transmultiplexer_response(filt, m, n, p, q) + 0.0
+                    want = reference_response(filt, m, n, p, q) + 0.0
+                    assert (got.real, got.imag) == (want.real, want.imag)
+                    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+    def test_negative_subcarrier(self):
+        # m = -1 used to read the last row of an identity matrix: subcarrier
+        # 0's pulse, so (-1, 0, 0, 0) gave 1.
+        filt = make_filter("phydyas4", 512)
+        assert abs(transmultiplexer_response(filt, -1, 0, 0, 0).real) < 1e-4
+        assert transmultiplexer_response(filt, -1, 0, -1, 0).real == pytest.approx(1.0,
+                                                                                   abs=1e-4)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1", None, np.float64(1.0)])
+    def test_refuses_an_index_that_is_not_an_integer(self, index):
+        filt = make_filter("phydyas4", 64)
+        for pos in range(4):
+            args = [0, 0, 0, 0]
+            args[pos] = index
+            with pytest.raises(FrameError, match="indices must be integers"):
+                transmultiplexer_response(filt, *args)
+        assert transmultiplexer_response(filt, np.int64(1), 0, 1, np.int32(0)) == (
+            transmultiplexer_response(filt, 1, 0, 1, 0))
+
+    def test_refuses_an_odd_rate(self):
+        # At L = 65 odd slots start between samples; the diagonal read 0.99994.
+        with pytest.raises(FrameError, match="65 samples per symbol must be even"):
+            transmultiplexer_response(make_filter("phydyas4", 65), 0, 1, 0, 1)
