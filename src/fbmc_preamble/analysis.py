@@ -18,9 +18,9 @@ import numpy as np
 from scipy.special.cython_special import chndtr as _chndtr
 
 from .prototype import PrototypeFilter
-from .waveform import (FrameConfig, SampledSignal, add_weighted, carrier_phase, check_rate,
-                       check_trials, checked_preamble, reaching_data_slots, slot_data,
-                       slot_pulses, slot_signal, slot_sums, synthesize)
+from .waveform import (SLOT_BITS, FrameConfig, SampledSignal, add_weighted, carrier_phase,
+                       check_rate, check_trials, checked_preamble, reaching_data_slots,
+                       slot_data, slot_pulses, slot_signal, slot_sums, slot_term, synthesize)
 from .workers import POOL, cpu_count
 
 
@@ -71,21 +71,25 @@ def papr(signal: SampledSignal, window: AnalysisWindow, p_avg: float) -> float:
 _REAL = (float, int, np.floating, np.integer)      # bool is an int, and is refused
 
 
-def _real(what: str, value, low: float = -math.inf) -> float:
+def _real(what: str, value, high: float = math.inf) -> float:
     """value as a float, if it is a real number (not a bool, a string or an
-    array) that is finite and >= low; raises AnalysisError otherwise.  The
-    input check of the Rician model's scalars."""
+    array) that is finite, >= 0 and < high; raises AnalysisError otherwise.
+    The input check of the Rician model's scalars."""
     if not isinstance(value, _REAL) or isinstance(value, bool):
         raise AnalysisError(f"{what} must be a real number, not {value!r}")
     value = float(value)
-    if not (-math.inf < value < math.inf and value >= low):
-        raise _not_finite(what, low)
+    if not 0.0 <= value < high:      # NaN and inf fail too
+        within = ">= 0" if high == math.inf else f"in [0, {high:g})"
+        raise AnalysisError(f"{what} must be finite and {within}")
     return value
 
 
-def _not_finite(what: str, low: float) -> AnalysisError:
-    bound = f" and >= {low:g}" if low > -math.inf else ""
-    return AnalysisError(f"{what} must be finite{bound}")
+def _model_time(t) -> float:
+    """t as a float, if it is a real number in [0, 2^15): the times whose
+    half-slot index floor(2t) is a valid slot_data key, where t - s/2 still
+    resolves a half slot.  Raises AnalysisError otherwise.  The one check of
+    a time of nu_of_t, sigma2_of_t and signal_at_times."""
+    return _real("t", t, float(1 << (SLOT_BITS - 1)))
 
 
 def _trial_count(trials, low: int) -> int:
@@ -96,38 +100,31 @@ def _trial_count(trials, low: int) -> int:
     return int(trials)
 
 
-def _preamble_share(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
-                    t: float) -> np.ndarray:
-    """The preamble's term of s(t) at one float time t, shape (1,)."""
-    return slot_signal(np.asarray(preamble, dtype=complex)[None, :], [cfg.preamble_slot], t,
-                       filt)
-
-
 def nu_of_t(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig, t) -> float:
     """Preamble-only envelope |g(t - nT/2)| |sum_m c_m j^m e^{j2pi m t}| at
     one time t, a real number.
 
     Independent of the guard count by construction.  The pulse enters in
     magnitude because nu is the mean length of the Rician phasor.  Raises
-    AnalysisError for a t that is not a finite real number and for a
+    AnalysisError for a t that is not a real number in [0, 2^15) and for a
     preamble that is not one entry per subcarrier, and FrameError for a
     filter not sampled at the frame's rate.
     """
-    t = _real("t", t)
+    t = _model_time(t)
     check_rate(filt, cfg)
     if np.shape(preamble) != (cfg.subcarriers,):
         raise AnalysisError(f"preamble of shape {np.shape(preamble)} is not "
                             f"({cfg.subcarriers},)")
-    return float(np.abs(_preamble_share(preamble, filt, cfg, t))[0])
+    return float(np.abs(slot_term(preamble, cfg.preamble_slot, t, filt)))
 
 
 def sigma2_of_t(filt: PrototypeFilter, cfg: FrameConfig, t) -> float:
     """Per-component variance (M/2) sum_{data slots} g^2(t - n'T/2) of the
     data interference at one time t, a real number, summed in Python floats
     in slot order; guard and preamble slots contribute nothing.  Raises
-    AnalysisError for a t that is not a finite real number, and FrameError
-    for a filter not sampled at the frame's rate."""
-    t = _real("t", t)
+    AnalysisError for a t that is not a real number in [0, 2^15), and
+    FrameError for a filter not sampled at the frame's rate."""
+    t = _model_time(t)
     check_rate(filt, cfg)
     acc = 0.0
     for g in slot_pulses(reaching_data_slots(cfg.preamble_slot, cfg.guards, filt.overlap, t),
@@ -145,7 +142,7 @@ class RicianPointModel:
 
     def __post_init__(self):
         for name in ("nu", "sigma", "p_avg"):
-            _real(name, getattr(self, name), 0.0)
+            _real(name, getattr(self, name))
         if self.p_avg == 0.0:
             raise AnalysisError("p_avg must be > 0")
 
@@ -173,7 +170,7 @@ def marcum_q1(a: float, b: float) -> float:
     FloatingPointError where scipy's chndtr gives no finite F, and
     AnalysisError unless a and b are real numbers, finite and >= 0.
     """
-    a, b = _real("a", a, 0.0), _real("b", b, 0.0)
+    a, b = _real("a", a), _real("b", b)
     # The scalar Cython chndtr runs the ufunc scipy.special.chndtr's C
     # routine without its dispatch.
     cdf = _chndtr(b * b, 2.0, a * a)
@@ -185,7 +182,7 @@ def marcum_q1(a: float, b: float) -> float:
 def iapr_exceedance(alpha: float, model: RicianPointModel) -> float:
     """Pr{|s(t)|^2 / P_avg >= alpha} at the model's time instant; raises
     AnalysisError unless alpha is a real number, finite and >= 0."""
-    alpha = _real("threshold", alpha, 0.0)
+    alpha = _real("threshold", alpha)
     if alpha == 0.0:
         return 1.0
     if model.sigma == 0.0:
@@ -465,27 +462,25 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     every data slot whose support reaches a probe time contributes.
 
     Used to validate the pointwise Rician model against simulation.  Raises
-    AnalysisError for a trial count that is not an integer >= 0 and for a
-    t of more than one dimension, and FrameError for a preamble that
-    build_frame refuses or a filter not sampled at the frame's rate.
+    AnalysisError for a trial count that is not an integer >= 0, for a t
+    of more than one dimension and for a time that is not a real number in
+    [0, 2^15), and FrameError for a preamble that build_frame refuses or a
+    filter not sampled at the frame's rate.
     """
     trials = _trial_count(trials, 0)
     preamble = checked_preamble(preamble, cfg.subcarriers)
     t = np.atleast_1d(t)
-    if t.dtype.kind not in "iuf":
-        raise AnalysisError(f"t must hold real numbers, not {t!r}")
     if t.ndim > 1:
         raise AnalysisError(f"t must be a number or a 1-D array, not of shape {t.shape}")
-    if not np.isfinite(t).all():
-        raise _not_finite("t", -math.inf)
-    t = t.astype(float)
+    times = [_model_time(x) for x in t.tolist()]
+    t = np.array(times, dtype=float)
     check_rate(filt, cfg)
     n = cfg.preamble_slot
-    # The float-t evaluation nu_of_t makes, so that |share| is nu bit for bit.
+    # The evaluation nu_of_t makes, so that |share| is nu bit for bit.
     out = np.empty((trials, len(t)), dtype=complex)
-    out[:] = [_preamble_share(preamble, filt, cfg, x)[0] for x in t.tolist()]
+    out[:] = [slot_term(preamble, n, x, filt) for x in times]
     slots = np.array(sorted(set().union(*(reaching_data_slots(n, cfg.guards, filt.overlap, x)
-                                          for x in t.tolist()))), dtype=int)
+                                          for x in times))), dtype=int)
     for lo in range(0, trials, DEFAULT_CHUNK):
         rows = np.arange(lo, min(lo + DEFAULT_CHUNK, trials))
         out[rows] += slot_signal(slot_data(cfg, rows[:, None], slots), slots, t, filt)

@@ -27,6 +27,15 @@ class SequenceError(ValueError):
     """Invalid sequence construction parameters."""
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, if it is an integer (numpy integers pass, bools do
+    not); raises SequenceError otherwise, where a cast would drop a
+    fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SequenceError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PhaseSequence:
     """Length-N sequence of phases over Z_Q."""
@@ -35,7 +44,11 @@ class PhaseSequence:
     phases: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=np.int64)
+        object.__setattr__(self, "modulus", _integer("modulus", self.modulus))
+        phases = np.asarray(self.phases)
+        if phases.size and phases.dtype.kind not in "iu":
+            raise SequenceError(f"phases must be integers, not {phases.dtype}")
+        phases = phases.astype(np.int64)
         if self.modulus < 1:
             raise SequenceError("modulus must be positive")
         if np.any((phases < 0) | (phases >= self.modulus)):
@@ -54,10 +67,7 @@ class PhaseSequence:
         """Reads {"modulus": Q, "phases": [...]}, all integers."""
         obj = json.loads(text)
         phases = _json_list(obj, "phases", integers=True)
-        modulus = obj.get("modulus")
-        if type(modulus) is not int:
-            raise SequenceError(f"modulus must be an integer, not {modulus!r}")
-        return cls(modulus=modulus, phases=phases)
+        return cls(modulus=obj.get("modulus"), phases=phases)
 
 
 def _json_list(obj, key: str, integers: bool) -> np.ndarray:
@@ -108,24 +118,25 @@ class GbfSpec:
     offset: int = 0
 
     def __post_init__(self):
+        # Stored as Python ints: numpy integers would wrap in the sums below.
+        for name in ("q", "mu", "const", "offset"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("pi", "b"):
+            object.__setattr__(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
         if self.q < 2 or self.q % 2 != 0:
             raise SequenceError("modulus Q must be a positive even integer")
         if self.mu < 1:
             raise SequenceError("mu must be >= 1")
-        q, mu = int(self.q), int(self.mu)     # numpy integers would wrap here
+        q, mu = self.q, self.mu
         if q // 2 * mu + (mu + 2) * (q - 1) >= 1 << 63:
             raise SequenceError(f"modulus Q = {q} is too large for mu = {mu}: "
                                 "phase sums would leave int64")
-        pi = tuple(int(v) for v in self.pi)
-        b = tuple(int(v) for v in self.b)
-        if sorted(pi) != list(range(1, self.mu + 1)):
+        if sorted(self.pi) != list(range(1, self.mu + 1)):
             raise SequenceError("pi must be a permutation of 1..mu")
-        if len(b) != self.mu:
+        if len(self.b) != self.mu:
             raise SequenceError("b must have mu entries")
-        if any(not 0 <= v < self.q for v in b + (self.const, self.offset)):
+        if any(not 0 <= v < self.q for v in self.b + (self.const, self.offset)):
             raise SequenceError("coefficients must lie in [0, Q)")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "b", b)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -298,33 +298,33 @@ def slot_pulses(slots, t: float, filt: PrototypeFilter) -> list[float]:
     return [filt(t - s / 2.0) for s in np.asarray(slots).tolist()]
 
 
-def slot_signal(coeffs: np.ndarray, slots, t, filt: PrototypeFilter) -> np.ndarray:
-    """sum_s (a_s j^{m+s}) e^{j2pi m t} g(t - s/2) at arbitrary times t.
+def slot_term(coeffs: np.ndarray, slot: int, t: float, filt: PrototypeFilter) -> complex:
+    """sum_m (a_m j^{m+slot}) e^{j2pi m t} g(t - slot/2), one slot's term at
+    one float time t, for the coefficients a (M,).
 
-    coeffs (..., len(slots), M) holds each slot's coefficients a_s; the
-    result has shape (..., len(t)), where a float t counts as one time.
-    The pulses are the one-time lookups of slot_pulses, at every time.
-
-    Carriers are computed only at the subcarriers where some coefficient
-    is nonzero; the other rows hold 0.0, and the zero coefficients there
-    give exact zeros.  The product stays full length, since a shorter one
-    sums in another order and changes the bits.  So for a finite t the
-    result equals the dense evaluation up to the sign of an exact zero.
-    A non-finite t gives 0, not NaN, where all coefficients are zero, so
-    callers must refuse it.
+    Carriers are computed only where a is nonzero, into a zero column; the
+    product stays full length, since a shorter one sums in another order.
+    So the result equals the dense sum up to the sign of an exact zero, and
+    with all coefficients zero a non-finite t gives 0, not NaN: callers
+    must refuse it.
     """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    m_count = len(coeffs)
+    used = np.flatnonzero(coeffs)
+    carriers = np.zeros((m_count, 1), dtype=complex)
+    carriers[used] = np.exp(2j * np.pi * np.outer(used, t))
+    phased = coeffs * carrier_phase(m_count, slot)
+    return ((phased @ carriers) * filt(t - slot / 2.0))[0]
+
+
+def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
+    """sum_s (a_s j^{m+s}) e^{j2pi m t} g(t - s/2) at the 1-D float array of
+    times t, for coeffs (..., len(slots), M); shape (..., len(t)).  The
+    pulses are slot_pulses' one-time lookups; the slots add in order."""
     coeffs = np.asarray(coeffs)
     m_count = coeffs.shape[-1]
-    used = np.flatnonzero(coeffs.reshape(-1, m_count).any(axis=0))
-    carriers = np.exp(2j * np.pi * np.outer(used, t))
-    if used.size < m_count:
-        full = np.zeros((m_count, carriers.shape[1]), dtype=complex)
-        full[used] = carriers
-        carriers = full
-    if isinstance(t, float):
-        pulses = slot_pulses(slots, t, filt)
-    else:
-        pulses = np.reshape([slot_pulses(slots, x, filt) for x in t], (len(t), len(slots))).T
+    carriers = np.exp(2j * np.pi * np.outer(np.arange(m_count), t))
+    pulses = np.reshape([slot_pulses(slots, x, filt) for x in t], (len(t), len(slots))).T
     out = 0
     for i, s in enumerate(slots):
         phased = coeffs[..., i, :] * carrier_phase(m_count, s)

@@ -12,7 +12,6 @@ import numpy as np
 
 from fbmc_preamble.analysis import DEFAULT_CHUNK
 from fbmc_preamble.waveform import carrier_phase, slot_data
-from fbmc_preamble.waveform import slot_signal as one_time_signal
 
 
 def filter_lookup(filt, t) -> np.ndarray:
@@ -68,12 +67,11 @@ def slot_signal(coeffs, slots, t, filt) -> np.ndarray:
 
 def signal_at_times(preamble, filt, cfg, t, trials) -> np.ndarray:
     """analysis.signal_at_times of a finite 1-D float t: the preamble's share
-    one float time at a time, as nu_of_t evaluates it, plus the data of
-    the slots that reach any of the times, in chunks of DEFAULT_CHUNK
-    trials."""
+    one time at a time, as nu_of_t evaluates it, plus the data of the slots
+    that reach any of the times, in chunks of DEFAULT_CHUNK trials."""
     n = cfg.preamble_slot
     out = np.empty((trials, len(t)), dtype=complex)
-    out[:] = [one_time_signal(preamble[None, :], [n], x, filt)[0] for x in t.tolist()]
+    out[:] = [slot_signal(preamble[None, :], [n], np.array([x]), filt)[0] for x in t.tolist()]
     slots = reaching_slots(n, cfg.guards, filt.overlap, t)
     for lo in range(0, trials, DEFAULT_CHUNK):
         rows = np.arange(lo, min(lo + DEFAULT_CHUNK, trials))

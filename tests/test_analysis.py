@@ -17,7 +17,8 @@ from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, CcdfResult,
 from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import (FrameConfig, FrameError, build_frame, carrier_phase,
-                                    reaching_data_slots, slot_pulses, slot_signal, synthesize)
+                                    reaching_data_slots, slot_pulses, slot_signal, slot_term,
+                                    synthesize)
 from lookup_reference import filter_lookup, reaching_slots
 from lookup_reference import signal_at_times as reference_signal_at_times
 from lookup_reference import slot_pulses as reference_pulses
@@ -282,8 +283,7 @@ class TestPulseLookup:
         filt = make_filter(name, spt)
         t = data.draw(probe_times(filt))
         rng = np.random.default_rng(seed)
-        # The data slots, as signal_at_times passes them, and the preamble
-        # slot as a list, as nu_of_t does.
+        # The data slots, as signal_at_times passes them, and one slot.
         slots = reaching_slots(PRE, guards, filt.overlap, t)
         for slot_list in (slots, [PRE]):
             coeffs = rng.standard_normal((3, len(slot_list), m)) + 1j * rng.standard_normal(
@@ -314,7 +314,7 @@ def zero_masked(draw, rng, shape):
 
 
 class TestSparseCarriers:
-    """slot_signal computes carriers only at subcarriers with a nonzero
+    """slot_term computes carriers only at subcarriers with a nonzero
     coefficient: its values, and nu_of_t's bits, are those of the dense
     per-slot evaluation."""
 
@@ -332,12 +332,14 @@ class TestSparseCarriers:
         filt = make_filter(name, spt)
         t = data.draw(probe_times(filt))
         rng = np.random.default_rng(seed)
-        for slot_list in (reaching_slots(PRE, guards, filt.overlap, t), [PRE]):
-            coeffs = zero_masked(data.draw, rng, (3, len(slot_list), m))
-            got = slot_signal(coeffs, slot_list, t, filt)
-            want = slot_signal_per_slot_oracle(coeffs, slot_list, t, filt)
-            # By value: a zero carrier may turn a -0.0 into 0.0.
-            assert np.array_equal(got, want)
+        slot_list = [PRE] + reaching_slots(PRE, guards, filt.overlap, t).tolist()
+        coeffs = zero_masked(data.draw, rng, (len(slot_list), m))
+        for a, s in zip(coeffs, slot_list):
+            for x in t.tolist():
+                got = slot_term(a, s, x, filt)
+                want = slot_signal_per_slot_oracle(a[None, :], [s], np.array([x]), filt)
+                # By value: a zero carrier may turn a -0.0 into 0.0.
+                assert type(got) is np.complex128 and np.array_equal([got], want)
         # nu of a preamble at the filter's rate, 4 samples per subcarrier.
         self.check_nu(zero_masked(data.draw, rng, (spt // 4,)), filt, t)
 
@@ -503,6 +505,30 @@ class TestRicianInputChecks:
         for call in calls:
             with pytest.raises(AnalysisError, match="t must be finite"):
                 call()
+
+    @pytest.mark.parametrize("t", [1e308, 1e20, 2.0**15, -0.5, np.float64(-1e-300)])
+    def test_time_outside_the_domain(self, t):
+        # At 1e308 nu read NaN and the others ended in a bare OverflowError;
+        # at 1e20, sigma^2 read 2.27e-12 where it is M, since t - s/2 no
+        # longer resolved a half slot.
+        n = self.cfg.preamble_slot
+        calls = [lambda: RicianPointModel.at_time(self.preamble, self.filt, self.cfg, t),
+                 lambda: nu_of_t(self.preamble, self.filt, self.cfg, t),
+                 lambda: sigma2_of_t(self.filt, self.cfg, t),
+                 lambda: signal_at_times(self.preamble, self.filt, self.cfg, [n / 2 + 1.0, t],
+                                         2)]
+        for call in calls:
+            with pytest.raises(AnalysisError, match=r"t must be finite and in \[0, 32768\)"):
+                call()
+
+    def test_times_at_the_domain_ends(self):
+        # The last half-slot index, 2^16 - 1, is a valid slot_data key.
+        last = 2.0**15 - 1.0 / self.cfg.samples_per_symbol
+        for t in (0.0, last):
+            model = RicianPointModel.at_time(self.preamble, self.filt, self.cfg, t)
+            assert model.sigma == math.sqrt(sigma2_of_t(self.filt, self.cfg, t))
+        assert model.nu == 0.0 and model.sigma > 0.0
+        assert signal_at_times(self.preamble, self.filt, self.cfg, [last], 2).shape == (2, 1)
 
     # The model reads the guard count from the frame, whose FrameConfig
     # refuses one that is not an integer >= 0.

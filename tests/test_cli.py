@@ -1,9 +1,12 @@
 import ast
 import csv
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +138,16 @@ class TestBounds:
         assert f"{value:.4f} dB" in out
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["bound_db"] == pytest.approx(value, abs=5e-4)
+
+    def test_package_runs_as_a_module(self, tmp_path):
+        # python -m fbmc_preamble runs __main__.py, which no other test imports.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "fbmc_preamble", "--json", "bounds",
+                               "--filter", "phydyas4"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.strip().splitlines()[-1])["bound_db"] == 1.6349
 
 
 class TestPapr:

@@ -118,6 +118,33 @@ class TestDjPair:
         with pytest.raises(SequenceError):
             GbfSpec(q=2, mu=3, pi=(1, 1, 2), b=(0, 0, 0))
 
+    @pytest.mark.parametrize("field,value", [
+        ("q", 2.0), ("q", True), ("mu", 2.0), ("pi", (1.0, 2)), ("pi", (True, 2)),
+        ("b", (0.5, 0)), ("b", (np.float64(1.0), 0)), ("const", 1.5), ("const", True),
+        ("offset", 1.0), ("offset", np.True_)])
+    def test_non_integer_field_rejected(self, field, value):
+        # b = (0.5, 0) used to be stored as (0, 0), and const = 1.5 gave the
+        # phases of const = 1.
+        fields = {"q": 4, "mu": 2, "pi": (1, 2), "b": (0, 0), "const": 0, "offset": 0,
+                  field: value}
+        with pytest.raises(SequenceError, match="must be an integer"):
+            GbfSpec(**fields)
+
+    def test_numpy_integer_fields_are_stored_as_ints(self):
+        spec = GbfSpec(q=np.int64(4), mu=np.int32(2), pi=tuple(np.array([2, 1])),
+                       b=(np.uint8(3), 0), const=np.int64(1), offset=np.int16(2))
+        assert spec == GbfSpec(q=4, mu=2, pi=(2, 1), b=(3, 0), const=1, offset=2)
+        assert all(type(v) is int for v in (spec.q, spec.mu, spec.const, spec.offset)
+                   + spec.pi + spec.b)
+        assert json.loads(spec.to_json())["q"] == 4
+
+    @pytest.mark.parametrize("modulus,phases", [(2.5, [0, 1]), (2.0, [0, 1]), (True, [0]),
+                                                (4, [0.5, 1]), (4, np.array([1.0])),
+                                                (4, [True, False])])
+    def test_phase_sequence_rejects_non_integers(self, modulus, phases):
+        with pytest.raises(SequenceError, match="must be an integer|must be integers"):
+            PhaseSequence(modulus=modulus, phases=phases)
+
     def test_random_specs_are_complementary(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
