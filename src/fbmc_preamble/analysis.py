@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special.cython_special import chndtr as _chndtr
 
 from .prototype import PrototypeFilter
 from .waveform import (SLOT_BITS, FrameConfig, SampledSignal, add_weighted, carrier_phase,
@@ -141,6 +140,7 @@ class RicianPointModel:
     p_avg: float
 
     def __post_init__(self):
+        _model_time(self.t)
         for name in ("nu", "sigma", "p_avg"):
             _real(name, getattr(self, name))
         if self.p_avg == 0.0:
@@ -160,6 +160,15 @@ class RicianPointModel:
 # ---------------------------------------------------------------------------
 # Special functions
 
+def _chndtr(x: float, df: float, nc: float) -> float:
+    """scipy's scalar Cython chndtr, imported on the first call, which then
+    rebinds this name to it: importing scipy.special takes about 0.25 s and
+    25 MB, which only the Rician model needs."""
+    global _chndtr
+    from scipy.special.cython_special import chndtr as _chndtr
+    return _chndtr(x, df, nc)
+
+
 def marcum_q1(a: float, b: float) -> float:
     """First-order Marcum Q-function, Q1(a, b) = 1 - F(b^2) for the
     noncentral chi-square F with 2 degrees of freedom and noncentrality a^2.
@@ -172,7 +181,8 @@ def marcum_q1(a: float, b: float) -> float:
     """
     a, b = _real("a", a), _real("b", b)
     # The scalar Cython chndtr runs the ufunc scipy.special.chndtr's C
-    # routine without its dispatch.
+    # routine without its dispatch; the name is looked up at each call, so
+    # after the first it reaches the Cython function directly.
     cdf = _chndtr(b * b, 2.0, a * a)
     if not math.isfinite(cdf):
         raise FloatingPointError(f"chndtr({b * b!r}, 2, {a * a!r}) = {cdf}")
@@ -463,9 +473,10 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
 
     Used to validate the pointwise Rician model against simulation.  Raises
     AnalysisError for a trial count that is not an integer >= 0, for a t
-    of more than one dimension and for a time that is not a real number in
-    [0, 2^15), and FrameError for a preamble that build_frame refuses or a
-    filter not sampled at the frame's rate.
+    of more than one dimension, for a time that is not a real number in
+    [0, 2^15) and for one that a data slot before slot 0 reaches (a t
+    below about the filter's overlap), and FrameError for a preamble that
+    build_frame refuses or a filter not sampled at the frame's rate.
     """
     trials = _trial_count(trials, 0)
     preamble = checked_preamble(preamble, cfg.subcarriers)
@@ -476,11 +487,15 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     t = np.array(times, dtype=float)
     check_rate(filt, cfg)
     n = cfg.preamble_slot
+    reaching = [reaching_data_slots(n, cfg.guards, filt.overlap, x) for x in times]
+    for x, near in zip(times, reaching):
+        if near and near[0] < 0:        # near is in slot order
+            raise AnalysisError(f"t = {x!r} is reached by data slot {near[0]}, and data "
+                                f"slots start at 0")
     # The evaluation nu_of_t makes, so that |share| is nu bit for bit.
     out = np.empty((trials, len(t)), dtype=complex)
     out[:] = [slot_term(preamble, n, x, filt) for x in times]
-    slots = np.array(sorted(set().union(*(reaching_data_slots(n, cfg.guards, filt.overlap, x)
-                                          for x in times))), dtype=int)
+    slots = np.array(sorted(set().union(*reaching)), dtype=int)
     for lo in range(0, trials, DEFAULT_CHUNK):
         rows = np.arange(lo, min(lo + DEFAULT_CHUNK, trials))
         out[rows] += slot_signal(slot_data(cfg, rows[:, None], slots), slots, t, filt)

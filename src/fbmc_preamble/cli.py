@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import (THRESHOLDS_DB, AnalysisError, RicianPointModel, average_power,
@@ -117,6 +116,8 @@ def _write_manifest(args, path: Path, config: dict, seed: int, outputs: list[str
                     **run) -> None:
     """Writes what a command did and where it ran; `run` adds fields that
     describe how the command's work went."""
+    import scipy        # only for its version: importing cli should not load it
+
     manifest = {
         "command": args.command,
         "config": config,

@@ -530,6 +530,22 @@ class TestRicianInputChecks:
         assert model.nu == 0.0 and model.sigma > 0.0
         assert signal_at_times(self.preamble, self.filt, self.cfg, [last], 2).shape == (2, 1)
 
+    def test_time_that_a_slot_before_slot_0_reaches(self):
+        # At M = 64, G = 1, data slots -6 to -1 reach t = 0.5: slot_data
+        # raised a FrameError naming a slot the caller never passed.
+        cfg = FrameConfig(subcarriers=64, guards=1, oversample=4, rng_seed=9)
+        times = [cfg.preamble_slot / 2 + 1.0, 0.5]
+        with mock.patch.object(analysis, "slot_data", side_effect=AssertionError), \
+                pytest.raises(AnalysisError, match=r"^t = 0\.5 is reached by data slot -6, "):
+            signal_at_times(self.preamble, self.filt, cfg, times, 2)
+
+    @pytest.mark.parametrize("t", ["x", True, math.nan, -1.0, 2.0**15])
+    def test_point_model_checks_its_time(self, t):
+        # RicianPointModel(t='x', ...) used to construct: only nu, sigma and
+        # p_avg were checked.
+        with pytest.raises(AnalysisError, match="^t must be "):
+            RicianPointModel(t=t, nu=1.0, sigma=1.0, p_avg=2.0)
+
     # The model reads the guard count from the frame, whose FrameConfig
     # refuses one that is not an integer >= 0.
     def test_negative_guard_count(self):

@@ -1,12 +1,17 @@
-"""The package's import layering, read from the source with ast, and the
-names the benchmark looks up in the package.
+"""The package's import layering, read from the source with ast, the
+names the benchmark looks up in the package, and which of its paths load
+scipy.special.
 
 Function-level imports count too, so a lazy import cannot hide a cycle.
 """
 
 import ast
 import importlib
+import json
 import operator
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +93,39 @@ def test_bench_names_resolve(name):
     module, attr = name.split(".", 1)
     assert callable(operator.attrgetter(attr)(
         importlib.import_module(f"fbmc_preamble.{module}")))
+
+
+# Imports every module, runs a command and a Monte Carlo call that shards
+# onto a worker, then reads whether this process and the worker loaded
+# scipy.special; last, one marcum_q1 call.
+COLD_START = """
+import json, sys
+from fbmc_preamble import analysis, cli, prototype, sequences, waveform, workers
+
+loaded = lambda: "scipy.special" in sys.modules
+assert cli.main(["--json", "bounds", "--filter", "phydyas4"]) == 0
+analysis.cpu_count = lambda: 2          # shard also on a single CPU
+cfg = waveform.FrameConfig(subcarriers=64, guards=2, rng_seed=3)
+filt = prototype.phydyas_taps(4, cfg.samples_per_symbol)
+analysis.monte_carlo_ccdf(sequences.sparse_golay_preamble(64, 8), filt, cfg,
+                          2 * analysis.DEFAULT_CHUNK)
+sharded = len(workers.POOL._workers)
+worker = workers.POOL.run(eval, [("0",), ('"scipy.special" in __import__("sys").modules',)])
+caller = loaded()
+a, b = 1.5, 2.25
+q = analysis.marcum_q1(a, b)
+import scipy.special
+print(json.dumps({"caller": caller, "worker": worker, "sharded": sharded,
+                  "after_q1": loaded(),
+                  "q1_bits": q == 1.0 - float(scipy.special.chndtr(b * b, 2, a * a))}))
+"""
+
+
+def test_only_the_rician_model_loads_scipy_special():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == {
+        "caller": False, "worker": [0, False], "sharded": 1, "after_q1": True,
+        "q1_bits": True}
