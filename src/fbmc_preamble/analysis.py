@@ -99,6 +99,18 @@ def _trial_count(trials, low: int) -> int:
     return int(trials)
 
 
+def _data_slots_at(filt: PrototypeFilter, cfg: FrameConfig, t: float) -> list[int]:
+    """The data slots whose support holds the checked time t, in slot order;
+    raises AnalysisError if one of them is before slot 0 (a t below about
+    the filter's overlap).  The slot check of sigma2_of_t and
+    signal_at_times."""
+    near = reaching_data_slots(cfg.preamble_slot, cfg.guards, filt.overlap, t)
+    if near and near[0] < 0:
+        raise AnalysisError(f"t = {t!r} is reached by data slot {near[0]}, and data slots "
+                            f"start at 0")
+    return near
+
+
 def nu_of_t(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig, t) -> float:
     """Preamble-only envelope |g(t - nT/2)| |sum_m c_m j^m e^{j2pi m t}| at
     one time t, a real number.
@@ -121,13 +133,13 @@ def sigma2_of_t(filt: PrototypeFilter, cfg: FrameConfig, t) -> float:
     """Per-component variance (M/2) sum_{data slots} g^2(t - n'T/2) of the
     data interference at one time t, a real number, summed in Python floats
     in slot order; guard and preamble slots contribute nothing.  Raises
-    AnalysisError for a t that is not a real number in [0, 2^15), and
-    FrameError for a filter not sampled at the frame's rate."""
+    AnalysisError for a t that is not a real number in [0, 2^15) and for
+    one that a data slot before slot 0 reaches, and FrameError for a filter
+    not sampled at the frame's rate."""
     t = _model_time(t)
     check_rate(filt, cfg)
     acc = 0.0
-    for g in slot_pulses(reaching_data_slots(cfg.preamble_slot, cfg.guards, filt.overlap, t),
-                         t, filt):
+    for g in slot_pulses(_data_slots_at(filt, cfg, t), t, filt):
         acc += g * g
     return acc * (0.5 * cfg.subcarriers)
 
@@ -278,16 +290,22 @@ class CcdfResult:
 
 
 class _WindowSampler:
-    """Evaluates s(t) over the analysis window for many trials at once.
+    """Evaluates s(t) over the analysis window for chunks of at most `rows`
+    trials at once.
 
     Only the slots whose filter support reaches the window are synthesized;
     all other symbols contribute exactly zero there, so the result matches
     full-frame synthesis sample for sample.  The window is two symbol
     intervals long and each slot's subcarrier sum, referenced to the window
     start, is T-periodic, so one IFFT of spt points serves both halves.
+
+    An engine shard builds one, and all its chunks write into its arrays (a
+    ragged last chunk into the first rows), so that the hot loop allocates
+    no array the size of a chunk.
     """
 
-    def __init__(self, preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig):
+    def __init__(self, preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
+                 rows: int):
         preamble = checked_preamble(preamble, cfg.subcarriers)
         self.cfg = cfg
         self.spt = spt = cfg.samples_per_symbol
@@ -298,6 +316,7 @@ class _WindowSampler:
         slots = np.arange(n - filt.overlap - 1, n + filt.overlap + 2)
         self.data_slots = slots[np.abs(slots - n) > cfg.guards]
         self.pairs = filt.pairs
+        self.rows = rows
 
         def term(s):
             """Slot s's coefficient phase, referenced to the window start, and
@@ -305,57 +324,15 @@ class _WindowSampler:
             return carrier_phase(m, s, start), (s - start) * spt // 2
 
         self._terms = [term(s) for s in self.data_slots]
+        # The preamble's window, from one-row temporaries, before the chunk arrays.
         phase, offset = term(n)
-        ws = self.workspace(1)
-        ws.coeff[0, :m] = preamble * phase
+        coeff = np.zeros((1, spt), dtype=complex)
+        coeff[0, :m] = preamble * phase
         self.preamble_window = np.zeros((1, 2, spt), dtype=complex)
-        add_weighted(self.preamble_window, slot_sums(ws.coeff, ws.base), self.pairs, offset,
-                     ws.product)
-
-    def window(self, data: np.ndarray, ws: "_Workspace") -> np.ndarray:
-        """Window samples, shape (count, 2 * spt), for the real data
-        (len(data_slots), count, M) of the data slots that reach it,
-        written to ws.out and returned as a view of it."""
-        data = np.asarray(data)
-        m = self.cfg.subcarriers
-        if data.ndim != 3 or data.shape[0] != len(self.data_slots) or data.shape[2] != m:
-            raise AnalysisError(f"data of shape {data.shape} is not "
-                                f"({len(self.data_slots)}, count, {m})")
-        count = data.shape[1]
-        out, coeff, base, product = (ws.out[:count], ws.coeff[:count], ws.base[:count],
-                                     ws.product[:count])
-        out[...] = self.preamble_window
-        for (phase, offset), a in zip(self._terms, data):
-            np.multiply(a, phase, out=coeff[:, :m])
-            add_weighted(out, slot_sums(coeff, base), self.pairs, offset, product)
-        return out.reshape(count, 2 * self.spt)
-
-    def sample_trials(self, first_trial: int, count: int, ws: "_Workspace") -> np.ndarray:
-        """Window samples, shape (count, 2 * spt), of trials
-        [first_trial, first_trial + count), written as window() writes them."""
-        trials = np.arange(first_trial, first_trial + count)
-        data = slot_data(self.cfg, trials, self.data_slots[:, None], out=ws.data(count))
-        return self.window(data, ws)
-
-    def workspace(self, rows: int) -> "_Workspace":
-        """A workspace for chunks of at most `rows` trials."""
-        return _Workspace(rows, self.spt, len(self.data_slots), self.cfg.subcarriers)
-
-
-class _Workspace:
-    """The arrays that a chunk of at most `rows` trials works in.
-
-    An engine shard builds one and all its chunks write into it, so that
-    the hot loop allocates no array the size of a chunk: each such
-    allocation, freed again, cost page faults under glibc's adaptive
-    malloc thresholds.  A ragged last chunk uses the first rows.
-    """
-
-    def __init__(self, rows: int, spt: int, slots: int, m: int):
-        # slot_data's output, flat, so that a ragged chunk's is a
-        # contiguous prefix.
-        self._data = np.empty(slots * rows * m)
-        self._slots, self._m = slots, m
+        add_weighted(self.preamble_window, slot_sums(coeff, np.empty_like(coeff)), self.pairs,
+                     offset, np.empty((1, 2, 2 * spt)))
+        # slot_data's output, flat, so that a ragged chunk's is a contiguous prefix.
+        self._data = np.empty(len(self.data_slots) * rows * m)
         self.out = np.empty((rows, 2, spt), dtype=complex)     # the window
         # Phased coefficients; the zero padding past M is never written.
         self.coeff = np.zeros((rows, spt), dtype=complex)
@@ -364,9 +341,33 @@ class _Workspace:
         self.product = np.empty((rows, 2, 2 * spt))             # add_weighted's products
         self.peak = np.empty(rows)
 
-    def data(self, count: int) -> np.ndarray:
-        """The (slots, count, M) data array of a chunk of count trials."""
-        return self._data[:self._slots * count * self._m].reshape(self._slots, count, self._m)
+    def window(self, data: np.ndarray) -> np.ndarray:
+        """Window samples, shape (count, 2 * spt), for the real data
+        (len(data_slots), count, M) of the data slots that reach it, with
+        count <= rows, written to the sampler's window array and returned
+        as a view of it."""
+        data = np.asarray(data)
+        m = self.cfg.subcarriers
+        if (data.ndim != 3 or data.shape[0] != len(self.data_slots) or data.shape[2] != m
+                or data.shape[1] > self.rows):
+            raise AnalysisError(f"data of shape {data.shape} is not "
+                                f"({len(self.data_slots)}, count <= {self.rows}, {m})")
+        count = data.shape[1]
+        out, coeff, base, product = (self.out[:count], self.coeff[:count], self.base[:count],
+                                     self.product[:count])
+        out[...] = self.preamble_window
+        for (phase, offset), a in zip(self._terms, data):
+            np.multiply(a, phase, out=coeff[:, :m])
+            add_weighted(out, slot_sums(coeff, base), self.pairs, offset, product)
+        return out.reshape(count, 2 * self.spt)
+
+    def sample_trials(self, first_trial: int, count: int) -> np.ndarray:
+        """Window samples, shape (count, 2 * spt), of trials
+        [first_trial, first_trial + count), written as window() writes them."""
+        trials = np.arange(first_trial, first_trial + count)
+        slots, m = len(self.data_slots), self.cfg.subcarriers
+        data = self._data[:slots * count * m].reshape(slots, count, m)
+        return self.window(slot_data(self.cfg, trials, self.data_slots[:, None], out=data))
 
 
 # Trials per sampler call.  _papr_db_shards reads it at call time and hands
@@ -383,16 +384,18 @@ def engine_processes(trials: int) -> int:
     return max(1, min(cpu_count(), -(-trials // DEFAULT_CHUNK)))
 
 
-def _papr_db(sampler: _WindowSampler, first_trial: int, trials: int, chunk: int) -> np.ndarray:
-    """Per-trial window PAPR in dB of trials [first_trial, first_trial + trials)."""
-    p_avg = average_power(sampler.cfg.subcarriers)
-    ws = sampler.workspace(min(chunk, trials))
+def _papr_db(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
+             first_trial: int, trials: int, chunk: int) -> np.ndarray:
+    """Per-trial window PAPR in dB of trials [first_trial, first_trial + trials),
+    from one sampler built here, in the process that runs the shard."""
+    p_avg = average_power(cfg.subcarriers)
+    sampler = _WindowSampler(preamble, filt, cfg, min(chunk, trials))
     out = np.empty(trials)
     for lo in range(0, trials, chunk):
         count = min(chunk, trials - lo)
-        win = sampler.sample_trials(first_trial + lo, count, ws)
-        peak = ws.peak[:count]
-        np.max(np.abs(win, out=ws.base[:count].view(float)), axis=1, out=peak)
+        win = sampler.sample_trials(first_trial + lo, count)
+        peak = sampler.peak[:count]
+        np.max(np.abs(win, out=sampler.base[:count].view(float)), axis=1, out=peak)
         # max |w| squared is max |w|^2 bit for bit: rounding x * x is
         # monotone for x >= 0.
         np.multiply(peak, peak, out=peak)
@@ -412,7 +415,8 @@ def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     here, before any worker is fed.
     """
     trials = _trial_count(trials, 0)
-    sampler = _WindowSampler(preamble, filt, cfg)
+    preamble = checked_preamble(preamble, cfg.subcarriers)
+    check_rate(filt, cfg)
     stop = first_trial + trials
     check_trials(first_trial, stop)
     if trials < 1:
@@ -423,7 +427,7 @@ def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     span = chunk * min(-(-chunks // processes), max(1, MAX_SHARD_TRIALS // chunk))
     starts = range(first_trial, stop, span)
     for k in range(0, len(starts), processes):
-        yield from POOL.run(_papr_db, [(sampler, s, min(span, stop - s), chunk)
+        yield from POOL.run(_papr_db, [(preamble, filt, cfg, s, min(span, stop - s), chunk)
                                        for s in starts[k: k + processes]])
 
 
@@ -486,15 +490,10 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     times = [_model_time(x) for x in t.tolist()]
     t = np.array(times, dtype=float)
     check_rate(filt, cfg)
-    n = cfg.preamble_slot
-    reaching = [reaching_data_slots(n, cfg.guards, filt.overlap, x) for x in times]
-    for x, near in zip(times, reaching):
-        if near and near[0] < 0:        # near is in slot order
-            raise AnalysisError(f"t = {x!r} is reached by data slot {near[0]}, and data "
-                                f"slots start at 0")
+    reaching = [_data_slots_at(filt, cfg, x) for x in times]
     # The evaluation nu_of_t makes, so that |share| is nu bit for bit.
     out = np.empty((trials, len(t)), dtype=complex)
-    out[:] = [slot_term(preamble, n, x, filt) for x in times]
+    out[:] = [slot_term(preamble, cfg.preamble_slot, x, filt) for x in times]
     slots = np.array(sorted(set().union(*reaching)), dtype=int)
     for lo in range(0, trials, DEFAULT_CHUNK):
         rows = np.arange(lo, min(lo + DEFAULT_CHUNK, trials))

@@ -522,22 +522,34 @@ class TestRicianInputChecks:
                 call()
 
     def test_times_at_the_domain_ends(self):
-        # The last half-slot index, 2^16 - 1, is a valid slot_data key.
+        # The last half-slot index, 2^16 - 1, is a valid slot_data key.  No
+        # slot before slot 0 reaches K - 1/2, and slot -1 reaches just below.
         last = 2.0**15 - 1.0 / self.cfg.samples_per_symbol
-        for t in (0.0, last):
+        for t in (3.5, last):
             model = RicianPointModel.at_time(self.preamble, self.filt, self.cfg, t)
             assert model.sigma == math.sqrt(sigma2_of_t(self.filt, self.cfg, t))
         assert model.nu == 0.0 and model.sigma > 0.0
+        with pytest.raises(AnalysisError, match="reached by data slot -1, "):
+            RicianPointModel.at_time(self.preamble, self.filt, self.cfg,
+                                     3.5 - 1.0 / self.cfg.samples_per_symbol)
         assert signal_at_times(self.preamble, self.filt, self.cfg, [last], 2).shape == (2, 1)
 
     def test_time_that_a_slot_before_slot_0_reaches(self):
         # At M = 64, G = 1, data slots -6 to -1 reach t = 0.5: slot_data
-        # raised a FrameError naming a slot the caller never passed.
+        # raised a FrameError naming a slot the caller never passed, and
+        # sigma2_of_t read 63.99999999999999, counting those slots as data.
         cfg = FrameConfig(subcarriers=64, guards=1, oversample=4, rng_seed=9)
         times = [cfg.preamble_slot / 2 + 1.0, 0.5]
-        with mock.patch.object(analysis, "slot_data", side_effect=AssertionError), \
-                pytest.raises(AnalysisError, match=r"^t = 0\.5 is reached by data slot -6, "):
-            signal_at_times(self.preamble, self.filt, cfg, times, 2)
+        calls = [lambda: signal_at_times(self.preamble, self.filt, cfg, times, 2),
+                 lambda: sigma2_of_t(self.filt, cfg, 0.5),
+                 lambda: RicianPointModel.at_time(self.preamble, self.filt, cfg, 0.5)]
+        for call in calls:
+            with mock.patch.object(analysis, "slot_data", side_effect=AssertionError), \
+                    pytest.raises(AnalysisError, match=r"^t = 0\.5 is reached by data slot -6, "):
+                call()
+        # nu_of_t reads no data slot, so it keeps its domain; the preamble's
+        # pulse does not reach t = 0.5.
+        assert nu_of_t(self.preamble, self.filt, cfg, 0.5) == 0.0
 
     @pytest.mark.parametrize("t", ["x", True, math.nan, -1.0, 2.0**15])
     def test_point_model_checks_its_time(self, t):
@@ -566,7 +578,7 @@ class TestRicianInputChecks:
         # given by the model.
         filt = phydyas_taps(4, self.cfg.samples_per_symbol // 4)
         n = self.cfg.preamble_slot
-        calls = {"sampler": lambda: _WindowSampler(self.preamble, filt, self.cfg),
+        calls = {"sampler": lambda: _WindowSampler(self.preamble, filt, self.cfg, 1),
                  "signal_at_times": lambda: signal_at_times(self.preamble, filt, self.cfg,
                                                             [n / 2 + 2.0], 2),
                  "at_time": lambda: RicianPointModel.at_time(self.preamble, filt, self.cfg,

@@ -174,7 +174,7 @@ def test_sampler_slots_are_the_closed_form(name):
                     n = cfg.preamble_slot
                     start = n + k - 2
                     t_win = start / 2.0 + np.arange(2 * spt) / spt
-                    got = _WindowSampler(unit_preamble(m, 0), filt, cfg).data_slots
+                    got = _WindowSampler(unit_preamble(m, 0), filt, cfg, 1).data_slots
                     closed = [s for s in range(n - k - 1, n + k + 2) if abs(s - n) > guards]
                     assert got.tolist() == closed
                     assert np.array_equal(got, reaching_slots(n, guards, k, t_win))
@@ -236,15 +236,14 @@ class TestWindow:
         cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample, rng_seed=seed)
         filt = make_filter(name, cfg.samples_per_symbol)
         preamble = unit_preamble(m, seed)
-        sampler = _WindowSampler(preamble, filt, cfg)
+        sampler = _WindowSampler(preamble, filt, cfg, chunk)
         trials = np.arange(first_trial, first_trial + chunk)
         data = slot_data(cfg, trials, sampler.data_slots[:, None])
         oracle = full_window_oracle(preamble, filt, cfg, data)
-        ws = sampler.workspace(chunk)
-        assert same_bits(sampler.sample_trials(first_trial, chunk, ws), oracle)
-        assert same_bits(sampler.window(data, ws), oracle)
+        assert same_bits(sampler.sample_trials(first_trial, chunk), oracle)
+        assert same_bits(sampler.window(data), oracle)
         real = np.random.default_rng(seed).standard_normal(data.shape)
-        assert same_bits(sampler.window(real, ws),
+        assert same_bits(sampler.window(real),
                          full_window_oracle(preamble, filt, cfg, real))
 
     @settings(max_examples=20, deadline=None)
@@ -257,7 +256,7 @@ class TestWindow:
         cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample, rng_seed=seed)
         filt = make_filter(name, cfg.samples_per_symbol)
         preamble = unit_preamble(m, seed)
-        sampler = _WindowSampler(preamble, filt, cfg)
+        sampler = _WindowSampler(preamble, filt, cfg, 1)
         # Any real data, not only +-1, in the slots that reach the window;
         # the other data slots keep build_frame's data.
         data = np.random.default_rng(seed).standard_normal((len(sampler.data_slots), 1, m))
@@ -265,17 +264,20 @@ class TestWindow:
         symbols[:, sampler.data_slots - cfg.first_slot] = data[:, 0, :].T
         sig = synthesize(symbols, filt, cfg)
         p_avg = average_power(m)
-        win = sampler.window(data, sampler.workspace(1))[0]
+        win = sampler.window(data)[0]
         fast = 10.0 * np.log10(np.max(np.abs(win) ** 2) / p_avg)
         full = papr(sig, AnalysisWindow.for_signal(sig, cfg.preamble_slot), p_avg)
         assert abs(fast - full) <= 1e-9
 
-    @pytest.mark.parametrize("shape", [(8, 16), (7, 2, 16), (8, 2, 15), (8, 2, 16, 1)])
+    # (8, 5, 16) is data for more trials than the sampler's 4 rows: it used
+    # to end in a numpy ValueError from a shape mismatch.
+    @pytest.mark.parametrize("shape", [(8, 16), (7, 2, 16), (8, 2, 15), (8, 2, 16, 1),
+                                       (8, 5, 16)])
     def test_rejects_data_of_the_wrong_shape(self, shape):
-        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
+        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, 4)
         assert len(sampler.data_slots) == 8
         with pytest.raises(AnalysisError, match="shape"):
-            sampler.window(np.ones(shape), sampler.workspace(8))
+            sampler.window(np.ones(shape))
 
 
 class TestWindowCentre:
@@ -286,7 +288,7 @@ class TestWindowCentre:
         cfg = FrameConfig(subcarriers=512, guards=3, oversample=4)
         filt = make_filter(name, cfg.samples_per_symbol)
         envelope = np.abs(_WindowSampler(sparse_golay_preamble(512, 32), filt,
-                                         cfg).preamble_window.ravel())
+                                         cfg, 1).preamble_window.ravel())
         assert len(envelope) == 4096
         assert np.argmax(envelope) == 2048
 
@@ -300,20 +302,18 @@ class TestWindowCentre:
             cfg = FrameConfig(subcarriers=16, guards=guards, oversample=2)
             filt = make_filter(name, cfg.samples_per_symbol)
             assert filt.overlap == overlap
-            reaching.append(len(_WindowSampler(SMALL_PREAMBLE, filt, cfg).data_slots))
+            reaching.append(len(_WindowSampler(SMALL_PREAMBLE, filt, cfg, 1).data_slots))
         assert [g for g in range(7) if reaching[g] == 0] == list(range(overlap + 1, 7))
 
 
 class TestWorkspace:
-    """Each shard works in one workspace: its chunks allocate no array the
-    size of a chunk."""
+    """Each shard works in the arrays of its one sampler: its chunks
+    allocate no array the size of a chunk."""
 
     @pytest.mark.parametrize("guards", [1, 2, 3])
     def test_further_chunks_allocate_no_chunk_sized_array(self, guards):
         cfg = FrameConfig(subcarriers=512, guards=guards, oversample=4)
         spt, chunk = cfg.samples_per_symbol, 16
-        sampler = _WindowSampler(sparse_golay_preamble(512, 32),
-                                 phydyas_taps(4, spt), cfg)
         calls, base = [], []
 
         def reset_after_first_chunk(*args, **kwargs):
@@ -327,7 +327,8 @@ class TestWorkspace:
         tracemalloc.start()
         try:
             with mock.patch.object(analysis, "slot_data", reset_after_first_chunk):
-                _papr_db(sampler, 0, 5 * chunk, chunk)
+                _papr_db(sparse_golay_preamble(512, 32), phydyas_taps(4, spt), cfg, 0,
+                         5 * chunk, chunk)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -335,12 +336,11 @@ class TestWorkspace:
         assert peak - base[0] < chunk * 2 * spt * 8
 
     def test_ragged_chunk_leaves_no_stale_samples(self):
-        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
-        ws = sampler.workspace(4)
-        sampler.sample_trials(100, 4, ws)
-        # A result is a view of its workspace, so the reference has its own.
-        assert same_bits(sampler.sample_trials(7, 3, ws),
-                         sampler.sample_trials(7, 3, sampler.workspace(3)))
+        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, 4)
+        sampler.sample_trials(100, 4)
+        # A result is a view of its sampler's arrays, so the reference has its own.
+        reference = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, 3)
+        assert same_bits(sampler.sample_trials(7, 3), reference.sample_trials(7, 3))
 
 
 class TestKeyRanges:
@@ -469,17 +469,30 @@ class TestSharding:
             values = small_papr(64, chunk=16, first_trial=2**48 - 64)
         assert np.array_equal(values[48:], small_papr(16, chunk=16, first_trial=2**48 - 16))
 
+    @pytest.mark.parametrize("bad", ["preamble energy", "filter rate"])
+    def test_inputs_are_refused_before_the_pool(self, bad):
+        # A shard builds its sampler from the inputs it is sent, so the
+        # caller checks them before any shard runs.
+        preamble, filt = SMALL_PREAMBLE, SMALL_FILT
+        if bad == "preamble energy":
+            preamble, match = 2.0 * SMALL_PREAMBLE, "preamble energy 64 != 16"
+        else:
+            filt, match = phydyas_taps(4, 16), "filter sampled at 16 samples per symbol"
+        with mock.patch.object(analysis.POOL, "run", side_effect=AssertionError), \
+                pytest.raises(FrameError, match=match):
+            papr_samples(preamble, filt, SMALL_CFG, 64)
+
     def test_worker_exception_is_raised_with_its_type(self):
-        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
+        small = (SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
         with deadline(60):
             with pytest.raises(FrameError, match="trial must be an integer"):
-                POOL.run(_papr_db, [(sampler, 0, 8, 4), (sampler, 2**48 - 4, 8, 4)])
-            a, b = POOL.run(_papr_db, [(sampler, 0, 8, 4), (sampler, 8, 8, 4)])
+                POOL.run(_papr_db, [(*small, 0, 8, 4), (*small, 2**48 - 4, 8, 4)])
+            a, b = POOL.run(_papr_db, [(*small, 0, 8, 4), (*small, 8, 8, 4)])
         assert np.array_equal(np.concatenate([a, b]), small_papr(16))
 
     def test_dead_worker_raises_and_is_replaced(self):
-        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
-        calls = [(sampler, 0, 8, 4), (sampler, 8, 8, 4)]
+        small = (SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG)
+        calls = [(*small, 0, 8, 4), (*small, 8, 8, 4)]
         with deadline(60):
             expected = POOL.run(_papr_db, calls)
             proc = POOL._workers[0]
