@@ -19,7 +19,7 @@ import numpy as np
 from .prototype import PrototypeFilter
 from .waveform import (SLOT_BITS, FrameConfig, SampledSignal, add_weighted, carrier_phase,
                        check_rate, check_trials, checked_preamble, reaching_data_slots,
-                       slot_data, slot_pulses, slot_signal, slot_sums, slot_term, synthesize)
+                       slot_data, slot_signal, slot_sums, slot_term, synthesize)
 from .workers import POOL, cpu_count
 
 
@@ -74,6 +74,8 @@ def _real(what: str, value, high: float = math.inf) -> float:
     """value as a float, if it is a real number (not a bool, a string or an
     array) that is finite, >= 0 and < high; raises AnalysisError otherwise.
     The input check of the Rician model's scalars."""
+    if type(value) is float and 0.0 <= value < high:    # most values: no more to check
+        return value
     if not isinstance(value, _REAL) or isinstance(value, bool):
         raise AnalysisError(f"{what} must be a real number, not {value!r}")
     value = float(value)
@@ -83,12 +85,15 @@ def _real(what: str, value, high: float = math.inf) -> float:
     return value
 
 
+_TIME_END = float(1 << (SLOT_BITS - 1))
+
+
 def _model_time(t) -> float:
     """t as a float, if it is a real number in [0, 2^15): the times whose
     half-slot index floor(2t) is a valid slot_data key, where t - s/2 still
     resolves a half slot.  Raises AnalysisError otherwise.  The one check of
     a time of nu_of_t, sigma2_of_t and signal_at_times."""
-    return _real("t", t, float(1 << (SLOT_BITS - 1)))
+    return _real("t", t, _TIME_END)
 
 
 def _trial_count(trials, low: int) -> int:
@@ -99,14 +104,14 @@ def _trial_count(trials, low: int) -> int:
     return int(trials)
 
 
-def _data_slots_at(filt: PrototypeFilter, cfg: FrameConfig, t: float) -> list[int]:
-    """The data slots whose support holds the checked time t, in slot order;
-    raises AnalysisError if one of them is before slot 0 (a t below about
-    the filter's overlap).  The slot check of sigma2_of_t and
-    signal_at_times."""
-    near = reaching_data_slots(cfg.preamble_slot, cfg.guards, filt.overlap, t)
-    if near and near[0] < 0:
-        raise AnalysisError(f"t = {t!r} is reached by data slot {near[0]}, and data slots "
+def _data_slots_at(filt: PrototypeFilter, cfg: FrameConfig, t: float) -> list[tuple[int, float]]:
+    """(s, g(t - s/2)) of the data slots s whose support holds the checked
+    time t, in slot order; raises AnalysisError if one of them is before
+    slot 0 (a t below about the filter's overlap).  The slot check of
+    sigma2_of_t and signal_at_times."""
+    near = reaching_data_slots(cfg.preamble_slot, cfg.guards, filt, t)
+    if near and near[0][0] < 0:
+        raise AnalysisError(f"t = {t!r} is reached by data slot {near[0][0]}, and data slots "
                             f"start at 0")
     return near
 
@@ -139,7 +144,7 @@ def sigma2_of_t(filt: PrototypeFilter, cfg: FrameConfig, t) -> float:
     t = _model_time(t)
     check_rate(filt, cfg)
     acc = 0.0
-    for g in slot_pulses(_data_slots_at(filt, cfg, t), t, filt):
+    for _, g in _data_slots_at(filt, cfg, t):
         acc += g * g
     return acc * (0.5 * cfg.subcarriers)
 
@@ -153,9 +158,9 @@ class RicianPointModel:
 
     def __post_init__(self):
         _model_time(self.t)
-        for name in ("nu", "sigma", "p_avg"):
-            _real(name, getattr(self, name))
-        if self.p_avg == 0.0:
+        _real("nu", self.nu)
+        _real("sigma", self.sigma)
+        if _real("p_avg", self.p_avg) == 0.0:
             raise AnalysisError("p_avg must be > 0")
 
     @classmethod
@@ -165,8 +170,8 @@ class RicianPointModel:
         sigma2_of_t.  The preamble's energy is not checked here: that sum
         would cost a large share of a point."""
         nu = nu_of_t(preamble, filt, cfg, t)        # checks t before float(t) reads it
-        return cls(t=float(t), nu=nu, sigma=math.sqrt(sigma2_of_t(filt, cfg, t)),
-                   p_avg=average_power(cfg.subcarriers))
+        sigma = math.sqrt(sigma2_of_t(filt, cfg, t))
+        return cls(float(t), nu, sigma, average_power(cfg.subcarriers))
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +212,13 @@ def iapr_exceedance(alpha: float, model: RicianPointModel) -> float:
     alpha = _real("threshold", alpha)
     if alpha == 0.0:
         return 1.0
-    if model.sigma == 0.0:
+    sigma = model.sigma
+    if sigma == 0.0:
         # As `model` compares |s|^2 / P_avg >= alpha: in the units of alpha,
         # since nu^2 >= alpha P_avg can differ by a rounding, and with nu * nu,
         # numpy's square, since Python's nu**2 (pow) can differ from it.
         return 1.0 if model.nu * model.nu / model.p_avg >= alpha else 0.0
-    return marcum_q1(model.nu / model.sigma,
-                     math.sqrt(alpha * model.p_avg) / model.sigma)
+    return marcum_q1(model.nu / sigma, math.sqrt(alpha * model.p_avg) / sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +368,10 @@ class _WindowSampler:
 
     def sample_trials(self, first_trial: int, count: int) -> np.ndarray:
         """Window samples, shape (count, 2 * spt), of trials
-        [first_trial, first_trial + count), written as window() writes them."""
+        [first_trial, first_trial + count), written as window() writes them;
+        raises AnalysisError unless 0 <= count <= rows."""
+        if not 0 <= count <= self.rows:
+            raise AnalysisError(f"count {count!r} is not in [0, {self.rows}]")
         trials = np.arange(first_trial, first_trial + count)
         slots, m = len(self.data_slots), self.cfg.subcarriers
         data = self._data[:slots * count * m].reshape(slots, count, m)
@@ -490,11 +498,11 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     times = [_model_time(x) for x in t.tolist()]
     t = np.array(times, dtype=float)
     check_rate(filt, cfg)
-    reaching = [_data_slots_at(filt, cfg, x) for x in times]
+    slots = np.array(sorted({s for x in times for s, _ in _data_slots_at(filt, cfg, x)}),
+                     dtype=int)
     # The evaluation nu_of_t makes, so that |share| is nu bit for bit.
     out = np.empty((trials, len(t)), dtype=complex)
     out[:] = [slot_term(preamble, cfg.preamble_slot, x, filt) for x in times]
-    slots = np.array(sorted(set().union(*reaching)), dtype=int)
     for lo in range(0, trials, DEFAULT_CHUNK):
         rows = np.arange(lo, min(lo + DEFAULT_CHUNK, trials))
         out[rows] += slot_signal(slot_data(cfg, rows[:, None], slots), slots, t, filt)

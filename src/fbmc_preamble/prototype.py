@@ -66,6 +66,11 @@ class PrototypeFilter:
         pairs.flags.writeable = False
         return pairs
 
+    def __getstate__(self):
+        # Leaves out the cached pairs, which would triple the pickle (the
+        # largest part of an engine worker's call); a copy rebuilds them.
+        return {k: v for k, v in self.__dict__.items() if k != "pairs"}
+
     def __call__(self, t: float) -> float:
         """Nearest-sample lookup of g(t) at one float time t (a numpy float
         passes); zero outside [0, K).  Python's round rounds ties to even.
@@ -74,7 +79,9 @@ class PrototypeFilter:
             raise FilterError(f"t must be a float, not {t!r}")
         if not 0.0 <= t < self.overlap:
             return 0.0
-        return float(self.taps[min(round(t * self.samples_per_symbol), len(self.taps) - 1)])
+        i = round(t * self.samples_per_symbol)
+        taps = self.taps
+        return taps.item(i if i < len(taps) else -1)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

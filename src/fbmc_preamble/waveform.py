@@ -196,13 +196,15 @@ class SampledSignal:
 # ---------------------------------------------------------------------------
 # Signal core
 
-def reaching_data_slots(preamble_slot: int, guards: int, overlap: float, t: float) -> list[int]:
-    """Data slots, those more than `guards` slots from the preamble, whose
-    filter support [s/2, s/2 + overlap) holds the float time t, tested in
-    the filter's own argument t - s/2 so that both agree at the support
-    edges."""
-    slots = range(math.floor(2.0 * (t - overlap)), math.floor(2.0 * t) + 1)
-    return [s for s in slots if 0.0 <= t - s / 2.0 < overlap and abs(s - preamble_slot) > guards]
+def reaching_data_slots(preamble_slot: int, guards: int, filt: PrototypeFilter,
+                        t: float) -> list[tuple[int, float]]:
+    """(s, g(t - s/2)) of the data slots s, those more than `guards` slots
+    from the preamble, whose filter support [s/2, s/2 + K) holds the float
+    time t, in slot order: one scan, each slot tested in the filter's own
+    argument t - s/2, so that both agree at the support edges."""
+    overlap = filt.overlap
+    return [(s, filt(x)) for s in range(math.floor(2.0 * (t - overlap)), math.floor(2.0 * t) + 1)
+            if abs(s - preamble_slot) > guards and 0.0 <= (x := t - s / 2.0) < overlap]
 
 
 @functools.lru_cache(maxsize=16)
@@ -310,11 +312,12 @@ def slot_term(coeffs: np.ndarray, slot: int, t: float, filt: PrototypeFilter) ->
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     m_count = len(coeffs)
-    used = np.flatnonzero(coeffs)
+    used = coeffs.astype(bool).nonzero()[0]         # coeffs != 0, in one cast
     carriers = np.zeros((m_count, 1), dtype=complex)
-    carriers[used] = np.exp(2j * np.pi * np.outer(used, t))
+    carriers.ravel()[used] = np.exp(2j * np.pi * (used * t))     # the ravel is a view
     phased = coeffs * carrier_phase(m_count, slot)
-    return ((phased @ carriers) * filt(t - slot / 2.0))[0]
+    # The scalar product gives the bits of the (1,) array's, at less cost.
+    return (phased @ carriers)[0] * filt(t - slot / 2.0)
 
 
 def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray, filt: PrototypeFilter) -> np.ndarray:

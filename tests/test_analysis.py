@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,8 +15,8 @@ from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, CcdfResult,
                                     RicianPointModel, _WindowSampler, average_power,
                                     empirical_mean_power, iapr_exceedance, marcum_q1,
                                     monte_carlo_ccdf, nu_of_t, papr, papr_samples,
-                                    sigma2_of_t, signal_at_times)
-from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
+                                    sigma2_of_t, signal_at_times, window_start_slot)
+from fbmc_preamble.prototype import PrototypeFilter, hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import (FrameConfig, FrameError, build_frame, carrier_phase,
                                     reaching_data_slots, slot_pulses, slot_signal, slot_term,
@@ -67,6 +69,58 @@ def test_golden_rician_points():
         got = [RicianPointModel.at_time(preamble, filt, cfg, (n + k) / 2.0)
                for k in (2, 4, 6)]
         assert [(m.nu, m.sigma) for m in got] == expected, (name, guards)
+
+
+# The thresholds of bench/workloads.py's rician_model: 0.5 to 4 dB above P_avg.
+POINT_ALPHAS = [float(a) for a in 10.0 ** (np.arange(0.5, 4.01, 0.5) / 10.0)]
+
+
+def test_golden_rician_point_path():
+    """nu, sigma and the exceedance at each of POINT_ALPHAS, at 16 times
+    across the window, bit for bit (the file says how they were made).  The
+    times are off the k/8 grid, where Python's abs of the complex scalar
+    would pass for np.abs."""
+    golden = json.loads((Path(__file__).parent / "golden_rician_path.json").read_text())
+    preamble = sparse_golay_preamble(512, 32)
+    for key, rows in golden["points"].items():
+        name, guards = key.split(",")
+        cfg = FrameConfig(subcarriers=512, guards=int(guards), oversample=4, rng_seed=0)
+        filt = make_filter(name, cfg.samples_per_symbol)
+        t0 = window_start_slot(cfg.preamble_slot, filt.overlap) / 2.0
+        assert len(rows) == 16
+        for k, row in enumerate(rows):
+            model = RicianPointModel.at_time(preamble, filt, cfg,
+                                             t0 + (k + (5 ** 0.5 - 1) / 2) / 8.0)
+            got = [model.nu, model.sigma] + [iapr_exceedance(a, model) for a in POINT_ALPHAS]
+            assert got == row, (key, k)
+
+
+def test_point_path_reaches_the_traced_functions(monkeypatch):
+    # bench/spans.py times a point through these names; a point that skips
+    # one would read 0 there.
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("nu_of_t", "sigma2_of_t", "marcum_q1"):
+        count(analysis, name)
+    count(PrototypeFilter, "__call__")
+    cfg = FrameConfig(subcarriers=512, guards=1, oversample=4, rng_seed=0)
+    filt = make_filter("phydyas4", cfg.samples_per_symbol)
+    model = RicianPointModel.at_time(sparse_golay_preamble(512, 32), filt, cfg,
+                                     cfg.preamble_slot / 2.0 + 1.3)
+    assert model.sigma > 0.0
+    # The preamble's pulse and at least one data slot's.
+    assert calls["nu_of_t"] == calls["sigma2_of_t"] == 1 and calls["__call__"] >= 2
+    assert calls["marcum_q1"] == 0
+    assert [iapr_exceedance(a, model) for a in POINT_ALPHAS]
+    assert calls["marcum_q1"] == len(POINT_ALPHAS)
 
 
 class TestAveragePower:
@@ -397,10 +451,14 @@ class TestScalarPath:
         pulses = reference_pulses(slots, t_arr, filt)
         for j, t in enumerate(times):
             assert same_bits(np.array(slot_pulses(slots, t, filt)), pulses[:, j])
-        # The reference's slot set is the union of each time's.
-        each = [reaching_data_slots(PRE, guards, filt.overlap, t) for t in times]
-        assert sorted(set().union(*each)) == reaching_slots(PRE, guards, filt.overlap,
-                                                            t_arr).tolist()
+        # The reference's slot set is the union of each time's, and each
+        # slot comes with slot_pulses' pulse.
+        each = [reaching_data_slots(PRE, guards, filt, t) for t in times]
+        assert sorted({s for near in each for s, _ in near}) == reaching_slots(
+            PRE, guards, filt.overlap, t_arr).tolist()
+        for t, near in zip(times, each):
+            assert same_bits(np.array([g for _, g in near], dtype=float),
+                             np.array(slot_pulses([s for s, _ in near], t, filt), dtype=float))
 
     @pytest.mark.parametrize("name", ["phydyas4", "hermite"])
     def test_filter_ties_round_to_even(self, name):
@@ -414,6 +472,7 @@ class TestScalarPath:
         # float time went the array way.
         cfg = FrameConfig(subcarriers=64, guards=1, oversample=4, rng_seed=0)
         filt = make_filter("phydyas4", cfg.samples_per_symbol)
+        reaching = reaching_data_slots(cfg.preamble_slot, 1, filt, float(t))
         seen = []
         lookup = type(filt).__call__
 
@@ -423,7 +482,6 @@ class TestScalarPath:
 
         monkeypatch.setattr(type(filt), "__call__", spy)
         RicianPointModel.at_time(golay_seed(64), filt, cfg, t)
-        reaching = reaching_data_slots(cfg.preamble_slot, 1, filt.overlap, float(t))
         assert seen == [float] * (1 + len(reaching))
 
 

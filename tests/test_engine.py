@@ -279,6 +279,15 @@ class TestWindow:
         with pytest.raises(AnalysisError, match="shape"):
             sampler.window(np.ones(shape))
 
+    @pytest.mark.parametrize("count", [5, -1])
+    def test_sample_trials_refuses_a_count_outside_its_rows(self, count):
+        # 5 trials of a 4-row sampler used to end in a numpy ValueError from
+        # a reshape.
+        sampler = _WindowSampler(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, 4)
+        with pytest.raises(AnalysisError, match=r"count .* is not in \[0, 4\]"):
+            sampler.sample_trials(0, count)
+        assert sampler.sample_trials(0, 4).shape == (4, 2 * SMALL_CFG.samples_per_symbol)
+
 
 class TestWindowCentre:
     """The window is centred on the preamble pulse for every overlap K."""

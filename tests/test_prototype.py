@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -119,6 +120,16 @@ class TestUtility:
         assert filt.pairs is filt.pairs
         with pytest.raises(ValueError, match="read-only"):
             filt.taps[0] = 0.0
+
+    def test_pickle_leaves_out_the_cached_pairs(self):
+        filt = make_filter("phydyas4", 2048)
+        size = len(pickle.dumps(filt))
+        pairs = filt.pairs
+        data = pickle.dumps(filt)
+        assert len(data) == size
+        copy = pickle.loads(data)
+        assert copy == filt and np.array_equal(copy.pairs, pairs)
+        assert not copy.pairs.flags.writeable
 
     def test_lookup_outside_support_is_zero(self):
         f = phydyas_taps(4, 64)
