@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prototype import PrototypeFilter
+from .prototype import PrototypeFilter, phydyas_taps
 from .waveform import (SLOT_BITS, FrameConfig, SampledSignal, add_weighted, carrier_phase,
-                       check_rate, check_trials, checked_preamble, reaching_data_slots,
-                       slot_data, slot_signal, slot_sums, slot_term, synthesize)
+                       check_rate, check_trials, checked_preamble, slot_data, slot_sums,
+                       slot_term, synthesize)
 from .workers import POOL, cpu_count
 
 
@@ -105,11 +105,14 @@ def _trial_count(trials, low: int) -> int:
 
 
 def _data_slots_at(filt: PrototypeFilter, cfg: FrameConfig, t: float) -> list[tuple[int, float]]:
-    """(s, g(t - s/2)) of the data slots s whose support holds the checked
-    time t, in slot order; raises AnalysisError if one of them is before
-    slot 0 (a t below about the filter's overlap).  The slot check of
+    """(s, g(t - s/2)) of the data slots s (|s - n| > G) whose support
+    [s/2, s/2 + K) holds the checked time t, in slot order, each tested in
+    the filter's own argument t - s/2; raises AnalysisError if one is before
+    slot 0 (a t below about K).  The one slot scan at float times, of
     sigma2_of_t and signal_at_times."""
-    near = reaching_data_slots(cfg.preamble_slot, cfg.guards, filt, t)
+    overlap, preamble_slot, guards = filt.overlap, cfg.preamble_slot, cfg.guards
+    near = [(s, filt(x)) for s in range(math.floor(2.0 * (t - overlap)), math.floor(2.0 * t) + 1)
+            if abs(s - preamble_slot) > guards and 0.0 <= (x := t - s / 2.0) < overlap]
     if near and near[0][0] < 0:
         raise AnalysisError(f"t = {t!r} is reached by data slot {near[0][0]}, and data slots "
                             f"start at 0")
@@ -498,22 +501,30 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     times = [_model_time(x) for x in t.tolist()]
     t = np.array(times, dtype=float)
     check_rate(filt, cfg)
-    slots = np.array(sorted({s for x in times for s, _ in _data_slots_at(filt, cfg, x)}),
-                     dtype=int)
+    near = [dict(_data_slots_at(filt, cfg, x)) for x in times]
+    slots = np.array(sorted(set().union(*near)), dtype=int)
+    # g(t - s/2) of every slot at every time, from the scan; 0.0, the
+    # filter's value there, where the slot's support does not hold the time.
+    pulses = np.array([[g.get(s, 0.0) for g in near] for s in slots.tolist()])
+    carriers = np.exp(2j * np.pi * np.outer(np.arange(cfg.subcarriers), t))
     # The evaluation nu_of_t makes, so that |share| is nu bit for bit.
     out = np.empty((trials, len(t)), dtype=complex)
     out[:] = [slot_term(preamble, cfg.preamble_slot, x, filt) for x in times]
     for lo in range(0, trials, DEFAULT_CHUNK):
         rows = np.arange(lo, min(lo + DEFAULT_CHUNK, trials))
-        out[rows] += slot_signal(slot_data(cfg, rows[:, None], slots), slots, t, filt)
+        data = slot_data(cfg, rows[:, None], slots)
+        # In slot order, as the order of the sums fixes the bits.
+        share = 0
+        for i, s in enumerate(slots):
+            phased = data[:, i] * carrier_phase(cfg.subcarriers, s)
+            share = share + (phased @ carriers) * pulses[i]
+        out[rows] += share
     return out
 
 
 def empirical_mean_power(subcarriers: int, n_symbols: int = 256, seed: int = 0) -> float:
     """Time-averaged |s(t)|^2 of an all-data frame at oversample 4, for
     checking 2M/T."""
-    from .prototype import phydyas_taps
-
     cfg = FrameConfig(subcarriers=subcarriers, guards=0, data_span=max(12, n_symbols // 2),
                       rng_seed=seed)
     filt = phydyas_taps(4, cfg.samples_per_symbol)

@@ -71,6 +71,11 @@ class PrototypeFilter:
         # largest part of an engine worker's call); a copy rebuilds them.
         return {k: v for k, v in self.__dict__.items() if k != "pairs"}
 
+    def __setstate__(self, state):
+        # Pickle does not keep the read-only flag that keeps taps and pairs alike.
+        self.__dict__.update(state)
+        self.taps.flags.writeable = False
+
     def __call__(self, t: float) -> float:
         """Nearest-sample lookup of g(t) at one float time t (a numpy float
         passes); zero outside [0, K).  Python's round rounds ties to even.

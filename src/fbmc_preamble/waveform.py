@@ -7,14 +7,14 @@ binary data.  The transmitted signal is
     s(t) = sum_{m,n'} a_{m,n'} j^{m+n'} exp(j 2 pi m t / T) g(t - n' T / 2)
 
 sampled on a uniform grid with oversample * M points per symbol interval
-(T = 1 in normalized units).  Every evaluator of s(t) in the package is a
-thin caller of the signal core below.
+(T = 1 in normalized units).  Every evaluator of s(t) in the package builds
+on the signal core below; analysis.signal_at_times holds the dense sum of
+many slots at many float times.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -196,17 +196,6 @@ class SampledSignal:
 # ---------------------------------------------------------------------------
 # Signal core
 
-def reaching_data_slots(preamble_slot: int, guards: int, filt: PrototypeFilter,
-                        t: float) -> list[tuple[int, float]]:
-    """(s, g(t - s/2)) of the data slots s, those more than `guards` slots
-    from the preamble, whose filter support [s/2, s/2 + K) holds the float
-    time t, in slot order: one scan, each slot tested in the filter's own
-    argument t - s/2, so that both agree at the support edges."""
-    overlap = filt.overlap
-    return [(s, filt(x)) for s in range(math.floor(2.0 * (t - overlap)), math.floor(2.0 * t) + 1)
-            if abs(s - preamble_slot) > guards and 0.0 <= (x := t - s / 2.0) < overlap]
-
-
 @functools.lru_cache(maxsize=16)
 def _phase_table(subcarriers: int) -> np.ndarray:
     """j^{m+slot} (-1)^{m start} for slot % 4 and start % 2, shape (4, 2, M),
@@ -295,11 +284,6 @@ def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: i
     add(np.s_[:, p0:p1], sums_f[:, None], w.reshape(p1 - p0, 2 * spt))
 
 
-def slot_pulses(slots, t: float, filt: PrototypeFilter) -> list[float]:
-    """g(t - s/2) of every slot s at the float time t, one lookup per slot."""
-    return [filt(t - s / 2.0) for s in np.asarray(slots).tolist()]
-
-
 def slot_term(coeffs: np.ndarray, slot: int, t: float, filt: PrototypeFilter) -> complex:
     """sum_m (a_m j^{m+slot}) e^{j2pi m t} g(t - slot/2), one slot's term at
     one float time t, for the coefficients a (M,).
@@ -318,21 +302,6 @@ def slot_term(coeffs: np.ndarray, slot: int, t: float, filt: PrototypeFilter) ->
     phased = coeffs * carrier_phase(m_count, slot)
     # The scalar product gives the bits of the (1,) array's, at less cost.
     return (phased @ carriers)[0] * filt(t - slot / 2.0)
-
-
-def slot_signal(coeffs: np.ndarray, slots, t: np.ndarray, filt: PrototypeFilter) -> np.ndarray:
-    """sum_s (a_s j^{m+s}) e^{j2pi m t} g(t - s/2) at the 1-D float array of
-    times t, for coeffs (..., len(slots), M); shape (..., len(t)).  The
-    pulses are slot_pulses' one-time lookups; the slots add in order."""
-    coeffs = np.asarray(coeffs)
-    m_count = coeffs.shape[-1]
-    carriers = np.exp(2j * np.pi * np.outer(np.arange(m_count), t))
-    pulses = np.reshape([slot_pulses(slots, x, filt) for x in t], (len(t), len(slots))).T
-    out = 0
-    for i, s in enumerate(slots):
-        phased = coeffs[..., i, :] * carrier_phase(m_count, s)
-        out = out + (phased @ carriers) * pulses[i]
-    return out
 
 
 def synthesize(symbols: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig) -> SampledSignal:

@@ -47,8 +47,9 @@ def slot_pulses(slots, t, filt) -> np.ndarray:
 
 
 def slot_signal(coeffs, slots, t, filt) -> np.ndarray:
-    """waveform.slot_signal at an array of times, its pulses from one
-    lookup of the (slots x times) grid."""
+    """sum_s (a_s j^{m+s}) e^{j2pi m t} g(t - s/2) at an array of times, for
+    coeffs (..., len(slots), M), the slots added in order: signal_at_times'
+    data sum, its pulses from one lookup of the (slots x times) grid."""
     coeffs = np.asarray(coeffs)
     m_count = coeffs.shape[-1]
     used = np.flatnonzero(coeffs.reshape(-1, m_count).any(axis=0))

@@ -19,8 +19,7 @@ from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, CcdfResult,
 from fbmc_preamble.prototype import PrototypeFilter, hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import (FrameConfig, FrameError, build_frame, carrier_phase,
-                                    reaching_data_slots, slot_pulses, slot_signal, slot_term,
-                                    synthesize)
+                                    slot_data, slot_term, synthesize)
 from lookup_reference import filter_lookup, reaching_slots
 from lookup_reference import signal_at_times as reference_signal_at_times
 from lookup_reference import slot_pulses as reference_pulses
@@ -260,7 +259,7 @@ class TestNuSigma:
         # data interference term.
         preamble = golay_seed(64)
         s = (signal_at_times(preamble, filt, cfg, t, trials)[:, 0]
-             - slot_signal(preamble[None, :], [n], t, filt)[0])
+             - slot_term(preamble, n, float(t[0]), filt))
         per_component = 0.5 * float(np.mean(np.abs(s) ** 2))
         predicted = sigma2_of_t(filt, cfg, float(t[0]))
         assert per_component == pytest.approx(predicted, rel=0.02)
@@ -331,23 +330,29 @@ class TestPulseLookup:
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
-           spt=st.sampled_from([8, 64, 256]), guards=st.integers(0, 4),
-           m=st.sampled_from([1, 8, 13]), seed=st.integers(0, 2**32), data=st.data())
-    def test_slot_signal_equals_per_slot_oracle(self, name, spt, guards, m, seed, data):
-        filt = make_filter(name, spt)
+           m_oversample=st.sampled_from([(2, 4), (4, 2), (13, 2), (16, 4), (64, 4)]),
+           guards=st.integers(0, 4), seed=st.integers(0, 2**32), data=st.data())
+    def test_signal_at_times_data_equals_per_slot_oracle(self, name, m_oversample, guards,
+                                                         seed, data):
+        # The data sum of signal_at_times, its pulses from the one slot scan,
+        # against per-slot lookups over the reference's slot set, in chunks
+        # of DEFAULT_CHUNK trials with a ragged last one.
+        m, oversample = m_oversample
+        filt = make_filter(name, m * oversample)
+        cfg = frame_at(filt, m, guards)
         t = data.draw(probe_times(filt))
-        rng = np.random.default_rng(seed)
-        # The data slots, as signal_at_times passes them, and one slot.
+        preamble = np.exp(2j * np.pi * np.random.default_rng(seed).random(m))
+        trials = 2 * analysis.DEFAULT_CHUNK + 3
+        got = signal_at_times(preamble, filt, cfg, t, trials)
         slots = reaching_slots(PRE, guards, filt.overlap, t)
-        for slot_list in (slots, [PRE]):
-            coeffs = rng.standard_normal((3, len(slot_list), m)) + 1j * rng.standard_normal(
-                (3, len(slot_list), m))
-            got = slot_signal(coeffs, slot_list, t, filt)
-            want = slot_signal_per_slot_oracle(coeffs, slot_list, t, filt)
-            if len(slot_list):
-                assert same_bits(got, want)
-            else:
-                assert got == want == 0
+        want = np.empty((trials, len(t)), dtype=complex)
+        want[:] = [slot_term(preamble, PRE, x, filt) for x in t.tolist()]
+        for lo in range(0, trials, analysis.DEFAULT_CHUNK):
+            rows = np.arange(lo, min(lo + analysis.DEFAULT_CHUNK, trials))
+            want[rows] += slot_signal_per_slot_oracle(slot_data(cfg, rows[:, None], slots),
+                                                      slots, t, filt)
+        assert same_bits(got, want)
+        assert same_bits(got, reference_signal_at_times(preamble, filt, cfg, t, trials))
 
 
 def zero_masked(draw, rng, shape):
@@ -448,17 +453,18 @@ class TestScalarPath:
         lookups = [filt(a) for a in args.ravel().tolist()]
         assert all(type(g) is float for g in lookups)
         assert same_bits(np.array(lookups, dtype=float), filter_lookup(filt, args.ravel()))
-        pulses = reference_pulses(slots, t_arr, filt)
-        for j, t in enumerate(times):
-            assert same_bits(np.array(slot_pulses(slots, t, filt)), pulses[:, j])
-        # The reference's slot set is the union of each time's, and each
-        # slot comes with slot_pulses' pulse.
-        each = [reaching_data_slots(PRE, guards, filt, t) for t in times]
-        assert sorted({s for near in each for s, _ in near}) == reaching_slots(
-            PRE, guards, filt.overlap, t_arr).tolist()
-        for t, near in zip(times, each):
-            assert same_bits(np.array([g for _, g in near], dtype=float),
-                             np.array(slot_pulses([s for s, _ in near], t, filt), dtype=float))
+        # The reference's slot set is the union of each time's scan, and the
+        # scan's pulses, 0.0 where a slot does not reach a time, are the
+        # columns of the reference's (slots x times) pulses.
+        cfg = frame_at(filt, spt // 4, guards)
+        each = [dict(analysis._data_slots_at(filt, cfg, t)) for t in times]
+        union = reaching_slots(PRE, guards, filt.overlap, t_arr)
+        assert sorted(set().union(*each)) == union.tolist()
+        pulses = reference_pulses(union, t_arr, filt)
+        for j, near in enumerate(each):
+            assert all(type(g) is float for g in near.values())
+            column = np.array([near.get(s, 0.0) for s in union.tolist()], dtype=float)
+            assert same_bits(column, pulses[:, j])
 
     @pytest.mark.parametrize("name", ["phydyas4", "hermite"])
     def test_filter_ties_round_to_even(self, name):
@@ -472,7 +478,7 @@ class TestScalarPath:
         # float time went the array way.
         cfg = FrameConfig(subcarriers=64, guards=1, oversample=4, rng_seed=0)
         filt = make_filter("phydyas4", cfg.samples_per_symbol)
-        reaching = reaching_data_slots(cfg.preamble_slot, 1, filt, float(t))
+        reaching = analysis._data_slots_at(filt, cfg, float(t))
         seen = []
         lookup = type(filt).__call__
 
@@ -730,6 +736,37 @@ class TestSignalAtTimes:
                                 (n + np.arange(-5, 1)) / 2 + filt.overlap])
         got = signal_at_times(preamble, filt, cfg, times, 17)
         assert same_bits(got, reference_signal_at_times(preamble, filt, cfg, times, 17))
+
+    def test_one_lookup_and_one_dense_exp_per_call(self, monkeypatch):
+        # The pulses come from the one slot scan and the dense carriers are
+        # computed once, however many chunks the trials fill: criterion
+        # 4(f)'s call used to make 80,048 lookups and 1,258 np.exp calls.
+        cfg = FrameConfig(subcarriers=64, guards=1, oversample=4, rng_seed=3)
+        filt = make_filter("phydyas4", cfg.samples_per_symbol)
+        preamble = sparse_golay_preamble(64, 8)
+        times = cfg.preamble_slot / 2 + np.linspace(1.0, 3.0, 9)
+        scanned = sum(len(analysis._data_slots_at(filt, cfg, x)) for x in times.tolist())
+        lookups, exps = [], []
+        lookup, exp = type(filt).__call__, np.exp
+
+        def spy_lookup(self, arg):
+            lookups.append(arg)
+            return lookup(self, arg)
+
+        def spy_exp(arg):
+            exps.append(np.size(arg))
+            return exp(arg)
+
+        monkeypatch.setattr(type(filt), "__call__", spy_lookup)
+        monkeypatch.setattr(np, "exp", spy_exp)
+        for trials in (1, 5 * analysis.DEFAULT_CHUNK + 1):
+            lookups.clear()
+            exps.clear()
+            signal_at_times(preamble, filt, cfg, times, trials)
+            # One for each time's preamble term, one per (time, scanned slot).
+            assert len(lookups) == len(times) + scanned
+            # The preamble's 8 used carriers at each time, and the dense ones.
+            assert sorted(exps) == [8] * len(times) + [64 * len(times)]
 
 
 class TestIaprExceedance:

@@ -131,6 +131,18 @@ class TestUtility:
         assert copy == filt and np.array_equal(copy.pairs, pairs)
         assert not copy.pairs.flags.writeable
 
+    def test_unpickled_taps_are_read_only(self):
+        # Pickle drops numpy's read-only flag: an unpickled copy, such as an
+        # engine worker's, took taps[0] = 7.0 and kept pairs[0] at 2.66e-07.
+        filt = make_filter("phydyas4", 2048)
+        copy = pickle.loads(pickle.dumps(filt))
+        pairs = copy.pairs
+        for arr in (copy.taps, pairs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7.0
+        assert np.array_equal(pairs[::2], copy.taps) and copy == filt
+        assert len(pickle.dumps(copy)) == len(pickle.dumps(filt)) == 65_811
+
     def test_lookup_outside_support_is_zero(self):
         f = phydyas_taps(4, 64)
         outside = [-0.1, 4.0, 7.3]
