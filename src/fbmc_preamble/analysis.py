@@ -525,10 +525,12 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
 def empirical_mean_power(subcarriers: int, n_symbols: int = 256, seed: int = 0) -> float:
     """Time-averaged |s(t)|^2 of an all-data frame at oversample 4, for
     checking 2M/T."""
-    cfg = FrameConfig(subcarriers=subcarriers, guards=0, data_span=max(12, n_symbols // 2),
-                      rng_seed=seed)
+    cfg = FrameConfig(subcarriers=subcarriers, guards=0, rng_seed=seed)
     filt = phydyas_taps(4, cfg.samples_per_symbol)
-    symbols = slot_data(cfg, 0, cfg.first_slot + np.arange(cfg.total_slots)).T.astype(complex)
+    # All data, over more slots than the frame's for a long n_symbols:
+    # synthesize takes the grid's width from the symbols.
+    n_slots = 2 * max(12, n_symbols // 2) + 1
+    symbols = slot_data(cfg, 0, cfg.first_slot + np.arange(n_slots)).T.astype(complex)
     sig = synthesize(symbols, filt, cfg)
     spt = cfg.samples_per_symbol
     # Exclude one filter length at each edge so the average sees a fully

@@ -182,6 +182,9 @@ def cmd_gen_golay(args) -> tuple[int, dict]:
 
 
 def cmd_verify_gcp(args) -> tuple[int, dict]:
+    # NaN or a negative tolerance would fail every pair, and inf pass every one.
+    if not 0 <= args.tol < np.inf:
+        raise CliError(f"--tol must be a finite number >= 0, not {args.tol!r}")
     c, d = _load_preamble(args.file_c), _load_preamble(args.file_d)
     residual = gcp_residual(c, d)
     ok = residual <= args.tol

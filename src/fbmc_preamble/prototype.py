@@ -102,7 +102,7 @@ def _normalized(kind: str, overlap: int, L: int, g: np.ndarray) -> PrototypeFilt
     return PrototypeFilter(kind=kind, overlap=overlap, samples_per_symbol=L, taps=g)
 
 
-def phydyas_taps(overlap: int = 4, samples_per_symbol: int = 64) -> PrototypeFilter:
+def phydyas_taps(overlap: int, samples_per_symbol: int) -> PrototypeFilter:
     """Frequency-sampled cosine-sum filter on [0, K], K in {3, 4}."""
     coeffs = PHYDYAS_COEFFS.get(overlap)
     if coeffs is None:
@@ -133,7 +133,7 @@ def hermite_poly(order: int, x) -> np.ndarray | float:
     return h if h.ndim else float(h)
 
 
-def hermite_taps(samples_per_symbol: int = 64) -> PrototypeFilter:
+def hermite_taps(samples_per_symbol: int) -> PrototypeFilter:
     """Gaussian times a sum of even Hermite polynomials, overlap 4."""
     if samples_per_symbol < 2:
         raise FilterError("need at least 2 samples per symbol")
@@ -149,7 +149,7 @@ def hermite_taps(samples_per_symbol: int = 64) -> PrototypeFilter:
     return _normalized("hermite", overlap, L, g)
 
 
-def make_filter(name: str, samples_per_symbol: int = 64) -> PrototypeFilter:
+def make_filter(name: str, samples_per_symbol: int) -> PrototypeFilter:
     """Filter from a CLI-style name: phydyas3, phydyas4 or hermite."""
     if name == "phydyas4":
         return phydyas_taps(4, samples_per_symbol)

@@ -190,6 +190,7 @@ def sparsify(c: np.ndarray, d: int, m_total: int) -> np.ndarray:
     """Kronecker-expand c with d zeros after each entry and scale so the
     result has energy m_total.  Pilot spacing is d+1."""
     c = np.asarray(c, dtype=complex)
+    d, m_total = _integer("sparsity gap", d), _integer("target length", m_total)
     if d < 0:
         raise SequenceError("sparsity gap must be >= 0")
     if m_total != (d + 1) * len(c):

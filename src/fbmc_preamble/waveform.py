@@ -22,6 +22,9 @@ import numpy as np
 from .prototype import PrototypeFilter
 
 _J = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
+# Data half-symbols on each side beyond the guards: enough to cover the
+# longest filter support (K = 4 symbols) around the preamble.
+DATA_SPAN = 12
 
 
 class FrameError(ValueError):
@@ -33,7 +36,6 @@ class FrameConfig:
     subcarriers: int              # M
     guards: int                   # G zero half-symbols on each side
     preamble_slot: int | None = None   # defaults to an even slot index
-    data_span: int = 12           # data half-symbols per side beyond guards
     oversample: int = 4           # samples per T = oversample * M
     rng_seed: int = 0
 
@@ -50,8 +52,6 @@ class FrameConfig:
             raise FrameError("need at least 2 subcarriers")
         if self.guards < 0:
             raise FrameError("guard count must be >= 0")
-        if self.data_span < 12:
-            raise FrameError("data span must cover the filter support (>= 12)")
         if self.oversample < 2:
             raise FrameError("oversample must be >= 2")
         if self.samples_per_symbol % 2:
@@ -60,9 +60,9 @@ class FrameConfig:
         if not 0 <= self.rng_seed < 1 << 64:
             raise FrameError(f"rng_seed {self.rng_seed} outside [0, 2^64)")
         if self.preamble_slot is None:
-            n = self.guards + self.data_span
+            n = self.guards + DATA_SPAN
             object.__setattr__(self, "preamble_slot", n + (n % 2))
-        if self.preamble_slot < self.guards + self.data_span:
+        if self.preamble_slot < self.guards + DATA_SPAN:
             raise FrameError("preamble slot leaves no room for the left half-frame")
 
     @property
@@ -71,11 +71,11 @@ class FrameConfig:
 
     @property
     def first_slot(self) -> int:
-        return self.preamble_slot - self.guards - self.data_span
+        return self.preamble_slot - self.guards - DATA_SPAN
 
     @property
     def total_slots(self) -> int:
-        return 2 * (self.guards + self.data_span) + 1
+        return 2 * (self.guards + DATA_SPAN) + 1
 
     def data_slots(self) -> list[int]:
         slots = range(self.first_slot, self.first_slot + self.total_slots)
@@ -226,17 +226,10 @@ def slot_sums(coeff: np.ndarray, out: np.ndarray) -> np.ndarray:
     returned in out.
 
     coeff (count, spt) holds phased coefficients zero-padded to spt, so the
-    IFFT times spt of a row is its sum at the spt samples of a symbol
-    interval.  out may be coeff itself.
+    unscaled IFFT (norm="forward") of a row is its sum at the spt samples
+    of a symbol interval.  out may be coeff itself.
     """
-    spt = coeff.shape[1]
-    # The IFFT's 1/spt scaling and the product by spt are both exact for a
-    # power-of-two spt, so the unscaled transform gives the same bits.
-    exact = spt & (spt - 1) == 0
-    np.fft.ifft(coeff, axis=1, norm="forward" if exact else "backward", out=out)
-    if not exact:
-        out *= spt
-    return out
+    return np.fft.ifft(coeff, axis=1, norm="forward", out=out)
 
 
 def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: int,

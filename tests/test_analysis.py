@@ -136,6 +136,12 @@ class TestAveragePower:
         measured = empirical_mean_power(128, n_symbols=256, seed=3)
         assert measured == pytest.approx(average_power(128), rel=0.01)
 
+    def test_empirical_mean_power_is_pinned(self):
+        # Criterion 5's measurement and the one above, to the last bit: a
+        # change to the all-data grid or to synthesize moves them.
+        assert empirical_mean_power(512, n_symbols=128, seed=1) == 1024.7710144169723
+        assert empirical_mean_power(128, n_symbols=256, seed=3) == 256.2254707242391
+
 
 class TestMarcumQ1:
     def test_b_zero(self):

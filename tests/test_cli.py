@@ -126,6 +126,16 @@ class TestVerifyGcp:
         fc = write_preamble(tmp_path, "c.json", np.ones(4))
         assert main(["verify-gcp", "--file-c", fc, "--file-d", "/nonexistent"]) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_refuses_a_tolerance_that_is_not_finite_and_non_negative(self, tmp_path, capsys,
+                                                                      tol):
+        # A true Golay pair: NaN and -1 would read "NOT a GCP", inf any pair a GCP.
+        fc = write_preamble(tmp_path, "c.json", signs_to_array(GOLAY_C16))
+        fd = write_preamble(tmp_path, "d.json", signs_to_array(GOLAY_D16))
+        assert main(["verify-gcp", "--file-c", fc, "--file-d", fd, "--tol", tol]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: --tol") and "GCP" not in out
+
 
 class TestBounds:
     @pytest.mark.parametrize("name,value", [("phydyas4", 1.6349),

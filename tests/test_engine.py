@@ -134,14 +134,9 @@ def full_window_oracle(preamble, filt, cfg, data):
     n, m = cfg.preamble_slot, cfg.subcarriers
     start = n + filt.overlap - 2
     t_win = start / 2.0 + np.arange(2 * spt) / spt
-    exact = spt & (spt - 1) == 0
 
     def slot_sum(coeff, s):
-        # The unscaled IFFT and the scaled one times spt are equal bits for
-        # a power-of-two spt.
-        base = np.fft.ifft(coeff, axis=1, norm="forward" if exact else "backward")
-        if not exact:
-            base *= spt
+        base = np.fft.ifft(coeff, axis=1, norm="forward")
         return filter_lookup(filt, t_win - s / 2.0).reshape(2, spt) * base[:, None, :]
 
     coeff = np.zeros((1, spt), dtype=complex)
@@ -268,6 +263,39 @@ class TestWindow:
         fast = 10.0 * np.log10(np.max(np.abs(win) ** 2) / p_avg)
         full = papr(sig, AnalysisWindow.for_signal(sig, cfg.preamble_slot), p_avg)
         assert abs(fast - full) <= 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.sampled_from([7, 8, 12, 13, 16, 24, 33, 96]), oversample=st.integers(2, 6),
+           name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           guards=st.integers(0, 3), seed=st.integers(0, 2**32))
+    @example(m=24, oversample=3, name="phydyas4", guards=1, seed=0)
+    def test_unscaled_ifft_is_within_tolerance_of_the_scaled_one(self, m, oversample, name,
+                                                                 guards, seed):
+        # slot_sums takes the unscaled IFFT on every grid.  The scaled IFFT
+        # times spt, kept here as the reference, is the same bits on a
+        # power-of-two spt and differs by rounding on other grids.
+        assume(m * oversample % 2 == 0)
+        spt = m * oversample
+
+        def scaled_slot_sums(coeff, out):
+            np.fft.ifft(coeff, axis=1, out=out)
+            out *= spt
+            return out
+
+        cfg = FrameConfig(subcarriers=m, guards=guards, oversample=oversample, rng_seed=seed)
+        filt = make_filter(name, spt)
+        preamble = unit_preamble(m, seed)
+        got = _papr_db(preamble, filt, cfg, 0, 64, 16)
+        win = _WindowSampler(preamble, filt, cfg, 16).sample_trials(0, 16)
+        with mock.patch.object(analysis, "slot_sums", scaled_slot_sums):
+            want = _papr_db(preamble, filt, cfg, 0, 64, 16)
+            ref = _WindowSampler(preamble, filt, cfg, 16).sample_trials(0, 16)
+        if spt & (spt - 1) == 0:
+            assert got.tobytes() == want.tobytes()
+            assert same_bits(win, ref)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        peak = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(win - ref) <= 1e-15 * peak)
 
     # (8, 5, 16) is data for more trials than the sampler's 4 rows: it used
     # to end in a numpy ValueError from a shape mismatch.

@@ -251,6 +251,11 @@ class TestSparsify:
         with pytest.raises(SequenceError):
             sparsify(np.ones(4), 2, 16)
 
+    @pytest.mark.parametrize("d, m_total", [(1.5, 10), (True, 8), (1, 8.0)])
+    def test_refuses_a_gap_or_length_that_is_not_an_integer(self, d, m_total):
+        with pytest.raises(SequenceError, match="must be an integer"):
+            sparsify(np.ones(4), d, m_total)
+
 
 class TestBaselines:
     def test_mseq_layout(self):

@@ -22,12 +22,12 @@ def small_cfg(**kw) -> FrameConfig:
 
 class TestFrameConfig:
     def test_layout_counts(self):
-        cfg = small_cfg(guards=3, data_span=12)
+        cfg = small_cfg(guards=3)
         assert cfg.total_slots == 31
         assert len(cfg.data_slots()) == 24
         n = cfg.preamble_slot
         assert cfg.data_slots() == [*range(n - 15, n - 3), *range(n + 4, n + 16)]
-        cfg = small_cfg(guards=0, data_span=12)
+        cfg = small_cfg(guards=0)
         n = cfg.preamble_slot
         assert cfg.data_slots() == [*range(n - 12, n), *range(n + 1, n + 13)]
 
@@ -40,8 +40,6 @@ class TestFrameConfig:
             small_cfg(guards=-1)
         with pytest.raises(FrameError):
             small_cfg(oversample=1)
-        with pytest.raises(FrameError):
-            small_cfg(data_span=4)
 
     def test_rejects_odd_samples_per_symbol(self):
         # Slots start every half symbol, which an odd spt puts between samples.
@@ -50,7 +48,7 @@ class TestFrameConfig:
         assert small_cfg(subcarriers=13, oversample=2).samples_per_symbol == 26
 
     @pytest.mark.parametrize("name, value", [("subcarriers", 16.0), ("guards", "3"),
-                                             ("guards", True), ("data_span", 12.0),
+                                             ("guards", True),
                                              ("oversample", np.float64(4)),
                                              ("preamble_slot", 30.0), ("rng_seed", 1.5)])
     def test_rejects_non_integer_fields(self, name, value):
@@ -63,6 +61,8 @@ class TestFrameConfig:
     def test_json_roundtrip(self):
         cfg = small_cfg()
         assert FrameConfig(**cfg.to_json_dict()) == cfg
+        assert list(cfg.to_json_dict()) == ["subcarriers", "guards", "preamble_slot",
+                                            "oversample", "rng_seed"]
 
 
 class TestBuildFrame:
@@ -161,14 +161,11 @@ def per_column_oracle(symbols, filt, cfg):
     k_len = filt.overlap * spt
     out = np.zeros((n_cols - 1) * spt // 2 + k_len, dtype=complex)
     pairs = np.repeat(filt.taps, 2)
-    exact = spt & (spt - 1) == 0
     for col in np.flatnonzero(np.any(symbols, axis=0)):
         slot = cfg.first_slot + col
         coeff = np.zeros((1, spt), dtype=complex)
         coeff[0, :m_count] = symbols[:, col] * carrier_phase(m_count, slot, slot)
-        base = np.fft.ifft(coeff, axis=1, norm="forward" if exact else "backward")
-        if not exact:
-            base *= spt
+        base = np.fft.ifft(coeff, axis=1, norm="forward")
         offset = col * spt // 2
         span = out[offset: offset + k_len].view(float)
         span += np.tile(base.view(float)[0], filt.overlap) * pairs
