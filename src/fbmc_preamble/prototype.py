@@ -96,6 +96,22 @@ class PrototypeFilter:
                 w.writerow([k, f"{k * self.dt:.9g}", f"{tap:.12g}"])
 
 
+def check_integer(name: str, value, error: type[ValueError]) -> int:
+    """value as an int, if it is an integer (numpy integers pass, bools do
+    not); raises `error` otherwise, where a cast would drop a fraction.  A
+    numpy integer is returned as an int, so none reaches a run's JSON."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _rate(samples_per_symbol) -> int:
+    L = check_integer("samples_per_symbol", samples_per_symbol, FilterError)
+    if L < 2:
+        raise FilterError("need at least 2 samples per symbol")
+    return L
+
+
 def _normalized(kind: str, overlap: int, L: int, g: np.ndarray) -> PrototypeFilter:
     g = g / math.sqrt(np.sum(g * g) / L)
     g.flags.writeable = False       # PrototypeFilter.pairs is built from the taps once
@@ -104,12 +120,11 @@ def _normalized(kind: str, overlap: int, L: int, g: np.ndarray) -> PrototypeFilt
 
 def phydyas_taps(overlap: int, samples_per_symbol: int) -> PrototypeFilter:
     """Frequency-sampled cosine-sum filter on [0, K], K in {3, 4}."""
+    overlap = check_integer("overlap", overlap, FilterError)
     coeffs = PHYDYAS_COEFFS.get(overlap)
     if coeffs is None:
         raise FilterError(f"unsupported PHYDYAS overlap {overlap}")
-    if samples_per_symbol < 2:
-        raise FilterError("need at least 2 samples per symbol")
-    L = samples_per_symbol
+    L = _rate(samples_per_symbol)
     t = np.arange(overlap * L) / L
     acc = np.ones_like(t)
     for k, fk in enumerate(coeffs, start=1):
@@ -135,9 +150,7 @@ def hermite_poly(order: int, x) -> np.ndarray | float:
 
 def hermite_taps(samples_per_symbol: int) -> PrototypeFilter:
     """Gaussian times a sum of even Hermite polynomials, overlap 4."""
-    if samples_per_symbol < 2:
-        raise FilterError("need at least 2 samples per symbol")
-    L = samples_per_symbol
+    L = _rate(samples_per_symbol)
     overlap = 4
     t = np.arange(overlap * L) / L
     u = t - overlap / 2.0

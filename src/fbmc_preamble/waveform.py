@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .prototype import PrototypeFilter
+from .prototype import PrototypeFilter, check_integer
 
 _J = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
 # Data half-symbols on each side beyond the guards: enough to cover the
@@ -44,10 +44,7 @@ class FrameConfig:
             value = getattr(self, f.name)
             if value is None and f.name == "preamble_slot":
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise FrameError(f"{f.name} must be an integer, not {value!r}")
-            # A numpy integer would reach the JSON of a run's results.
-            object.__setattr__(self, f.name, int(value))
+            object.__setattr__(self, f.name, check_integer(f.name, value, FrameError))
         if self.subcarriers < 2:
             raise FrameError("need at least 2 subcarriers")
         if self.guards < 0:
@@ -124,6 +121,15 @@ def slot_data(cfg: FrameConfig, trial, slot, out: np.ndarray | None = None) -> n
     keys = (_key_field("trial", trial, TRIAL_BITS) << SLOT_BITS) | _key_field("slot", slot,
                                                                               SLOT_BITS)
     m = cfg.subcarriers
+    if out is None:
+        out = np.empty(keys.shape + (m,))
+    elif (out.shape != keys.shape + (m,) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise FrameError(f"out must be a C-contiguous float64 array of shape "
+                         f"{keys.shape + (m,)}")
+    if not keys.size:
+        # No cell, as where no data slot reaches a sigma = 0 window: no generator.
+        return out
     words = (m + 1) // 2
     # One generator, re-keyed per cell: building a Philox per cell costs
     # several times the draw itself.
@@ -136,12 +142,6 @@ def slot_data(cfg: FrameConfig, trial, slot, out: np.ndarray | None = None) -> n
         key[0] = k
         bitgen.state = state
         raw[i] = bitgen.random_raw(words)
-    if out is None:
-        out = np.empty(keys.shape + (m,))
-    elif (out.shape != keys.shape + (m,) or out.dtype != np.float64
-          or not out.flags.c_contiguous):
-        raise FrameError(f"out must be a C-contiguous float64 array of shape "
-                         f"{keys.shape + (m,)}")
     rows = out.reshape(-1, m)
     np.right_shift(raw.astype("<u8", copy=False).view("<u4")[:, :m], 31, out=rows)
     rows *= 2.0

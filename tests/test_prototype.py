@@ -165,3 +165,27 @@ class TestUtility:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,t,tap"
         assert len(lines) == 1 + len(f.taps)
+
+
+class TestIntegerArguments:
+    """The builders take an integer overlap and rate and store them as ints."""
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        for filt in (make_filter("phydyas4", np.int64(64)), phydyas_taps(np.int32(3), 64),
+                     hermite_taps(np.int64(64))):
+            assert type(filt.samples_per_symbol) is int and type(filt.overlap) is int
+        assert np.array_equal(make_filter("phydyas4", np.int64(64)).taps,
+                              make_filter("phydyas4", 64).taps)
+
+    @pytest.mark.parametrize("build, args, name", [
+        (make_filter, ("phydyas4", 2048.0), "samples_per_symbol"),
+        (make_filter, ("phydyas4", "64"), "samples_per_symbol"),
+        (make_filter, ("hermite", True), "samples_per_symbol"),
+        (hermite_taps, (64.5,), "samples_per_symbol"),
+        (phydyas_taps, (4.0, 64), "overlap"),
+        (phydyas_taps, (True, 64), "overlap"),
+    ], ids=["make_filter-2048.0", "make_filter-str", "make_filter-bool", "hermite_taps-64.5",
+            "phydyas_taps-4.0", "phydyas_taps-bool"])
+    def test_refuses_arguments_that_are_not_integers(self, build, args, name):
+        with pytest.raises(FilterError, match=f"{name} must be an integer"):
+            build(*args)

@@ -1,12 +1,14 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fbmc_preamble.analysis import papr_samples
 from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
-from fbmc_preamble.sequences import golay_seed
+from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import (FrameConfig, FrameError, build_frame, carrier_phase,
                                     slot_data, synthesize, transmultiplexer_response)
 from lookup_reference import transmultiplexer_response as reference_response
@@ -114,6 +116,52 @@ class TestBuildFrame:
     def test_slot_data_rejects_bad_out(self, out):
         with pytest.raises(FrameError, match="out"):
             slot_data(small_cfg(), np.arange(3), np.array([[5], [9]]), out=out)
+
+
+class TestEmptyCellSet:
+    """No cell to draw, as where no data slot reaches a sigma = 0 window:
+    slot_data checks its keys and out as for any other set, and builds no
+    generator."""
+
+    NO_SLOTS = np.empty((0, 1), dtype=np.int64)
+
+    @pytest.fixture(autouse=True)
+    def no_generator(self):
+        with mock.patch.object(np.random, "Philox", side_effect=AssertionError("drew")):
+            yield
+
+    def test_returns_the_broadcast_shape(self):
+        cfg = small_cfg()
+        assert slot_data(cfg, np.arange(3), self.NO_SLOTS).shape == (0, 3, 16)
+        assert slot_data(cfg, 4, np.arange(0)).shape == (0, 16)
+        out = np.empty((0, 3, 16))
+        assert slot_data(cfg, np.arange(3), self.NO_SLOTS, out=out) is out
+
+    @pytest.mark.parametrize("trial, slot, match", [
+        (np.array([-1]), NO_SLOTS, "trial"),
+        (1 << 48, NO_SLOTS, "trial"),
+        (np.array([0.0]), NO_SLOTS, "trial"),
+        (np.arange(3), np.empty((0, 1)), "slot"),
+    ])
+    def test_refuses_an_out_of_range_key(self, trial, slot, match):
+        with pytest.raises(FrameError, match=match):
+            slot_data(small_cfg(), trial, slot)
+
+    @pytest.mark.parametrize("out", [np.empty((0, 3, 15)), np.empty((0, 3, 16), np.float32),
+                                     np.empty((3, 16))])
+    def test_refuses_a_wrong_out(self, out):
+        with pytest.raises(FrameError, match="out"):
+            slot_data(small_cfg(), np.arange(3), self.NO_SLOTS, out=out)
+
+    @pytest.mark.parametrize("name, value", [("phydyas4", 1.6349118786259993),
+                                             ("hermite", 2.672985405756094)])
+    def test_sigma0_papr_is_pinned(self, name, value):
+        # At G = 6 no data slot reaches the window; the floats are those the
+        # engine gave when it still drew the empty cell set.
+        cfg = FrameConfig(subcarriers=512, guards=6, oversample=4, rng_seed=3)
+        papr = papr_samples(sparse_golay_preamble(512, 32),
+                            make_filter(name, cfg.samples_per_symbol), cfg, trials=2)
+        assert papr.tolist() == [value, value]
 
 
 class TestCarrierPhase:
