@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_integer
 from .prototype import PrototypeFilter, phydyas_taps
 from .waveform import (SLOT_BITS, FrameConfig, SampledSignal, add_weighted, carrier_phase,
                        check_rate, check_trials, checked_preamble, slot_data, slot_sums,
@@ -94,14 +95,6 @@ def _model_time(t) -> float:
     resolves a half slot.  Raises AnalysisError otherwise.  The one check of
     a time of nu_of_t, sigma2_of_t and signal_at_times."""
     return _real("t", t, _TIME_END)
-
-
-def _trial_count(trials, low: int) -> int:
-    """trials as an int, if it is an integer (not a bool) >= low; raises
-    AnalysisError otherwise."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < low:
-        raise AnalysisError(f"trials must be an integer >= {low}, not {trials!r}")
-    return int(trials)
 
 
 def _data_slots_at(filt: PrototypeFilter, cfg: FrameConfig, t: float) -> list[tuple[int, float]]:
@@ -242,8 +235,7 @@ def wilson_interval(hits, trials):
     is about 3.84 / trials.  Raises AnalysisError unless trials >= 1 and
     every hit count lies in [0, trials]."""
     hits = np.asarray(hits, dtype=float)
-    if not trials >= 1:
-        raise AnalysisError(f"need at least one trial, not {trials!r}")
+    trials = check_integer("trials", trials, AnalysisError, 1)
     if not np.all((hits >= 0) & (hits <= trials)):
         raise AnalysisError(f"hits must lie in [0, {trials}]")
     z2 = _Z95 * _Z95
@@ -425,7 +417,7 @@ def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     values do not depend on the number of processes.  All input is checked
     here, before any worker is fed.
     """
-    trials = _trial_count(trials, 0)
+    trials = check_integer("trials", trials, AnalysisError, 0)
     preamble = checked_preamble(preamble, cfg.subcarriers)
     check_rate(filt, cfg)
     stop = first_trial + trials
@@ -452,7 +444,7 @@ def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConf
     progress(trials_done, exceed_count, max_papr_db), with the running
     counts (an array that later shards update in place).
     """
-    trials = _trial_count(trials, 1)
+    trials = check_integer("trials", trials, AnalysisError, 1)
     exceed = np.zeros(len(THRESHOLDS_DB), dtype=np.int64)
     max_db = float("-inf")
     done = 0
@@ -493,7 +485,7 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     below about the filter's overlap), and FrameError for a preamble that
     build_frame refuses or a filter not sampled at the frame's rate.
     """
-    trials = _trial_count(trials, 0)
+    trials = check_integer("trials", trials, AnalysisError, 0)
     preamble = checked_preamble(preamble, cfg.subcarriers)
     t = np.atleast_1d(t)
     if t.ndim > 1:

@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .checks import check_integer
+
 
 class FilterError(ValueError):
     """Unsupported prototype filter parameters."""
@@ -96,22 +98,6 @@ class PrototypeFilter:
                 w.writerow([k, f"{k * self.dt:.9g}", f"{tap:.12g}"])
 
 
-def check_integer(name: str, value, error: type[ValueError]) -> int:
-    """value as an int, if it is an integer (numpy integers pass, bools do
-    not); raises `error` otherwise, where a cast would drop a fraction.  A
-    numpy integer is returned as an int, so none reaches a run's JSON."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, not {value!r}")
-    return int(value)
-
-
-def _rate(samples_per_symbol) -> int:
-    L = check_integer("samples_per_symbol", samples_per_symbol, FilterError)
-    if L < 2:
-        raise FilterError("need at least 2 samples per symbol")
-    return L
-
-
 def _normalized(kind: str, overlap: int, L: int, g: np.ndarray) -> PrototypeFilter:
     g = g / math.sqrt(np.sum(g * g) / L)
     g.flags.writeable = False       # PrototypeFilter.pairs is built from the taps once
@@ -124,7 +110,7 @@ def phydyas_taps(overlap: int, samples_per_symbol: int) -> PrototypeFilter:
     coeffs = PHYDYAS_COEFFS.get(overlap)
     if coeffs is None:
         raise FilterError(f"unsupported PHYDYAS overlap {overlap}")
-    L = _rate(samples_per_symbol)
+    L = check_integer("samples_per_symbol", samples_per_symbol, FilterError, 2)
     t = np.arange(overlap * L) / L
     acc = np.ones_like(t)
     for k, fk in enumerate(coeffs, start=1):
@@ -135,8 +121,7 @@ def phydyas_taps(overlap: int, samples_per_symbol: int) -> PrototypeFilter:
 
 def hermite_poly(order: int, x) -> np.ndarray | float:
     """Physicists' Hermite polynomial H_k via the three-term recurrence."""
-    if order < 0:
-        raise FilterError("order must be >= 0")
+    order = check_integer("order", order, FilterError, 0)
     if order > _HERMITE_ORDER_GUARD:
         raise FilterError(f"order {order} beyond double-precision guard")
     x = np.asarray(x, dtype=float)
@@ -150,7 +135,7 @@ def hermite_poly(order: int, x) -> np.ndarray | float:
 
 def hermite_taps(samples_per_symbol: int) -> PrototypeFilter:
     """Gaussian times a sum of even Hermite polynomials, overlap 4."""
-    L = _rate(samples_per_symbol)
+    L = check_integer("samples_per_symbol", samples_per_symbol, FilterError, 2)
     overlap = 4
     t = np.arange(overlap * L) / L
     u = t - overlap / 2.0

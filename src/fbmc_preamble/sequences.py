@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_integer
+
 # Exact unit circle points for the common moduli, so binary/quaternary
 # sequences convert without floating-point phase error.
 _EXACT_ROOTS = {
@@ -27,15 +29,6 @@ class SequenceError(ValueError):
     """Invalid sequence construction parameters."""
 
 
-def _integer(name: str, value) -> int:
-    """value as an int, if it is an integer (numpy integers pass, bools do
-    not); raises SequenceError otherwise, where a cast would drop a
-    fraction."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SequenceError(f"{name} must be an integer, not {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class PhaseSequence:
     """Length-N sequence of phases over Z_Q."""
@@ -44,13 +37,12 @@ class PhaseSequence:
     phases: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "modulus", _integer("modulus", self.modulus))
+        object.__setattr__(self, "modulus",
+                           check_integer("modulus", self.modulus, SequenceError, 1))
         phases = np.asarray(self.phases)
         if phases.size and phases.dtype.kind not in "iu":
             raise SequenceError(f"phases must be integers, not {phases.dtype}")
         phases = phases.astype(np.int64)
-        if self.modulus < 1:
-            raise SequenceError("modulus must be positive")
         if np.any((phases < 0) | (phases >= self.modulus)):
             raise SequenceError("phase entries must lie in [0, Q)")
         object.__setattr__(self, "phases", phases)
@@ -119,14 +111,14 @@ class GbfSpec:
 
     def __post_init__(self):
         # Stored as Python ints: numpy integers would wrap in the sums below.
-        for name in ("q", "mu", "const", "offset"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, low in (("q", 2), ("mu", 1), ("const", None), ("offset", None)):
+            object.__setattr__(self, name,
+                               check_integer(name, getattr(self, name), SequenceError, low))
         for name in ("pi", "b"):
-            object.__setattr__(self, name, tuple(_integer(name, v) for v in getattr(self, name)))
-        if self.q < 2 or self.q % 2 != 0:
-            raise SequenceError("modulus Q must be a positive even integer")
-        if self.mu < 1:
-            raise SequenceError("mu must be >= 1")
+            object.__setattr__(self, name, tuple(check_integer(name, v, SequenceError)
+                                                 for v in getattr(self, name)))
+        if self.q % 2:
+            raise SequenceError("modulus Q must be even")
         q, mu = self.q, self.mu
         if q // 2 * mu + (mu + 2) * (q - 1) >= 1 << 63:
             raise SequenceError(f"modulus Q = {q} is too large for mu = {mu}: "
@@ -190,9 +182,8 @@ def sparsify(c: np.ndarray, d: int, m_total: int) -> np.ndarray:
     """Kronecker-expand c with d zeros after each entry and scale so the
     result has energy m_total.  Pilot spacing is d+1."""
     c = np.asarray(c, dtype=complex)
-    d, m_total = _integer("sparsity gap", d), _integer("target length", m_total)
-    if d < 0:
-        raise SequenceError("sparsity gap must be >= 0")
+    d = check_integer("sparsity gap", d, SequenceError, 0)
+    m_total = check_integer("target length", m_total, SequenceError)
     if m_total != (d + 1) * len(c):
         raise SequenceError(f"target length {m_total} != (d+1)*len(c) = {(d + 1) * len(c)}")
     out = np.zeros(m_total, dtype=complex)
@@ -227,7 +218,8 @@ def golay_seed(length: int) -> np.ndarray:
     concatenation rule (c|d, c|-d); length 32 is therefore c|-d, whose
     partner is c|d.  Shorter lengths come from a canonical DJ spec.
     """
-    if length < 1 or length & (length - 1):
+    length = check_integer("seed length", length, SequenceError, 1)
+    if length & (length - 1):
         raise SequenceError("seed length must be a power of two")
     if length <= 16:
         mu = length.bit_length() - 1
@@ -244,7 +236,9 @@ def golay_seed(length: int) -> np.ndarray:
 def sparse_golay_preamble(m_total: int, pilot_count: int) -> np.ndarray:
     """Equi-spaced, equi-powered pilot preamble built from a binary Golay
     seed of length pilot_count, energy m_total."""
-    if pilot_count < 1 or m_total % pilot_count:
+    m_total = check_integer("subcarrier count", m_total, SequenceError, 1)
+    pilot_count = check_integer("pilot count", pilot_count, SequenceError, 1)
+    if m_total % pilot_count:
         raise SequenceError("subcarrier count must be a multiple of the pilot count")
     seed = golay_seed(pilot_count)
     return sparsify(seed, m_total // pilot_count - 1, m_total)
@@ -253,6 +247,7 @@ def sparse_golay_preamble(m_total: int, pilot_count: int) -> np.ndarray:
 def mseq_preamble(m_total: int) -> np.ndarray:
     """Baseline sparse preamble from the 31-chip m-sequence with a trailing
     '+' appended, Kronecker-expanded to length m_total (multiple of 32)."""
+    m_total = check_integer("length", m_total, SequenceError, 32)
     if m_total % 32:
         raise SequenceError("length must be divisible by 32")
     core = np.concatenate([signs_to_array(MSEQ31), [1.0]])
@@ -262,6 +257,5 @@ def mseq_preamble(m_total: int) -> np.ndarray:
 def iamc_preamble(m_total: int) -> np.ndarray:
     """Dense baseline preamble c_m = j^(-m): its phase transform is the
     all-ones sequence, so every subcarrier adds coherently."""
-    if m_total < 1:
-        raise SequenceError("length must be >= 1")
+    m_total = check_integer("length", m_total, SequenceError, 1)
     return _EXACT_ROOTS[4][(-np.arange(m_total)) % 4].copy()

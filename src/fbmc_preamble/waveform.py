@@ -15,11 +15,12 @@ many slots at many float times.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .prototype import PrototypeFilter, check_integer
+from .checks import check_integer
+from .prototype import PrototypeFilter
 
 _J = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
 # Data half-symbols on each side beyond the guards: enough to cover the
@@ -40,17 +41,11 @@ class FrameConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.name == "preamble_slot":
-                continue
-            object.__setattr__(self, f.name, check_integer(f.name, value, FrameError))
-        if self.subcarriers < 2:
-            raise FrameError("need at least 2 subcarriers")
-        if self.guards < 0:
-            raise FrameError("guard count must be >= 0")
-        if self.oversample < 2:
-            raise FrameError("oversample must be >= 2")
+        for name, low in (("subcarriers", 2), ("guards", 0), ("preamble_slot", None),
+                          ("oversample", 2), ("rng_seed", None)):
+            value = getattr(self, name)
+            if value is not None or name != "preamble_slot":
+                object.__setattr__(self, name, check_integer(name, value, FrameError, low))
         if self.samples_per_symbol % 2:
             raise FrameError("oversample * subcarriers must be even: slots start every "
                              "half symbol, on the sample grid")
@@ -335,8 +330,7 @@ def transmultiplexer_response(filt: PrototypeFilter, m: int, n: int, p: int, q: 
     except on the diagonal (real-field orthogonality).  Raises FrameError
     for an index that is not an integer and for an odd L, at which a slot
     would not start on a sample."""
-    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in (m, n, p, q)):
-        raise FrameError(f"indices must be integers, not {(m, n, p, q)!r}")
+    m, n, p, q = (check_integer(name, i, FrameError) for name, i in zip("mnpq", (m, n, p, q)))
     L = filt.samples_per_symbol
     if L % 2:
         raise FrameError(f"the filter's {L} samples per symbol must be even: slots start "

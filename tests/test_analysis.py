@@ -632,7 +632,7 @@ class TestRicianInputChecks:
     # refuses one that is not an integer >= 0.
     def test_negative_guard_count(self):
         # -1 used to count the preamble slot as data.
-        with pytest.raises(FrameError, match="guard count must be >= 0"):
+        with pytest.raises(FrameError, match="guards must be an integer >= 0, not -1"):
             FrameConfig(subcarriers=64, guards=-1)
 
     @pytest.mark.parametrize("guards", [2.5, 2.999, 2.0, np.float64(2.0)])
@@ -1003,8 +1003,9 @@ class TestWilsonInterval:
 
     @pytest.mark.parametrize("hits, trials", [(0, 0), (5, 3), (-1, 10), (0, -2),
                                               (np.array([0, 11]), 10), (float("nan"), 10),
-                                              (0, float("nan"))])
+                                              (0, float("nan")), (1, 2.5), (0, True)])
     def test_rejects_counts_outside_their_range(self, hits, trials):
-        # These gave NaN with a RuntimeWarning.
+        # These gave NaN with a RuntimeWarning, or, for a trial count of
+        # 2.5 or True, an interval.
         with pytest.raises(AnalysisError):
             analysis.wilson_interval(hits, trials)

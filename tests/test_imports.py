@@ -38,9 +38,10 @@ def sibling_imports(module: str) -> set[str]:
     return found & (MODULES - {module})
 
 
-@pytest.mark.parametrize("module, allowed", [("sequences", set()), ("prototype", set()),
-                                             ("workers", set()), ("waveform", {"prototype"}),
-                                             ("__init__", set())])
+@pytest.mark.parametrize("module, allowed", [("sequences", {"checks"}), ("prototype", {"checks"}),
+                                             ("workers", set()),
+                                             ("waveform", {"checks", "prototype"}),
+                                             ("__init__", set()), ("checks", set())])
 def test_lower_layers_import_only_what_they_may(module, allowed):
     assert sibling_imports(module) <= allowed
 

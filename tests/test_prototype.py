@@ -184,8 +184,10 @@ class TestIntegerArguments:
         (hermite_taps, (64.5,), "samples_per_symbol"),
         (phydyas_taps, (4.0, 64), "overlap"),
         (phydyas_taps, (True, 64), "overlap"),
+        (hermite_poly, (2.5, 0.0), "order"),
+        (hermite_poly, (True, 0.0), "order"),
     ], ids=["make_filter-2048.0", "make_filter-str", "make_filter-bool", "hermite_taps-64.5",
-            "phydyas_taps-4.0", "phydyas_taps-bool"])
+            "phydyas_taps-4.0", "phydyas_taps-bool", "hermite_poly-2.5", "hermite_poly-bool"])
     def test_refuses_arguments_that_are_not_integers(self, build, args, name):
         with pytest.raises(FilterError, match=f"{name} must be an integer"):
             build(*args)

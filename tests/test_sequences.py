@@ -278,6 +278,22 @@ class TestBaselines:
         with pytest.raises(SequenceError):
             mseq_preamble(100)
 
+    @pytest.mark.parametrize("build, args, name", [
+        (golay_seed, (32.0,), "seed length"),
+        (golay_seed, (True,), "seed length"),
+        (sparse_golay_preamble, (512, 32.0), "pilot count"),
+        (sparse_golay_preamble, (512.0, 32), "subcarrier count"),
+        (mseq_preamble, (64.0,), "length"),
+        (iamc_preamble, (8.0,), "length"),
+        (iamc_preamble, (True,), "length"),
+    ], ids=["golay_seed-32.0", "golay_seed-bool", "sparse_golay-pilots-32.0",
+            "sparse_golay-length-512.0", "mseq-64.0", "iamc-8.0", "iamc-bool"])
+    def test_refuses_lengths_that_are_not_integers(self, build, args, name):
+        # These ended in a bare TypeError or IndexError, blamed an internal
+        # sparsity gap, or built a 1-entry sequence from True.
+        with pytest.raises(SequenceError, match=f"^{name} must be an integer"):
+            build(*args)
+
     def test_iamc_first_entries(self):
         assert iamc_preamble(4).tolist() == [1, -1j, -1, 1j]
 

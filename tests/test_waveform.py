@@ -377,7 +377,7 @@ class TestTransmultiplexer:
         for pos in range(4):
             args = [0, 0, 0, 0]
             args[pos] = index
-            with pytest.raises(FrameError, match="indices must be integers"):
+            with pytest.raises(FrameError, match=f"^{'mnpq'[pos]} must be an integer, "):
                 transmultiplexer_response(filt, *args)
         assert transmultiplexer_response(filt, np.int64(1), 0, 1, np.int32(0)) == (
             transmultiplexer_response(filt, 1, 0, 1, 0))
