@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_integer
+from .checks import check_integer, check_real
 from .prototype import PrototypeFilter, phydyas_taps
-from .waveform import (SLOT_BITS, FrameConfig, SampledSignal, add_weighted, carrier_phase,
-                       check_rate, check_trials, checked_preamble, slot_data, slot_sums,
-                       slot_term, synthesize)
+from .waveform import (DATA_SPAN, SLOT_BITS, FrameConfig, SampledSignal, add_weighted,
+                       carrier_phase, check_rate, check_trials, checked_preamble, slot_data,
+                       slot_sums, slot_term, synthesize)
 from .workers import POOL, cpu_count
 
 
@@ -30,9 +30,7 @@ class AnalysisError(ValueError):
 
 def average_power(subcarriers: int) -> float:
     """Long-run mean power 2M/T of the data payload (T = 1)."""
-    if subcarriers < 1:
-        raise AnalysisError("need at least one subcarrier")
-    return 2.0 * subcarriers
+    return 2.0 * check_integer("subcarriers", subcarriers, AnalysisError, 1)
 
 
 def window_start_slot(preamble_slot: int, overlap: int) -> int:
@@ -57,8 +55,8 @@ class AnalysisWindow:
 
 def papr(signal: SampledSignal, window: AnalysisWindow, p_avg: float) -> float:
     """Peak instantaneous-to-average power over the window, in dB."""
-    if not (math.isfinite(p_avg) and p_avg > 0):
-        raise AnalysisError(f"average power must be finite and > 0, not {p_avg!r}")
+    if (p_avg := check_real("average power", p_avg, AnalysisError)) == 0.0:
+        raise AnalysisError("average power must be > 0")
     if window.start_index < 0 or window.start_index + window.length > len(signal.samples):
         raise AnalysisError("analysis window exceeds the sampled signal")
     seg = signal.samples[window.start_index: window.start_index + window.length]
@@ -68,24 +66,6 @@ def papr(signal: SampledSignal, window: AnalysisWindow, p_avg: float) -> float:
 # ---------------------------------------------------------------------------
 # Rician point model
 
-_REAL = (float, int, np.floating, np.integer)      # bool is an int, and is refused
-
-
-def _real(what: str, value, high: float = math.inf) -> float:
-    """value as a float, if it is a real number (not a bool, a string or an
-    array) that is finite, >= 0 and < high; raises AnalysisError otherwise.
-    The input check of the Rician model's scalars."""
-    if type(value) is float and 0.0 <= value < high:    # most values: no more to check
-        return value
-    if not isinstance(value, _REAL) or isinstance(value, bool):
-        raise AnalysisError(f"{what} must be a real number, not {value!r}")
-    value = float(value)
-    if not 0.0 <= value < high:      # NaN and inf fail too
-        within = ">= 0" if high == math.inf else f"in [0, {high:g})"
-        raise AnalysisError(f"{what} must be finite and {within}")
-    return value
-
-
 _TIME_END = float(1 << (SLOT_BITS - 1))
 
 
@@ -94,7 +74,7 @@ def _model_time(t) -> float:
     half-slot index floor(2t) is a valid slot_data key, where t - s/2 still
     resolves a half slot.  Raises AnalysisError otherwise.  The one check of
     a time of nu_of_t, sigma2_of_t and signal_at_times."""
-    return _real("t", t, _TIME_END)
+    return check_real("t", t, AnalysisError, _TIME_END)
 
 
 def _data_slots_at(filt: PrototypeFilter, cfg: FrameConfig, t: float) -> list[tuple[int, float]]:
@@ -154,9 +134,9 @@ class RicianPointModel:
 
     def __post_init__(self):
         _model_time(self.t)
-        _real("nu", self.nu)
-        _real("sigma", self.sigma)
-        if _real("p_avg", self.p_avg) == 0.0:
+        check_real("nu", self.nu, AnalysisError)
+        check_real("sigma", self.sigma, AnalysisError)
+        if check_real("p_avg", self.p_avg, AnalysisError) == 0.0:
             raise AnalysisError("p_avg must be > 0")
 
     @classmethod
@@ -192,7 +172,7 @@ def marcum_q1(a: float, b: float) -> float:
     FloatingPointError where scipy's chndtr gives no finite F, and
     AnalysisError unless a and b are real numbers, finite and >= 0.
     """
-    a, b = _real("a", a), _real("b", b)
+    a, b = check_real("a", a, AnalysisError), check_real("b", b, AnalysisError)
     # The scalar Cython chndtr runs the ufunc scipy.special.chndtr's C
     # routine without its dispatch; the name is looked up at each call, so
     # after the first it reaches the Cython function directly.
@@ -205,7 +185,7 @@ def marcum_q1(a: float, b: float) -> float:
 def iapr_exceedance(alpha: float, model: RicianPointModel) -> float:
     """Pr{|s(t)|^2 / P_avg >= alpha} at the model's time instant; raises
     AnalysisError unless alpha is a real number, finite and >= 0."""
-    alpha = _real("threshold", alpha)
+    alpha = check_real("threshold", alpha, AnalysisError)
     if alpha == 0.0:
         return 1.0
     sigma = model.sigma
@@ -517,11 +497,12 @@ def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
 def empirical_mean_power(subcarriers: int, n_symbols: int = 256, seed: int = 0) -> float:
     """Time-averaged |s(t)|^2 of an all-data frame at oversample 4, for
     checking 2M/T."""
+    n_symbols = check_integer("n_symbols", n_symbols, AnalysisError, 1)
     cfg = FrameConfig(subcarriers=subcarriers, guards=0, rng_seed=seed)
     filt = phydyas_taps(4, cfg.samples_per_symbol)
     # All data, over more slots than the frame's for a long n_symbols:
     # synthesize takes the grid's width from the symbols.
-    n_slots = 2 * max(12, n_symbols // 2) + 1
+    n_slots = 2 * max(DATA_SPAN, n_symbols // 2) + 1
     symbols = slot_data(cfg, 0, cfg.first_slot + np.arange(n_slots)).T.astype(complex)
     sig = synthesize(symbols, filt, cfg)
     spt = cfg.samples_per_symbol

@@ -24,6 +24,7 @@ from . import __version__
 from .analysis import (THRESHOLDS_DB, AnalysisError, RicianPointModel, average_power,
                        engine_processes, iapr_exceedance, monte_carlo_ccdf, papr_samples,
                        signal_at_times, wilson_interval, window_start_slot)
+from .checks import check_real
 from .prototype import FilterError, make_filter, papr_bound_sigma0
 from .sequences import (GbfSpec, PhaseSequence, SequenceError, array_to_signs,
                         complex_from_json, complex_to_json, dj_pair, gcp_residual,
@@ -183,8 +184,7 @@ def cmd_gen_golay(args) -> tuple[int, dict]:
 
 def cmd_verify_gcp(args) -> tuple[int, dict]:
     # NaN or a negative tolerance would fail every pair, and inf pass every one.
-    if not 0 <= args.tol < np.inf:
-        raise CliError(f"--tol must be a finite number >= 0, not {args.tol!r}")
+    check_real("--tol", args.tol, CliError)
     c, d = _load_preamble(args.file_c), _load_preamble(args.file_d)
     residual = gcp_residual(c, d)
     ok = residual <= args.tol

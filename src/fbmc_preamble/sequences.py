@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_integer
+from .checks import check_integer, check_real
 
 # Exact unit circle points for the common moduli, so binary/quaternary
 # sequences convert without floating-point phase error.
@@ -153,7 +153,8 @@ def dj_pair(spec: GbfSpec) -> tuple[PhaseSequence, PhaseSequence]:
 
 def is_gcp(c: np.ndarray, d: np.ndarray, tol: float = 1e-9) -> bool:
     """True iff the aperiodic autocorrelations of c and d cancel at every
-    nonzero shift, to within tol."""
+    nonzero shift, to within tol, a finite real number >= 0."""
+    tol = check_real("tol", tol, SequenceError)
     return gcp_residual(c, d) <= tol
 
 

@@ -127,9 +127,17 @@ class TestAveragePower:
         assert average_power(512) == 1024.0
         assert average_power(1) == 2.0
 
-    def test_rejects_zero(self):
-        with pytest.raises(AnalysisError):
-            average_power(0)
+    @pytest.mark.parametrize("subcarriers", [0, True, 2.5, "512"])
+    def test_rejects_zero(self, subcarriers):
+        # True gave 2.0, 2.5 gave 5.0 and "512" a bare TypeError.
+        with pytest.raises(AnalysisError, match="^subcarriers must be an integer >= 1"):
+            average_power(subcarriers)
+
+    @pytest.mark.parametrize("n_symbols", [2.5, -5, "x"])
+    def test_empirical_mean_power_refuses_a_symbol_count(self, n_symbols):
+        # 2.5 and -5 averaged the grid of 24 symbols, "x" ended in a TypeError.
+        with pytest.raises(AnalysisError, match="^n_symbols must be an integer >= 1"):
+            empirical_mean_power(64, n_symbols=n_symbols)
 
     def test_empirical_all_data_frame(self):
         # long-run time average of an all-data frame approaches 2M/T
@@ -861,9 +869,10 @@ class TestPaprWindow:
         with pytest.raises(AnalysisError):
             papr(sig, AnalysisWindow(len(sig.samples) - 4, 8), 1.0)
 
-    @pytest.mark.parametrize("p_avg", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("p_avg", [0.0, -1.0, math.nan, math.inf, True, "2"])
     def test_rejects_average_power_not_finite_and_positive(self, p_avg):
-        # 0 divided by zero, -1 was a bare math domain error and NaN returned NaN.
+        # 0 divided by zero, -1 was a bare math domain error, NaN returned NaN,
+        # True divided by 1.0 and "2" ended in a bare TypeError.
         sig = synthesize(build_frame(self.cfg, self.preamble), self.filt, self.cfg)
         with pytest.raises(AnalysisError, match="average power"):
             papr(sig, AnalysisWindow.for_signal(sig, self.cfg.preamble_slot), p_avg)

@@ -202,6 +202,14 @@ class TestPapr:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_preamble_file_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "pre.json"
+        path.write_text('{"re": [1.0,')
+        rc = main(["papr", "--preamble-file", str(path), "--subcarriers", "16"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not valid JSON" in err
+
     def test_odd_samples_per_symbol(self, tmp_path, capsys):
         pre = write_preamble(tmp_path, "pre.json", np.ones(13))
         rc = main(["--oversample", "3", "papr", "--preamble-file", pre,

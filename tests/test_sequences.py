@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -118,6 +119,25 @@ class TestDjPair:
         with pytest.raises(SequenceError):
             GbfSpec(q=2, mu=3, pi=(1, 1, 2), b=(0, 0, 0))
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"b": (0, 0)}, "^b must have mu entries$"),
+        ({"b": (0, 4, 0)}, r"^coefficients must lie in \[0, Q\)$"),
+        ({"const": 4}, r"^coefficients must lie in \[0, Q\)$"),
+        ({"offset": 5}, r"^coefficients must lie in \[0, Q\)$"),
+    ], ids=["b-too-short", "b-at-q", "const-at-q", "offset-above-q"])
+    def test_rejects_wrong_linear_terms(self, fields, match):
+        with pytest.raises(SequenceError, match=match):
+            GbfSpec(**{"q": 4, "mu": 3, "pi": (1, 2, 3), "b": (0, 0, 0), **fields})
+
+    @pytest.mark.parametrize("mu", range(5, 11))
+    def test_paper_seed_is_a_dj_pair(self, mu):
+        # golay_seed(2^mu), mu >= 5: the paper's L_h = 32 seed and the longer
+        # seeds grown from it are each the first sequence of one binary
+        # Davis-Jedwab pair.
+        spec = GbfSpec(q=2, mu=mu, pi=tuple(range(mu, 4, -1)) + (2, 3, 4, 1),
+                       b=(1, 1, 1, 0, 0) + (1,) * (mu - 5))
+        assert np.array_equal(golay_seed(2**mu), dj_pair(spec)[0].to_complex().real)
+
     @pytest.mark.parametrize("field,value", [
         ("q", 2.0), ("q", True), ("mu", 2.0), ("pi", (1.0, 2)), ("pi", (True, 2)),
         ("b", (0.5, 0)), ("b", (np.float64(1.0), 0)), ("const", 1.5), ("const", True),
@@ -200,6 +220,16 @@ class TestIsGcp:
     def test_length_mismatch(self):
         with pytest.raises(SequenceError):
             is_gcp(np.ones(4), np.ones(3))
+
+    @pytest.mark.parametrize("tol, match", [
+        (math.nan, "^tol must be finite and >= 0$"), (-1.0, "^tol must be finite and >= 0$"),
+        (math.inf, "^tol must be finite and >= 0$"), (True, "^tol must be a real number"),
+        ("1e-9", "^tol must be a real number")])
+    def test_refuses_a_tolerance_that_is_not_finite_and_non_negative(self, tol, match):
+        # On a true Golay pair: NaN and -1 called it no pair, inf would call
+        # any pair one, True compared as 1 and "1e-9" ended in a TypeError.
+        with pytest.raises(SequenceError, match=match):
+            is_gcp(signs_to_array(GOLAY_C16), signs_to_array(GOLAY_D16), tol)
 
 
 class TestPhaseTransform:
@@ -308,6 +338,13 @@ class TestBaselines:
         c, d = signs_to_array(GOLAY_C16), signs_to_array(GOLAY_D16)
         assert np.array_equal(golay_seed(32), np.concatenate([c, -d]))
 
+    def test_golay_seed_refuses_a_length_that_is_not_a_power_of_two(self):
+        with pytest.raises(SequenceError, match="^seed length must be a power of two$"):
+            golay_seed(12)
+
+    def test_golay_seed_of_length_one(self):
+        assert golay_seed(1).tolist() == [1.0]
+
     def test_golay_seeds_are_golay(self):
         for length in (2, 4, 8, 16, 32, 64, 128):
             seed = golay_seed(length)
@@ -367,6 +404,10 @@ class TestSerialization:
     def test_spec_roundtrip(self):
         spec = GbfSpec(q=4, mu=3, pi=(3, 1, 2), b=(1, 0, 2), const=3, offset=2)
         assert GbfSpec(**json.loads(spec.to_json())) == spec
+
+    def test_signs_refuse_other_characters(self):
+        with pytest.raises(SequenceError, match="only '\\+' and '-'"):
+            signs_to_array("+x")
 
     def test_json_field_names(self):
         obj = json.loads(complex_to_json(np.array([1 + 2j])))

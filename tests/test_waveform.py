@@ -42,6 +42,9 @@ class TestFrameConfig:
             small_cfg(guards=-1)
         with pytest.raises(FrameError):
             small_cfg(oversample=1)
+        # Slot 13 is one short of the guards and the data span to its left.
+        with pytest.raises(FrameError, match="no room"):
+            FrameConfig(subcarriers=16, guards=2, preamble_slot=13)
 
     def test_rejects_odd_samples_per_symbol(self):
         # Slots start every half symbol, which an odd spt puts between samples.
