@@ -18,9 +18,9 @@ import numpy as np
 
 from .checks import check_integer, check_real
 from .prototype import PrototypeFilter, phydyas_taps
-from .waveform import (DATA_SPAN, SLOT_BITS, FrameConfig, SampledSignal, add_weighted,
-                       carrier_phase, check_rate, check_trials, checked_preamble, slot_data,
-                       slot_sums, slot_term, synthesize)
+from .waveform import (DATA_SPAN, SLOT_BITS, FrameConfig, FrameError, SampledSignal,
+                       add_weighted, carrier_phase, check_rate, check_trials, checked_preamble,
+                       slot_data, slot_sums, slot_term, synthesize)
 from .workers import POOL, cpu_count
 
 
@@ -43,21 +43,25 @@ class AnalysisWindow:
     start_index: int       # first sample inside the window
     length: int            # 2T worth of samples
 
+    def __post_init__(self):
+        for name, low in (("start_index", 0), ("length", 1)):
+            object.__setattr__(self, name,
+                               check_integer(name, getattr(self, name), AnalysisError, low))
+
     @classmethod
     def for_signal(cls, signal: SampledSignal, preamble_slot: int) -> "AnalysisWindow":
         spt = signal.samples_per_symbol
         start = round((window_start_slot(preamble_slot, signal.overlap) / 2 - signal.t0) * spt)
-        win = cls(start_index=start, length=2 * spt)
-        if start < 0 or start + win.length > len(signal.samples):
+        if start < 0 or start + 2 * spt > len(signal.samples):
             raise AnalysisError("analysis window exceeds the sampled signal")
-        return win
+        return cls(start_index=start, length=2 * spt)
 
 
 def papr(signal: SampledSignal, window: AnalysisWindow, p_avg: float) -> float:
     """Peak instantaneous-to-average power over the window, in dB."""
     if (p_avg := check_real("average power", p_avg, AnalysisError)) == 0.0:
         raise AnalysisError("average power must be > 0")
-    if window.start_index < 0 or window.start_index + window.length > len(signal.samples):
+    if window.start_index + window.length > len(signal.samples):
         raise AnalysisError("analysis window exceeds the sampled signal")
     seg = signal.samples[window.start_index: window.start_index + window.length]
     return 10.0 * math.log10(float(np.max(np.abs(seg) ** 2)) / p_avg)
@@ -295,7 +299,7 @@ class _WindowSampler:
         # Slot s's support [s/2, s/2 + K) meets the window for |s - n| <= K + 1.
         slots = np.arange(n - filt.overlap - 1, n + filt.overlap + 2)
         self.data_slots = slots[np.abs(slots - n) > cfg.guards]
-        self.pairs = filt.pairs
+        self.pairs = np.repeat(filt.taps, 2)       # as add_weighted takes the taps
         self.rows = rows
 
         def term(s):
@@ -398,6 +402,7 @@ def _papr_db_shards(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     here, before any worker is fed.
     """
     trials = check_integer("trials", trials, AnalysisError, 0)
+    first_trial = check_integer("first_trial", first_trial, FrameError, 0)
     preamble = checked_preamble(preamble, cfg.subcarriers)
     check_rate(filt, cfg)
     stop = first_trial + trials
@@ -425,6 +430,8 @@ def monte_carlo_ccdf(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConf
     counts (an array that later shards update in place).
     """
     trials = check_integer("trials", trials, AnalysisError, 1)
+    if progress is not None and not callable(progress):
+        raise AnalysisError(f"progress must be None or callable, not {progress!r}")
     exceed = np.zeros(len(THRESHOLDS_DB), dtype=np.int64)
     max_db = float("-inf")
     done = 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -59,22 +58,8 @@ class PrototypeFilter:
     def peak(self) -> float:
         return float(np.max(self.taps))
 
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        """The taps repeated for each (re, im) pair of a complex sample, as
-        waveform.add_weighted takes them; built on first use and kept with
-        the filter."""
-        pairs = np.repeat(self.taps, 2)
-        pairs.flags.writeable = False
-        return pairs
-
-    def __getstate__(self):
-        # Leaves out the cached pairs, which would triple the pickle (the
-        # largest part of an engine worker's call); a copy rebuilds them.
-        return {k: v for k, v in self.__dict__.items() if k != "pairs"}
-
     def __setstate__(self, state):
-        # Pickle does not keep the read-only flag that keeps taps and pairs alike.
+        # Pickle drops the read-only flag that _normalized sets.
         self.__dict__.update(state)
         self.taps.flags.writeable = False
 
@@ -100,7 +85,8 @@ class PrototypeFilter:
 
 def _normalized(kind: str, overlap: int, L: int, g: np.ndarray) -> PrototypeFilter:
     g = g / math.sqrt(np.sum(g * g) / L)
-    g.flags.writeable = False       # PrototypeFilter.pairs is built from the taps once
+    # Shared by every sampler and synthesize call: a write would change results silently.
+    g.flags.writeable = False
     return PrototypeFilter(kind=kind, overlap=overlap, samples_per_symbol=L, taps=g)
 
 

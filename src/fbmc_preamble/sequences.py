@@ -40,6 +40,8 @@ class PhaseSequence:
         object.__setattr__(self, "modulus",
                            check_integer("modulus", self.modulus, SequenceError, 1))
         phases = np.asarray(self.phases)
+        if phases.ndim != 1:
+            raise SequenceError(f"phases must be 1-D, not of shape {phases.shape}")
         if phases.size and phases.dtype.kind not in "iu":
             raise SequenceError(f"phases must be integers, not {phases.dtype}")
         phases = phases.astype(np.int64)
@@ -161,11 +163,13 @@ def is_gcp(c: np.ndarray, d: np.ndarray, tol: float = 1e-9) -> bool:
 def gcp_residual(c: np.ndarray, d: np.ndarray) -> float:
     """max_{tau != 0} |rho_c(tau) + rho_d(tau)|, the complementarity defect,
     where rho_c(tau) = sum_m c_m conj(c_{m+tau}) is the aperiodic
-    autocorrelation."""
+    autocorrelation; raises SequenceError unless c and d are 1-D of one
+    length."""
     c = np.asarray(c, dtype=complex)
     d = np.asarray(d, dtype=complex)
-    if c.shape != d.shape:
-        raise SequenceError("pair members must have equal length")
+    if c.ndim != 1 or c.shape != d.shape:
+        raise SequenceError(f"pair members must be 1-D and of equal length, not of shapes "
+                            f"{c.shape} and {d.shape}")
     if len(c) < 2:
         return 0.0
     # Entry len(c) - 1 - tau of the full correlation is rho(tau), tau >= 0.
@@ -174,8 +178,11 @@ def gcp_residual(c: np.ndarray, d: np.ndarray) -> float:
 
 
 def phase_transform(c: np.ndarray) -> np.ndarray:
-    """Multiply entry m by j^m (the subcarrier phase ramp of FBMC/OQAM)."""
+    """Multiply entry m by j^m (the subcarrier phase ramp of FBMC/OQAM) of
+    a 1-D sequence c; raises SequenceError for any other shape."""
     c = np.asarray(c, dtype=complex)
+    if c.ndim != 1:
+        raise SequenceError(f"sequence must be 1-D, not of shape {c.shape}")
     return c * _EXACT_ROOTS[4][np.arange(len(c)) % 4]
 
 

@@ -234,7 +234,7 @@ def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: i
     the taps g zero outside their K intervals.
 
     pairs is g with each tap repeated for the (re, im) pair of a complex
-    sample (PrototypeFilter.pairs).  offset, any integer, is the slot's
+    sample, np.repeat(taps, 2).  offset, any integer, is the slot's
     first sample counted from out's first sample; out is left as it is
     outside [offset, offset + K * spt).  product, a float array of shape
     (count, P, 2 * spt) like out's float view, takes the products before
@@ -314,11 +314,11 @@ def synthesize(symbols: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig) -> 
     sums = slot_sums(coeff, coeff)
     k_len = filt.overlap * spt
     out = np.zeros((n_cols - 1) * spt // 2 + k_len, dtype=complex)
-    product = np.empty((1, filt.overlap, 2 * spt))
+    product, pairs = np.empty((1, filt.overlap, 2 * spt)), np.repeat(filt.taps, 2)
     for i, col in enumerate(cols.tolist()):
         offset = col * spt // 2
         window = out[offset: offset + k_len].reshape(1, filt.overlap, spt)
-        add_weighted(window, sums[i:i + 1], filt.pairs, 0, product)
+        add_weighted(window, sums[i:i + 1], pairs, 0, product)
     return SampledSignal(samples=out, samples_per_symbol=spt, t0=cfg.first_slot / 2.0,
                          overlap=filt.overlap)
 

@@ -869,6 +869,19 @@ class TestPaprWindow:
         with pytest.raises(AnalysisError):
             papr(sig, AnalysisWindow(len(sig.samples) - 4, 8), 1.0)
 
+    @pytest.mark.parametrize("start, length", [(10, 0), (10, -3), (-1, 8), (1.5, 8), (True, 8),
+                                               (10, 8.0), ("10", 8), (10, None)])
+    def test_refuses_window_fields_that_are_not_valid_integers(self, start, length):
+        # (10, 0) and a negative length ended in a bare numpy ValueError,
+        # 1.5 in a bare TypeError, and True measured from sample 1.
+        sig = synthesize(build_frame(self.cfg, self.preamble), self.filt, self.cfg)
+        with pytest.raises(AnalysisError, match="must be an integer"):
+            papr(sig, AnalysisWindow(start, length), 32.0)
+
+    def test_numpy_integer_window_fields_are_stored_as_ints(self):
+        win = AnalysisWindow(np.int64(10), np.int32(8))
+        assert win == AnalysisWindow(10, 8) and type(win.start_index) is type(win.length) is int
+
     @pytest.mark.parametrize("p_avg", [0.0, -1.0, math.nan, math.inf, True, "2"])
     def test_rejects_average_power_not_finite_and_positive(self, p_avg):
         # 0 divided by zero, -1 was a bare math domain error, NaN returned NaN,

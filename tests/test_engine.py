@@ -395,10 +395,12 @@ class TestKeyRanges:
             slot_data(FrameConfig(subcarriers=8, guards=1, rng_seed=seed), 0, 0)
 
     def test_engine_rejects_trial_range_past_the_key(self):
+        # A first trial of True returned trial 1's PAPR.
         cfg = FrameConfig(subcarriers=16, guards=1, oversample=2)
         filt = phydyas_taps(4, cfg.samples_per_symbol)
-        with pytest.raises(FrameError):
-            papr_samples(golay_seed(16), filt, cfg, 2, first_trial=2**48 - 1)
+        for first_trial in (2**48 - 1, -1, True, 1.5, np.float64(2.0), "3"):
+            with pytest.raises(FrameError):
+                papr_samples(golay_seed(16), filt, cfg, 2, first_trial=first_trial)
 
 
 class TestPreambleCheck:
@@ -505,6 +507,13 @@ class TestSharding:
             # The next call still works; its worker computes the last 32 trials.
             values = small_papr(64, chunk=16, first_trial=2**48 - 64)
         assert np.array_equal(values[48:], small_papr(16, chunk=16, first_trial=2**48 - 16))
+
+    @pytest.mark.parametrize("progress", [1, "print", [print]])
+    def test_progress_that_is_not_callable_is_refused_before_the_pool(self, progress):
+        # 1 ran the first shard and then ended in a bare TypeError.
+        with mock.patch.object(analysis.POOL, "run", side_effect=AssertionError), \
+                pytest.raises(AnalysisError, match="progress must be None or callable"):
+            monte_carlo_ccdf(SMALL_PREAMBLE, SMALL_FILT, SMALL_CFG, 64, progress=progress)
 
     @pytest.mark.parametrize("bad", ["preamble energy", "filter rate"])
     def test_inputs_are_refused_before_the_pool(self, bad):

@@ -165,6 +165,12 @@ class TestDjPair:
         with pytest.raises(SequenceError, match="must be an integer|must be integers"):
             PhaseSequence(modulus=modulus, phases=phases)
 
+    @pytest.mark.parametrize("phases", [[[0, 1], [1, 0]], 1, np.array(0)])
+    def test_phase_sequence_rejects_arrays_that_are_not_1d(self, phases):
+        # A 2-D list was taken as a 2-D sequence.
+        with pytest.raises(SequenceError, match="phases must be 1-D"):
+            PhaseSequence(modulus=2, phases=phases)
+
     def test_random_specs_are_complementary(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
@@ -218,8 +224,13 @@ class TestIsGcp:
         assert not is_gcp(np.ones(2), np.ones(2), 1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(SequenceError):
-            is_gcp(np.ones(4), np.ones(3))
+        # Two 2-D arrays ended in a bare numpy ValueError ("object too deep"),
+        # two 0-d ones in a bare TypeError.
+        for c, d in [(np.ones(4), np.ones(3)), (np.ones((2, 2)), np.ones((2, 2))),
+                     (np.array(1.0), np.array(1.0))]:
+            for check in (is_gcp, gcp_residual):
+                with pytest.raises(SequenceError, match="1-D and of equal length"):
+                    check(c, d)
 
     @pytest.mark.parametrize("tol, match", [
         (math.nan, "^tol must be finite and >= 0$"), (-1.0, "^tol must be finite and >= 0$"),
@@ -241,6 +252,11 @@ class TestPhaseTransform:
         c = RNG.normal(size=16) + 1j * RNG.normal(size=16)
         out = phase_transform(c)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(np.sum(np.abs(c) ** 2))
+
+    @pytest.mark.parametrize("c", [np.ones((2, 2)), np.array(1.0)])
+    def test_refuses_an_array_that_is_not_1d(self, c):
+        with pytest.raises(SequenceError, match="sequence must be 1-D"):
+            phase_transform(c)
 
     def test_fourth_power_identity(self):
         c = RNG.normal(size=8)
