@@ -50,6 +50,10 @@ class AnalysisWindow:
 
     @classmethod
     def for_signal(cls, signal: SampledSignal, preamble_slot: int) -> "AnalysisWindow":
+        """The window of the preamble at slot preamble_slot, an integer >= 0,
+        on the signal's grid; raises AnalysisError for another slot and for
+        a window the signal does not hold."""
+        preamble_slot = check_integer("preamble_slot", preamble_slot, AnalysisError, 0)
         spt = signal.samples_per_symbol
         start = round((window_start_slot(preamble_slot, signal.overlap) / 2 - signal.t0) * spt)
         if start < 0 or start + 2 * spt > len(signal.samples):
@@ -273,6 +277,45 @@ class CcdfResult:
         }, indent=2)
 
 
+def _window_term(cfg: FrameConfig, overlap: int, slot) -> tuple[np.ndarray, int]:
+    """Slot's coefficient phase, referenced to the start of the analysis
+    window of a filter of this overlap, and its first sample counted from
+    the window start."""
+    start = window_start_slot(cfg.preamble_slot, overlap)
+    return (carrier_phase(cfg.subcarriers, slot, start),
+            (slot - start) * cfg.samples_per_symbol // 2)
+
+
+def _preamble_window(preambles: np.ndarray, cfg: FrameConfig, overlap: int,
+                     pairs: np.ndarray) -> np.ndarray:
+    """The share (count, 2, spt) of the analysis window of each checked
+    preamble of a stack (count, M), with no data: one IFFT call for the
+    stack and one add_weighted, so a row's bits do not depend on the
+    others.  pairs is np.repeat(taps, 2), as add_weighted takes the taps."""
+    count, spt = len(preambles), cfg.samples_per_symbol
+    phase, offset = _window_term(cfg, overlap, cfg.preamble_slot)
+    coeff = np.zeros((count, spt), dtype=complex)
+    np.multiply(preambles, phase, out=coeff[:, :cfg.subcarriers])
+    window = np.zeros((count, 2, spt), dtype=complex)
+    add_weighted(window, slot_sums(coeff, np.empty_like(coeff)), pairs, offset,
+                 np.empty((count, 2, 2 * spt)))
+    return window
+
+
+def _peak_db(window: np.ndarray, p_avg: float, magnitude: np.ndarray, peak: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """10 log10(max |w|^2 / p_avg) of each row of window (count, 2 spt),
+    written to and returned in out (count,), which may be peak itself;
+    magnitude, a float array of window's shape, takes |w| and peak
+    (count,) the peaks."""
+    np.max(np.abs(window, out=magnitude), axis=1, out=peak)
+    # max |w| squared is max |w|^2 bit for bit: rounding x * x is
+    # monotone for x >= 0.
+    np.multiply(peak, peak, out=peak)
+    np.divide(peak, p_avg, out=peak)
+    return np.multiply(10.0, np.log10(peak, out=peak), out=out)
+
+
 class _WindowSampler:
     """Evaluates s(t) over the analysis window for chunks of at most `rows`
     trials at once.
@@ -295,26 +338,14 @@ class _WindowSampler:
         self.spt = spt = cfg.samples_per_symbol
         check_rate(filt, cfg)
         n, m = cfg.preamble_slot, cfg.subcarriers
-        start = window_start_slot(n, filt.overlap)
         # Slot s's support [s/2, s/2 + K) meets the window for |s - n| <= K + 1.
         slots = np.arange(n - filt.overlap - 1, n + filt.overlap + 2)
         self.data_slots = slots[np.abs(slots - n) > cfg.guards]
         self.pairs = np.repeat(filt.taps, 2)       # as add_weighted takes the taps
         self.rows = rows
-
-        def term(s):
-            """Slot s's coefficient phase, referenced to the window start, and
-            its first sample counted from the window start."""
-            return carrier_phase(m, s, start), (s - start) * spt // 2
-
-        self._terms = [term(s) for s in self.data_slots]
-        # The preamble's window, from one-row temporaries, before the chunk arrays.
-        phase, offset = term(n)
-        coeff = np.zeros((1, spt), dtype=complex)
-        coeff[0, :m] = preamble * phase
-        self.preamble_window = np.zeros((1, 2, spt), dtype=complex)
-        add_weighted(self.preamble_window, slot_sums(coeff, np.empty_like(coeff)), self.pairs,
-                     offset, np.empty((1, 2, 2 * spt)))
+        self._terms = [_window_term(cfg, filt.overlap, s) for s in self.data_slots]
+        # From one-row temporaries, before the chunk arrays.
+        self.preamble_window = _preamble_window(preamble[None], cfg, filt.overlap, self.pairs)
         # slot_data's output, flat, so that a ragged chunk's is a contiguous prefix.
         self._data = np.empty(len(self.data_slots) * rows * m)
         self.out = np.empty((rows, 2, spt), dtype=complex)     # the window
@@ -381,13 +412,8 @@ def _papr_db(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
     for lo in range(0, trials, chunk):
         count = min(chunk, trials - lo)
         win = sampler.sample_trials(first_trial + lo, count)
-        peak = sampler.peak[:count]
-        np.max(np.abs(win, out=sampler.base[:count].view(float)), axis=1, out=peak)
-        # max |w| squared is max |w|^2 bit for bit: rounding x * x is
-        # monotone for x >= 0.
-        np.multiply(peak, peak, out=peak)
-        np.divide(peak, p_avg, out=peak)
-        np.multiply(10.0, np.log10(peak, out=peak), out=out[lo: lo + count])
+        _peak_db(win, p_avg, sampler.base[:count].view(float), sampler.peak[:count],
+                 out[lo: lo + count])
     return out
 
 
@@ -458,6 +484,31 @@ def papr_samples(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,
     """
     shards = list(_papr_db_shards(preamble, filt, cfg, trials, first_trial))
     return np.concatenate(shards) if shards else np.empty(0)
+
+
+def sigma0_papr_db(preambles: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig) -> np.ndarray:
+    """The sigma = 0 window PAPR in dB of each preamble of a stack (count, M):
+    the peak of its own share of the analysis window, with no data.
+
+    Row i equals papr_samples(preambles[i], filt, cfg, 1)[0] bit for bit
+    wherever no data slot reaches the window (G >= K + 1), from one IFFT
+    call for the whole stack and no engine process.  Raises AnalysisError
+    for an input that is not 2-D, and FrameError for a row that
+    build_frame refuses or a filter not sampled at the frame's rate.
+    """
+    preambles = np.asarray(preambles, dtype=complex)
+    m = cfg.subcarriers
+    if preambles.ndim != 2:
+        raise AnalysisError(f"preambles of shape {preambles.shape} are not (count, {m})")
+    if preambles.shape[1] != m:
+        raise FrameError(f"preamble length {preambles.shape[1]} != {m} subcarriers")
+    for row in preambles:
+        checked_preamble(row, m)
+    check_rate(filt, cfg)
+    window = _preamble_window(preambles, cfg, filt.overlap, np.repeat(filt.taps, 2))
+    window = window.reshape(len(preambles), 2 * cfg.samples_per_symbol)
+    out = np.empty(len(window))
+    return _peak_db(window, average_power(m), np.empty(window.shape), out, out)
 
 
 def signal_at_times(preamble: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig,

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import (THRESHOLDS_DB, AnalysisError, RicianPointModel, average_power,
                        engine_processes, iapr_exceedance, monte_carlo_ccdf, papr_samples,
-                       signal_at_times, wilson_interval, window_start_slot)
+                       sigma0_papr_db, signal_at_times, wilson_interval, window_start_slot)
 from .checks import check_real
 from .prototype import FilterError, make_filter, papr_bound_sigma0
 from .sequences import (GbfSpec, PhaseSequence, SequenceError, array_to_signs,
@@ -316,8 +316,7 @@ def cmd_compare(args) -> tuple[int, dict]:
         "sparse-mseq": mseq_preamble(subcarriers),
         "iam-c": iamc_preamble(subcarriers),
     }
-    rows = {name: float(papr_samples(p, filt, cfg, trials=1)[0])
-            for name, p in preambles.items()}
+    rows = dict(zip(preambles, sigma0_papr_db(list(preambles.values()), filt, cfg).tolist()))
     bound = papr_bound_sigma0(filt)
     print(f"sigma=0 preamble PAPR, {args.filter}, M={subcarriers}, "
           f"L_h={channel_len} (bound {bound:.4f} dB)")

@@ -187,11 +187,14 @@ def phase_transform(c: np.ndarray) -> np.ndarray:
 
 
 def sparsify(c: np.ndarray, d: int, m_total: int) -> np.ndarray:
-    """Kronecker-expand c with d zeros after each entry and scale so the
-    result has energy m_total.  Pilot spacing is d+1."""
+    """Kronecker-expand the 1-D sequence c with d zeros after each entry and
+    scale so the result has energy m_total.  Pilot spacing is d+1.  Raises
+    SequenceError for a c of any other shape."""
     c = np.asarray(c, dtype=complex)
+    if c.ndim != 1:
+        raise SequenceError(f"sequence must be 1-D, not of shape {c.shape}")
     d = check_integer("sparsity gap", d, SequenceError, 0)
-    m_total = check_integer("target length", m_total, SequenceError)
+    m_total = check_integer("target length", m_total, SequenceError, 1)
     if m_total != (d + 1) * len(c):
         raise SequenceError(f"target length {m_total} != (d+1)*len(c) = {(d + 1) * len(c)}")
     out = np.zeros(m_total, dtype=complex)

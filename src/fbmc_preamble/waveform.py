@@ -301,9 +301,9 @@ def synthesize(symbols: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig) -> 
     """
     spt = cfg.samples_per_symbol
     check_rate(filt, cfg)
-    if symbols.ndim != 2 or len(symbols) != cfg.subcarriers:
+    if symbols.ndim != 2 or len(symbols) != cfg.subcarriers or not symbols.shape[1]:
         raise FrameError(f"symbols of shape {symbols.shape} are not "
-                         f"({cfg.subcarriers}, columns)")
+                         f"({cfg.subcarriers}, columns >= 1)")
     m_count, n_cols = symbols.shape
     cols = np.flatnonzero(np.any(symbols, axis=0))
     slots = cfg.first_slot + cols

@@ -857,11 +857,20 @@ class TestPaprWindow:
         t_start = sig.times[win.start_index]
         assert t_start == pytest.approx((self.cfg.preamble_slot + filt.overlap - 2) / 2)
 
-    @pytest.mark.parametrize("preamble_slot", [-10, 40])
+    @pytest.mark.parametrize("preamble_slot", [40])
     def test_window_outside_the_signal_is_refused(self, preamble_slot):
-        # 40 puts the window past the frame's end, -10 before its start.
+        # 40 puts the window past the frame's end.
         sig = synthesize(build_frame(self.cfg, self.preamble), self.filt, self.cfg)
         with pytest.raises(AnalysisError, match="exceeds the sampled signal"):
+            AnalysisWindow.for_signal(sig, preamble_slot)
+
+    @pytest.mark.parametrize("preamble_slot", [14.5, True, "14", -10])
+    def test_refuses_a_preamble_slot_that_is_not_an_integer_ge_0(self, preamble_slot):
+        # 14.5 gave a window half a slot off, True measured from slot 1 and
+        # "14" ended in a bare TypeError; -10 put the window before the
+        # signal's start.
+        sig = synthesize(build_frame(self.cfg, self.preamble), self.filt, self.cfg)
+        with pytest.raises(AnalysisError, match="preamble_slot must be an integer >= 0"):
             AnalysisWindow.for_signal(sig, preamble_slot)
 
     def test_out_of_range_window(self):

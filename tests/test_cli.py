@@ -459,6 +459,35 @@ class TestCompare:
             assert rows[0].startswith(f"sigma=0 preamble PAPR, {name}, M=64, L_h=16")
             assert [r.split()[0] for r in rows[1:]] == ["sparse-golay", "sparse-mseq", "iam-c"]
 
+    # The JSON lines the engine's one-trial runs printed, per filter, at
+    # M = 64 (L_h = 16) and M = 512 (L_h = 32).
+    PINNED = {
+        ("phydyas3", 64): '{"filter": "phydyas3", "subcarriers": 64, "channel_len": 16, '
+                          '"bound_db": 1.6933, "papr_db": {"sparse-golay": 1.2844, '
+                          '"sparse-mseq": 2.845, "iam-c": 9.0309}}',
+        ("phydyas3", 512): '{"filter": "phydyas3", "subcarriers": 512, "channel_len": 32, '
+                           '"bound_db": 1.6933, "papr_db": {"sparse-golay": 1.6933, '
+                           '"sparse-mseq": 2.9962, "iam-c": 18.0618}}',
+        ("phydyas4", 64): '{"filter": "phydyas4", "subcarriers": 64, "channel_len": 16, '
+                          '"bound_db": 1.6349, "papr_db": {"sparse-golay": 1.226, '
+                          '"sparse-mseq": 2.7895, "iam-c": 16.6864}}',
+        ("phydyas4", 512): '{"filter": "phydyas4", "subcarriers": 512, "channel_len": 32, '
+                           '"bound_db": 1.6349, "papr_db": {"sparse-golay": 1.6349, '
+                           '"sparse-mseq": 2.9381, "iam-c": 25.7173}}',
+        ("hermite", 64): '{"filter": "hermite", "subcarriers": 64, "channel_len": 16, '
+                         '"bound_db": 2.673, "papr_db": {"sparse-golay": 2.2637, '
+                         '"sparse-mseq": 3.7837, "iam-c": 17.7245}}',
+        ("hermite", 512): '{"filter": "hermite", "subcarriers": 512, "channel_len": 32, '
+                          '"bound_db": 2.673, "papr_db": {"sparse-golay": 2.673, '
+                          '"sparse-mseq": 3.9733, "iam-c": 26.7554}}',
+    }
+
+    @pytest.mark.parametrize("name, m", list(PINNED))
+    def test_json_is_pinned(self, capsys, name, m):
+        assert main(["--json", "compare", "--filter", name, "--subcarriers", str(m),
+                     "--channel-len", str(16 if m == 64 else 32)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == self.PINNED[name, m]
+
     def test_indivisible_lengths(self, capsys):
         rc = main(["compare", "--subcarriers", "100", "--channel-len", "33"])
         assert rc == 1

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from fbmc_preamble import analysis
 from fbmc_preamble.analysis import (AnalysisError, AnalysisWindow, _papr_db, _WindowSampler,
                                     average_power, engine_processes, monte_carlo_ccdf, papr,
-                                    papr_samples)
+                                    papr_samples, sigma0_papr_db)
 from fbmc_preamble.prototype import make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import (FrameConfig, FrameError, add_weighted, build_frame,
@@ -417,6 +417,70 @@ class TestPreambleCheck:
             papr_samples(preamble, self.filt, self.cfg, 1)
         with pytest.raises(FrameError):
             monte_carlo_ccdf(preamble, self.filt, self.cfg, 1)
+
+
+# The sigma = 0 regime at M = 64: no data slot reaches the window at G = 6.
+SIGMA0_CFG = FrameConfig(subcarriers=64, guards=6, oversample=4)
+SIGMA0_STACK = np.array([golay_seed(64), unit_preamble(64, 1)])
+
+
+class TestSigma0:
+    """sigma0_papr_db scores a stack of preambles by the peak of their own
+    share of the window: the engine's float wherever no data reaches it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.sampled_from([7, 8, 12, 13, 16, 24, 33, 64]), oversample=st.integers(2, 6),
+           name=st.sampled_from(["phydyas3", "phydyas4", "hermite"]),
+           extra_guards=st.integers(0, 2), count=st.integers(1, 4), seed=st.integers(0, 2**32))
+    @example(m=64, oversample=4, name="phydyas3", extra_guards=0, count=3, seed=0)
+    def test_rows_equal_one_engine_trial(self, m, oversample, name, extra_guards, count, seed):
+        assume(m * oversample % 2 == 0)
+        spt = m * oversample
+        filt = make_filter(name, spt)
+        # From G = K + 1 no data slot reaches the window.
+        cfg = FrameConfig(subcarriers=m, guards=filt.overlap + 1 + extra_guards,
+                          oversample=oversample, rng_seed=seed)
+        preambles = [unit_preamble(m, seed + i) for i in range(count)]
+        expected = [papr_samples(p, filt, cfg, trials=1)[0] for p in preambles]
+        assert sigma0_papr_db(preambles, filt, cfg).tolist() == expected
+
+    @pytest.mark.parametrize("name, value", [("phydyas4", 1.6349118786259993),
+                                             ("hermite", 2.672985405756094)])
+    def test_paper_preamble_is_pinned(self, name, value):
+        # The floats test_sigma0_papr_is_pinned pins for the engine.
+        cfg = FrameConfig(subcarriers=512, guards=6, oversample=4, rng_seed=3)
+        got = sigma0_papr_db(sparse_golay_preamble(512, 32)[None],
+                             make_filter(name, cfg.samples_per_symbol), cfg)
+        assert got.tolist() == [value]
+
+    def test_a_row_reads_the_same_in_any_batch(self):
+        cfg = FrameConfig(subcarriers=512, guards=6, oversample=4)
+        filt = make_filter("phydyas4", cfg.samples_per_symbol)
+        stack = np.array([sparse_golay_preamble(512, 32)]
+                         + [unit_preamble(512, seed) for seed in range(31)])
+        alone = [sigma0_papr_db(row[None], filt, cfg)[0] for row in stack]
+        assert sigma0_papr_db(stack[:3], filt, cfg).tolist() == alone[:3]
+        assert sigma0_papr_db(stack, filt, cfg).tolist() == alone
+
+    @pytest.mark.parametrize("preambles", [golay_seed(16)[None], np.sqrt(2.0) * SIGMA0_STACK,
+                                           np.vstack([SIGMA0_STACK, np.zeros((1, 64))]),
+                                           np.full((1, 64), np.nan)])
+    def test_refuses_a_row_that_build_frame_refuses(self, preambles):
+        with pytest.raises(FrameError, match="preamble"):
+            sigma0_papr_db(preambles, phydyas_taps(4, 256), SIGMA0_CFG)
+
+    def test_refuses_a_filter_at_another_rate(self):
+        with pytest.raises(FrameError, match="samples per symbol"):
+            sigma0_papr_db(SIGMA0_STACK, phydyas_taps(4, 128), SIGMA0_CFG)
+
+    @pytest.mark.parametrize("preambles", [golay_seed(64), SIGMA0_STACK[None], np.array(1.0)])
+    def test_refuses_an_input_that_is_not_2d(self, preambles):
+        with pytest.raises(AnalysisError, match="not \\(count, 64\\)"):
+            sigma0_papr_db(preambles, phydyas_taps(4, 256), SIGMA0_CFG)
+
+    def test_an_empty_stack_gives_an_empty_array(self):
+        got = sigma0_papr_db(np.empty((0, 64)), phydyas_taps(4, 256), SIGMA0_CFG)
+        assert got.shape == (0,)
 
 
 # A small configuration: sharding tests need many calls, not big ones.

@@ -302,6 +302,17 @@ class TestSparsify:
         with pytest.raises(SequenceError, match="must be an integer"):
             sparsify(np.ones(4), d, m_total)
 
+    @pytest.mark.parametrize("c, d, m_total", [(np.ones((2, 2)), 1, 4), (np.array(1.0), 0, 1)])
+    def test_refuses_a_sequence_that_is_not_1d(self, c, d, m_total):
+        # A bare numpy ValueError and a TypeError from len() before.
+        with pytest.raises(SequenceError, match="sequence must be 1-D"):
+            sparsify(c, d, m_total)
+
+    def test_refuses_an_empty_target(self):
+        # 0 / 0 in the scale ended in a ZeroDivisionError before.
+        with pytest.raises(SequenceError, match="target length must be an integer >= 1"):
+            sparsify(np.ones(0), 0, 0)
+
 
 class TestBaselines:
     def test_mseq_layout(self):

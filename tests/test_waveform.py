@@ -246,8 +246,9 @@ class TestSynthesize:
         got = synthesize(symbols, filt, cfg).samples
         assert got.tobytes() == per_column_oracle(symbols, filt, cfg).tobytes()
 
-    @pytest.mark.parametrize("shape", [(17, 31), (15, 31), (16,), (16, 31, 1)])
+    @pytest.mark.parametrize("shape", [(17, 31), (15, 31), (16,), (16, 31, 1), (16, 0)])
     def test_rejects_grid_without_one_row_per_subcarrier(self, shape):
+        # (16, 0) returned (0 - 1) * spt / 2 + K * spt zero samples before.
         cfg = small_cfg()
         with pytest.raises(FrameError, match="symbols of shape"):
             synthesize(np.ones(shape, dtype=complex), phydyas_taps(4, cfg.samples_per_symbol),
