@@ -20,7 +20,7 @@ from .checks import check_integer, check_real
 from .prototype import PrototypeFilter, phydyas_taps
 from .waveform import (DATA_SPAN, SLOT_BITS, FrameConfig, FrameError, SampledSignal,
                        add_weighted, carrier_phase, check_rate, check_trials, checked_preamble,
-                       slot_data, slot_sums, slot_term, synthesize)
+                       slot_data, slot_sums, slot_term, synthesize, tap_pairs)
 from .workers import POOL, cpu_count
 
 
@@ -236,11 +236,24 @@ def wilson_interval(hits, trials):
 @dataclass(frozen=True)
 class CcdfResult:
     """Monte Carlo CCDF: exceed_count[i] of the trials had PAPR above
-    thresholds_db[i], which reads THRESHOLDS_DB."""
+    thresholds_db[i], which reads THRESHOLDS_DB.  Raises AnalysisError
+    unless trials is an integer >= 1 and exceed_count a 1-D integer array,
+    one count in [0, trials] per threshold."""
     exceed_count: np.ndarray = field(compare=False)
     trials: int
     max_papr_db: float = float("-inf")
     config: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        trials = check_integer("trials", self.trials, AnalysisError, 1)
+        object.__setattr__(self, "trials", trials)
+        count = np.asarray(self.exceed_count)
+        if count.dtype.kind not in "iu" or count.shape != THRESHOLDS_DB.shape:
+            raise AnalysisError(f"exceed_count of dtype {count.dtype} and shape {count.shape} "
+                                f"is not an integer array of shape {THRESHOLDS_DB.shape}")
+        if not (count.min() >= 0 and count.max() <= trials):
+            raise AnalysisError(f"exceed_count must lie in [0, {trials}]")
+        object.__setattr__(self, "exceed_count", count)
 
     thresholds_db = property(lambda self: THRESHOLDS_DB)
 
@@ -291,7 +304,7 @@ def _preamble_window(preambles: np.ndarray, cfg: FrameConfig, overlap: int,
     """The share (count, 2, spt) of the analysis window of each checked
     preamble of a stack (count, M), with no data: one IFFT call for the
     stack and one add_weighted, so a row's bits do not depend on the
-    others.  pairs is np.repeat(taps, 2), as add_weighted takes the taps."""
+    others.  pairs is tap_pairs(taps)."""
     count, spt = len(preambles), cfg.samples_per_symbol
     phase, offset = _window_term(cfg, overlap, cfg.preamble_slot)
     coeff = np.zeros((count, spt), dtype=complex)
@@ -341,7 +354,7 @@ class _WindowSampler:
         # Slot s's support [s/2, s/2 + K) meets the window for |s - n| <= K + 1.
         slots = np.arange(n - filt.overlap - 1, n + filt.overlap + 2)
         self.data_slots = slots[np.abs(slots - n) > cfg.guards]
-        self.pairs = np.repeat(filt.taps, 2)       # as add_weighted takes the taps
+        self.pairs = tap_pairs(filt.taps)
         self.rows = rows
         self._terms = [_window_term(cfg, filt.overlap, s) for s in self.data_slots]
         # From one-row temporaries, before the chunk arrays.
@@ -505,7 +518,7 @@ def sigma0_papr_db(preambles: np.ndarray, filt: PrototypeFilter, cfg: FrameConfi
     for row in preambles:
         checked_preamble(row, m)
     check_rate(filt, cfg)
-    window = _preamble_window(preambles, cfg, filt.overlap, np.repeat(filt.taps, 2))
+    window = _preamble_window(preambles, cfg, filt.overlap, tap_pairs(filt.taps))
     window = window.reshape(len(preambles), 2 * cfg.samples_per_symbol)
     out = np.empty(len(window))
     return _peak_db(window, average_power(m), np.empty(window.shape), out, out)

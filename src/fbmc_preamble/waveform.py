@@ -227,14 +227,31 @@ def slot_sums(coeff: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.fft.ifft(coeff, axis=1, norm="forward", out=out)
 
 
+def tap_pairs(taps: np.ndarray) -> np.ndarray:
+    """The taps with each one repeated for the (re, im) pair of a complex
+    sample, as add_weighted takes them: np.repeat(taps, 2) bit for bit, from
+    two strided column copies, which cost a third of the repeat."""
+    pairs = np.empty((len(taps), 2))
+    pairs[:, 0] = taps
+    pairs[:, 1] = taps
+    return pairs.ravel()
+
+
+def _add_product(out: np.ndarray, s: np.ndarray, g: np.ndarray, product: np.ndarray) -> None:
+    """out += s * g, with the product first in product, a float array of
+    out's shape: the bits of an add of the product in place."""
+    np.multiply(s, g, out=product)
+    np.add(out, product, out=out)
+
+
 def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: int,
                  product: np.ndarray) -> None:
     """out (count, P, spt) += g[k - offset] * sums (count, spt) at each sample
     k of out's P symbol intervals, with each row's sum repeated over them and
     the taps g zero outside their K intervals.
 
-    pairs is g with each tap repeated for the (re, im) pair of a complex
-    sample, np.repeat(taps, 2).  offset, any integer, is the slot's
+    pairs is tap_pairs(taps), each tap repeated for the (re, im) pair of a
+    complex sample.  offset, any integer, is the slot's
     first sample counted from out's first sample; out is left as it is
     outside [offset, offset + K * spt).  product, a float array of shape
     (count, P, 2 * spt) like out's float view, takes the products before
@@ -252,24 +269,21 @@ def add_weighted(out: np.ndarray, sums: np.ndarray, pairs: np.ndarray, offset: i
     sums_f = sums.view(float)
     out_f = out.view(float)
     w = pairs[2 * (lo - offset): 2 * (hi - offset)]
-
-    def add(at, s, g):
-        # out_f[at] += s * g, with the product in product[at]: the same bits.
-        np.multiply(s, g, out=product[at])
-        np.add(out_f[at], product[at], out=out_f[at])
-
     # The support spans at least one interval, so a partial first and a
     # partial last interval are never the same one.
     if r0:
         head = 2 * (spt - r0)
-        add(np.s_[:, p0, 2 * r0:], sums_f[:, 2 * r0:], w[:head])
+        _add_product(out_f[:, p0, 2 * r0:], sums_f[:, 2 * r0:], w[:head],
+                     product[:, p0, 2 * r0:])
         w = w[head:]
         p0 += 1
     if r1:
         tail = len(w) - 2 * r1
-        add(np.s_[:, p1, :2 * r1], sums_f[:, :2 * r1], w[tail:])
+        _add_product(out_f[:, p1, :2 * r1], sums_f[:, :2 * r1], w[tail:],
+                     product[:, p1, :2 * r1])
         w = w[:tail]
-    add(np.s_[:, p0:p1], sums_f[:, None], w.reshape(p1 - p0, 2 * spt))
+    _add_product(out_f[:, p0:p1], sums_f[:, None], w.reshape(p1 - p0, 2 * spt),
+                 product[:, p0:p1])
 
 
 def slot_term(coeffs: np.ndarray, slot: int, t: float, filt: PrototypeFilter) -> complex:
@@ -295,12 +309,17 @@ def slot_term(coeffs: np.ndarray, slot: int, t: float, filt: PrototypeFilter) ->
 def synthesize(symbols: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig) -> SampledSignal:
     """Accumulate every symbol's filtered subcarrier sum on the sample grid.
 
-    symbols (M, columns) holds slots cfg.first_slot onwards, as build_frame
-    returns them.  One IFFT transforms every nonzero column; their weighted
-    sums are then added in column order.
+    symbols (M, columns), an array-like of bool, integer, float or complex
+    values, holds slots cfg.first_slot onwards, as build_frame returns them;
+    FrameError refuses another dtype or shape.  One IFFT transforms every
+    nonzero column; their weighted sums are then added in column order.
     """
     spt = cfg.samples_per_symbol
     check_rate(filt, cfg)
+    symbols = np.asarray(symbols)
+    if symbols.dtype.kind not in "biufc":
+        raise FrameError(f"symbols of dtype {symbols.dtype} are not bool, integer, float "
+                         "or complex")
     if symbols.ndim != 2 or len(symbols) != cfg.subcarriers or not symbols.shape[1]:
         raise FrameError(f"symbols of shape {symbols.shape} are not "
                          f"({cfg.subcarriers}, columns >= 1)")
@@ -314,11 +333,15 @@ def synthesize(symbols: np.ndarray, filt: PrototypeFilter, cfg: FrameConfig) -> 
     sums = slot_sums(coeff, coeff)
     k_len = filt.overlap * spt
     out = np.zeros((n_cols - 1) * spt // 2 + k_len, dtype=complex)
-    product, pairs = np.empty((1, filt.overlap, 2 * spt)), np.repeat(filt.taps, 2)
+    # Column col's whole support lies in out, from float col * spt (twice its
+    # first sample), so its add is add_weighted's body alone on that (K, 2 spt)
+    # float view: the same products, added in the same order.
+    out_f, sums_f = out.view(float), sums.view(float)
+    w = tap_pairs(filt.taps).reshape(filt.overlap, 2 * spt)
+    product = np.empty_like(w)
     for i, col in enumerate(cols.tolist()):
-        offset = col * spt // 2
-        window = out[offset: offset + k_len].reshape(1, filt.overlap, spt)
-        add_weighted(window, sums[i:i + 1], pairs, 0, product)
+        at = col * spt
+        _add_product(out_f[at: at + 2 * k_len].reshape(w.shape), sums_f[i], w, product)
     return SampledSignal(samples=out, samples_per_symbol=spt, t0=cfg.first_slot / 2.0,
                          overlap=filt.overlap)
 

@@ -1012,6 +1012,47 @@ class TestMonteCarloCcdf:
         assert monte_carlo_ccdf(self.preamble, self.filt, np_cfg, 50).to_json() == res.to_json()
 
 
+class TestCcdfResult:
+    COUNTS = np.zeros(len(analysis.THRESHOLDS_DB), dtype=np.int64)
+
+    def test_monte_carlo_result_passes_unchanged(self):
+        cfg = FrameConfig(subcarriers=32, guards=2, oversample=4, rng_seed=77)
+        res = monte_carlo_ccdf(golay_seed(32), phydyas_taps(4, cfg.samples_per_symbol), cfg, 20)
+        again = CcdfResult(exceed_count=res.exceed_count, trials=res.trials,
+                           max_papr_db=res.max_papr_db, config=res.config)
+        assert again.exceed_count is res.exceed_count
+        assert again.to_json() == res.to_json()
+
+    def test_takes_a_list_of_counts(self):
+        res = CcdfResult(exceed_count=self.COUNTS.tolist(), trials=np.int64(4))
+        assert res.exceed_count.tolist() == self.COUNTS.tolist() and type(res.trials) is int
+
+    def test_refuses_a_count_per_threshold_short(self):
+        # write_csv wrote 3 rows for 181 thresholds: zip stopped at the shortest.
+        with pytest.raises(AnalysisError, match="shape"):
+            CcdfResult(exceed_count=np.array([3, 2, 1]), trials=10)
+
+    @pytest.mark.parametrize("counts", [COUNTS.astype(float), COUNTS.astype(bool),
+                                        COUNTS[None], COUNTS.astype(object)])
+    def test_refuses_counts_that_are_not_a_1d_integer_array(self, counts):
+        with pytest.raises(AnalysisError, match="exceed_count"):
+            CcdfResult(exceed_count=counts, trials=10)
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, True, "10"])
+    def test_refuses_a_trial_count(self, trials):
+        # 0 gave NaN probabilities with a RuntimeWarning.
+        with pytest.raises(AnalysisError, match="trials"):
+            CcdfResult(exceed_count=self.COUNTS, trials=trials)
+
+    @pytest.mark.parametrize("bad", [11, -1])
+    def test_refuses_counts_outside_zero_to_trials(self, bad):
+        # 11 of 10 trials gave a probability above 1.
+        counts = self.COUNTS.copy()
+        counts[0] = bad
+        with pytest.raises(AnalysisError, match=r"\[0, 10\]"):
+            CcdfResult(exceed_count=counts, trials=10)
+
+
 class TestWilsonInterval:
     @settings(max_examples=50, deadline=None)
     @given(trials=st.integers(1, 10**9), frac=st.floats(0.0, 1.0))

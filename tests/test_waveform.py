@@ -11,7 +11,8 @@ from fbmc_preamble.analysis import papr_samples
 from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import (FrameConfig, FrameError, build_frame, carrier_phase,
-                                    slot_data, synthesize, transmultiplexer_response)
+                                    slot_data, synthesize, tap_pairs,
+                                    transmultiplexer_response)
 from lookup_reference import transmultiplexer_response as reference_response
 
 
@@ -168,6 +169,16 @@ class TestEmptyCellSet:
         assert papr.tolist() == [value, value]
 
 
+class TestTapPairs:
+    @pytest.mark.parametrize("name", ["phydyas3", "phydyas4", "hermite"])
+    @pytest.mark.parametrize("spt", [26, 2048])
+    def test_equals_repeat_bit_for_bit(self, name, spt):
+        taps = make_filter(name, spt).taps
+        pairs = tap_pairs(taps)
+        assert pairs.dtype == np.float64 and pairs.flags.c_contiguous
+        assert pairs.tobytes() == np.repeat(taps, 2).tobytes()
+
+
 class TestCarrierPhase:
     """The phase, read from its period table, against the formula it
     replaced."""
@@ -245,6 +256,38 @@ class TestSynthesize:
         symbols[:, ~np.array(kept[:cfg.total_slots])] = 0.0
         got = synthesize(symbols, filt, cfg).samples
         assert got.tobytes() == per_column_oracle(symbols, filt, cfg).tobytes()
+
+    @pytest.mark.parametrize("name", ["phydyas4", "hermite"])
+    @pytest.mark.parametrize("guards", [1, 2, 3])
+    @pytest.mark.parametrize("trial", [0, 7])
+    def test_paper_frames_equal_per_column_oracle(self, name, guards, trial):
+        # The frames of the paper's configs, at M = 512 and oversample 4,
+        # which the hypothesis test above does not reach.
+        cfg = FrameConfig(subcarriers=512, guards=guards, oversample=4)
+        filt = make_filter(name, cfg.samples_per_symbol)
+        symbols = build_frame(cfg, sparse_golay_preamble(512, 32), trial=trial)
+        got = synthesize(symbols, filt, cfg).samples
+        assert got.tobytes() == per_column_oracle(symbols, filt, cfg).tobytes()
+
+    def test_array_likes_and_orders_give_the_same_bytes(self):
+        cfg = small_cfg()
+        filt = make_filter("hermite", cfg.samples_per_symbol)
+        symbols = build_frame(cfg, golay_seed(16), trial=3)
+        expected = synthesize(symbols, filt, cfg).samples.tobytes()
+        # A list ended in AttributeError: 'list' object has no attribute 'ndim'.
+        for grid in (np.asfortranarray(symbols), symbols.tolist()):
+            assert synthesize(grid, filt, cfg).samples.tobytes() == expected
+        real = symbols.real.astype(np.int8)
+        as_complex = synthesize(real.astype(complex), filt, cfg).samples.tobytes()
+        assert synthesize(real, filt, cfg).samples.tobytes() == as_complex
+
+    @pytest.mark.parametrize("dtype", [object, "U1", "M8[s]"])
+    def test_rejects_grid_of_another_dtype(self, dtype):
+        # An object grid ended in a bare UFuncTypeError.
+        cfg = small_cfg()
+        symbols = np.ones((16, 31)).astype(dtype)
+        with pytest.raises(FrameError, match="dtype"):
+            synthesize(symbols, phydyas_taps(4, cfg.samples_per_symbol), cfg)
 
     @pytest.mark.parametrize("shape", [(17, 31), (15, 31), (16,), (16, 31, 1), (16, 0)])
     def test_rejects_grid_without_one_row_per_subcarrier(self, shape):
