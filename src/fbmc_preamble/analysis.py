@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import check_integer, check_real
-from .prototype import PrototypeFilter, phydyas_taps
+from .prototype import PrototypeFilter, make_filter
 from .waveform import (DATA_SPAN, SLOT_BITS, FrameConfig, FrameError, SampledSignal,
                        add_weighted, carrier_phase, check_rate, check_trials, checked_preamble,
                        slot_data, slot_sums, slot_term, synthesize, tap_pairs)
@@ -570,7 +570,7 @@ def empirical_mean_power(subcarriers: int, n_symbols: int = 256, seed: int = 0) 
     checking 2M/T."""
     n_symbols = check_integer("n_symbols", n_symbols, AnalysisError, 1)
     cfg = FrameConfig(subcarriers=subcarriers, guards=0, rng_seed=seed)
-    filt = phydyas_taps(4, cfg.samples_per_symbol)
+    filt = make_filter("phydyas4", cfg.samples_per_symbol)
     # All data, over more slots than the frame's for a long n_symbols:
     # synthesize takes the grid's width from the symbols.
     n_slots = 2 * max(DATA_SPAN, n_symbols // 2) + 1

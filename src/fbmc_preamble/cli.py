@@ -25,14 +25,13 @@ from .analysis import (THRESHOLDS_DB, AnalysisError, RicianPointModel, average_p
                        engine_processes, iapr_exceedance, monte_carlo_ccdf, papr_samples,
                        sigma0_papr_db, signal_at_times, wilson_interval, window_start_slot)
 from .checks import check_real
-from .prototype import FilterError, make_filter, papr_bound_sigma0
+from .prototype import FILTER_NAMES, FilterError, make_filter, papr_bound_sigma0
 from .sequences import (GbfSpec, PhaseSequence, SequenceError, array_to_signs,
                         complex_from_json, complex_to_json, dj_pair, gcp_residual,
                         iamc_preamble, mseq_preamble, sparse_golay_preamble)
 from .waveform import RNG_SCHEME, FrameConfig, FrameError
 from .workers import cpu_count
 
-FILTER_NAMES = ("phydyas3", "phydyas4", "hermite")
 # The paper's PAPR threshold: ccdf reports Pr{PAPR > 3 dB} as it runs.
 TAIL_THRESHOLD_DB = 3.0
 # Probe times of `model`, t - nT/2, across the preamble pulse's main lobe at

@@ -8,6 +8,8 @@ Discrete energy is forced to exactly one after sampling.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +20,10 @@ from .checks import check_integer
 
 class FilterError(ValueError):
     """Unsupported prototype filter parameters."""
+
+
+# The names `make_filter` and the CLI's --filter take.
+FILTER_NAMES = ("phydyas3", "phydyas4", "hermite")
 
 
 # Frequency-sampling coefficients F_1..F_{K-1} of the PHYDYAS filter.
@@ -60,8 +66,7 @@ class PrototypeFilter:
 
     def __setstate__(self, state):
         # Pickle drops the read-only flag that _normalized sets.
-        self.__dict__.update(state)
-        self.taps.flags.writeable = False
+        self.__dict__.update(state, taps=_read_only(state["taps"]))
 
     def __call__(self, t: float) -> float:
         """Nearest-sample lookup of g(t) at one float time t (a numpy float
@@ -83,11 +88,18 @@ class PrototypeFilter:
                 w.writerow([k, f"{k * self.dt:.9g}", f"{tap:.12g}"])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a as a view of a read-only base: numpy refuses to make such a view
+    writeable again, where an array that owns its data takes the flag back."""
+    a.flags.writeable = False
+    return a.view()
+
+
 def _normalized(kind: str, overlap: int, L: int, g: np.ndarray) -> PrototypeFilter:
     g = g / math.sqrt(np.sum(g * g) / L)
-    # Shared by every sampler and synthesize call: a write would change results silently.
-    g.flags.writeable = False
-    return PrototypeFilter(kind=kind, overlap=overlap, samples_per_symbol=L, taps=g)
+    # Shared by every sampler and synthesize call, and by every caller of
+    # make_filter: a write would change their results silently.
+    return PrototypeFilter(kind=kind, overlap=overlap, samples_per_symbol=L, taps=_read_only(g))
 
 
 def phydyas_taps(overlap: int, samples_per_symbol: int) -> PrototypeFilter:
@@ -105,17 +117,23 @@ def phydyas_taps(overlap: int, samples_per_symbol: int) -> PrototypeFilter:
     return _normalized("phydyas", overlap, L, acc / math.sqrt(a))
 
 
+def _hermite_polys(x: np.ndarray):
+    """H_0(x), H_1(x), ... by the three-term recurrence
+    H_{k+1} = 2x H_k - 2k H_{k-1}, one step per item drawn."""
+    two_x = 2.0 * x
+    h_prev, h = np.ones_like(x), two_x
+    yield h_prev
+    for k in itertools.count(1):
+        yield h
+        h_prev, h = h, two_x * h - 2.0 * k * h_prev
+
+
 def hermite_poly(order: int, x) -> np.ndarray | float:
     """Physicists' Hermite polynomial H_k via the three-term recurrence."""
     order = check_integer("order", order, FilterError, 0)
     if order > _HERMITE_ORDER_GUARD:
         raise FilterError(f"order {order} beyond double-precision guard")
-    x = np.asarray(x, dtype=float)
-    h_prev, h = np.ones_like(x), 2.0 * x
-    if order == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    for k in range(1, order):
-        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
+    h = next(itertools.islice(_hermite_polys(np.asarray(x, dtype=float)), order, None))
     return h if h.ndim else float(h)
 
 
@@ -125,23 +143,36 @@ def hermite_taps(samples_per_symbol: int) -> PrototypeFilter:
     overlap = 4
     t = np.arange(overlap * L) / L
     u = t - overlap / 2.0
+    # One pass of the recurrence up to the highest order, keeping the
+    # weighted orders.
+    weights = dict(HERMITE_WEIGHTS)
+    orders = zip(range(max(weights) + 1), _hermite_polys(2.0 * math.sqrt(math.pi) * u))
+    polys = {k: h for k, h in orders if k in weights}
     # Summation order fixed (descending order k) for bit reproducibility.
     acc = np.zeros_like(t)
-    for order, weight in sorted(HERMITE_WEIGHTS, reverse=True):
-        acc += weight * hermite_poly(order, 2.0 * math.sqrt(math.pi) * u)
+    for order in sorted(weights, reverse=True):
+        acc += weights[order] * polys[order]
     g = np.exp(-2.0 * np.pi * u * u) * acc
     return _normalized("hermite", overlap, L, g)
 
 
 def make_filter(name: str, samples_per_symbol: int) -> PrototypeFilter:
-    """Filter from a CLI-style name: phydyas3, phydyas4 or hermite."""
-    if name == "phydyas4":
-        return phydyas_taps(4, samples_per_symbol)
-    if name == "phydyas3":
-        return phydyas_taps(3, samples_per_symbol)
+    """Filter from a CLI-style name: phydyas3, phydyas4 or hermite.
+
+    A filter is an immutable value set by (name, L), so equal arguments
+    return one shared filter per process.  Both are checked before the
+    cache sees them: an unhashable or float rate never reaches its lookup."""
+    if not isinstance(name, str) or name not in FILTER_NAMES:
+        raise FilterError(f"unknown filter {name!r}")
+    L = check_integer("samples_per_symbol", samples_per_symbol, FilterError, 2)
+    return _shared_filter(name, L)
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _shared_filter(name: str, L: int) -> PrototypeFilter:
     if name == "hermite":
-        return hermite_taps(samples_per_symbol)
-    raise FilterError(f"unknown filter {name!r}")
+        return hermite_taps(L)
+    return phydyas_taps(4 if name == "phydyas4" else 3, L)
 
 
 def papr_bound_sigma0(filt: PrototypeFilter) -> float:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from fbmc_preamble.analysis import _WindowSampler
-from fbmc_preamble.prototype import (FilterError, PrototypeFilter, hermite_poly,
-                                     hermite_taps, make_filter, papr_bound_sigma0,
-                                     phydyas_taps)
+from fbmc_preamble.prototype import (HERMITE_WEIGHTS, FilterError, PrototypeFilter,
+                                     hermite_poly, hermite_taps, make_filter,
+                                     papr_bound_sigma0, phydyas_taps)
 from fbmc_preamble.sequences import sparse_golay_preamble
 from fbmc_preamble.waveform import FrameConfig, build_frame, synthesize
 from lookup_reference import filter_lookup
@@ -79,6 +79,19 @@ class TestHermitePoly:
             coeffs[k] = 1.0
             assert np.allclose(hermite_poly(k, x), np.polynomial.hermite.hermval(x, coeffs))
 
+    @pytest.mark.parametrize("L", [2, 64, 129, 256, 2048])
+    def test_taps_equal_the_per_order_sum(self, L):
+        # hermite_taps runs the recurrence once to order 20; summing one
+        # hermite_poly call per weight, in the same descending order, gives
+        # the same bytes.
+        u = np.arange(4 * L) / L - 4 / 2.0
+        acc = np.zeros(4 * L)
+        for order, weight in sorted(HERMITE_WEIGHTS, reverse=True):
+            acc += weight * hermite_poly(order, 2.0 * math.sqrt(math.pi) * u)
+        g = np.exp(-2.0 * np.pi * u * u) * acc
+        g = g / math.sqrt(np.sum(g * g) / L)
+        assert hermite_taps(L).taps.tobytes() == g.tobytes()
+
     def test_order_guard(self):
         with pytest.raises(FilterError):
             hermite_poly(31, 0.0)
@@ -121,6 +134,15 @@ class TestUtility:
         filt = make_filter("hermite", 32)
         with pytest.raises(ValueError, match="read-only"):
             filt.taps[0] = 0.0
+
+    def test_taps_cannot_be_made_writeable_again(self):
+        # Every caller of make_filter shares one filter: a flag set back to
+        # writeable would let one of them change the others' results.
+        for filt in (make_filter("hermite", 32), phydyas_taps(3, 64)):
+            for f in (filt, pickle.loads(pickle.dumps(filt))):
+                with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                    f.taps.flags.writeable = True
+                assert not f.taps.flags.writeable
 
     def test_pickle_round_trip_is_unchanged_by_use(self):
         # A filter that has served a sampler and synthesize pickles to as
@@ -169,6 +191,36 @@ class TestUtility:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,t,tap"
         assert len(lines) == 1 + len(f.taps)
+
+
+class TestSharedFilters:
+    """make_filter returns one filter per (name, L) and checks both first."""
+
+    def test_equal_arguments_share_one_filter(self):
+        filt = make_filter("phydyas4", 2048)
+        assert make_filter("phydyas4", 2048) is filt
+        same = make_filter("phydyas4", np.int64(2048))
+        assert same.taps.tobytes() == filt.taps.tobytes()
+        assert type(same.samples_per_symbol) is int
+
+    def test_other_arguments_give_other_filters(self):
+        filt = make_filter("phydyas4", 2048)
+        others = [make_filter("phydyas3", 2048), make_filter("hermite", 2048),
+                  make_filter("phydyas4", 1024)]
+        assert [(f.kind, f.overlap, f.samples_per_symbol) for f in others] == [
+            ("phydyas", 3, 2048), ("hermite", 4, 2048), ("phydyas", 4, 1024)]
+        assert all(f is not filt and f != filt for f in others)
+
+    @pytest.mark.parametrize("name, rate", [
+        ("phydyas4", 2048.0), ("phydyas4", np.float64(2048)), ("phydyas4", True),
+        ("phydyas4", "2048"), ("phydyas4", [2048]), ("rrc", 2048), (["phydyas4"], 2048),
+    ], ids=["float", "np-float64", "bool", "str", "list", "unknown-name", "list-name"])
+    def test_a_cached_filter_does_not_pass_unchecked_arguments(self, name, rate):
+        # 2048.0 hashes as 2048 and a list is unhashable: the checks run
+        # before the cache is asked.
+        make_filter("phydyas4", 2048)
+        with pytest.raises(FilterError):
+            make_filter(name, rate)
 
 
 class TestIntegerArguments:
