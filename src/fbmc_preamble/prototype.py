@@ -129,11 +129,16 @@ def _hermite_polys(x: np.ndarray):
 
 
 def hermite_poly(order: int, x) -> np.ndarray | float:
-    """Physicists' Hermite polynomial H_k via the three-term recurrence."""
+    """Physicists' Hermite polynomial H_k via the three-term recurrence, at
+    x, a real number or an array of them.  Raises FilterError for x of
+    another dtype: bool, complex, string or object."""
     order = check_integer("order", order, FilterError, 0)
     if order > _HERMITE_ORDER_GUARD:
         raise FilterError(f"order {order} beyond double-precision guard")
-    h = next(itertools.islice(_hermite_polys(np.asarray(x, dtype=float)), order, None))
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise FilterError(f"x of dtype {x.dtype} is not real")
+    h = next(itertools.islice(_hermite_polys(x.astype(float, copy=False)), order, None))
     return h if h.ndim else float(h)
 
 

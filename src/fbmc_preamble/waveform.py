@@ -110,8 +110,8 @@ def slot_data(cfg: FrameConfig, trial, slot, out: np.ndarray | None = None) -> n
 
     `trial` and `slot` are integers or integer arrays that broadcast
     together; the result has their broadcast shape plus a last axis of M,
-    so two scalars give shape (M,).  It is written to out, a C-contiguous
-    float64 array of that shape, if one is given.
+    so two scalars give shape (M,).  It is written to out, a writeable
+    C-contiguous float64 array of that shape, if one is given.
     """
     keys = (_key_field("trial", trial, TRIAL_BITS) << SLOT_BITS) | _key_field("slot", slot,
                                                                               SLOT_BITS)
@@ -119,8 +119,8 @@ def slot_data(cfg: FrameConfig, trial, slot, out: np.ndarray | None = None) -> n
     if out is None:
         out = np.empty(keys.shape + (m,))
     elif (out.shape != keys.shape + (m,) or out.dtype != np.float64
-          or not out.flags.c_contiguous):
-        raise FrameError(f"out must be a C-contiguous float64 array of shape "
+          or not out.flags.c_contiguous or not out.flags.writeable):
+        raise FrameError(f"out must be a writeable C-contiguous float64 array of shape "
                          f"{keys.shape + (m,)}")
     if not keys.size:
         # No cell, as where no data slot reaches a sigma = 0 window: no generator.
@@ -158,15 +158,18 @@ def checked_preamble(preamble: np.ndarray, subcarriers: int) -> np.ndarray:
 
 def build_frame(cfg: FrameConfig, preamble: np.ndarray, trial: int = 0) -> np.ndarray:
     """Symbols (M, total_slots) of slots cfg.first_slot onwards: the preamble
-    at cfg.preamble_slot, zero guards, and seeded +-1 data elsewhere.
+    at cfg.preamble_slot, zero guards, and seeded +-1 data elsewhere.  They
+    are the transposed view of a slot-major (total_slots, M) array.
     Complex preambles are accepted only as a baseline affordance (IAM-C);
     OQAM symbols proper are real."""
     preamble = checked_preamble(preamble, cfg.subcarriers)
-    symbols = np.zeros((cfg.subcarriers, cfg.total_slots), dtype=complex)
-    symbols[:, cfg.preamble_slot - cfg.first_slot] = preamble
+    # Slot-major, one contiguous row per slot, so that each slot's fill and
+    # synthesize's reads of a column are contiguous.
+    grid = np.zeros((cfg.total_slots, cfg.subcarriers), dtype=complex)
+    grid[cfg.preamble_slot - cfg.first_slot] = preamble
     slots = np.array(cfg.data_slots())
-    symbols[:, slots - cfg.first_slot] = slot_data(cfg, trial, slots).T
-    return symbols
+    grid[slots - cfg.first_slot] = slot_data(cfg, trial, slots)
+    return grid.T
 
 
 def check_rate(filt: PrototypeFilter, cfg: FrameConfig) -> None:
@@ -239,8 +242,11 @@ def tap_pairs(taps: np.ndarray) -> np.ndarray:
 
 def _add_product(out: np.ndarray, s: np.ndarray, g: np.ndarray, product: np.ndarray) -> None:
     """out += s * g, with the product first in product, a float array of
-    out's shape: the bits of an add of the product in place."""
-    np.multiply(s, g, out=product)
+    out's shape.  s is copied there and multiplied by g in place: the same
+    operands in the same order as s * g, so the same bits, at less than half
+    the cost of a multiply into another buffer."""
+    np.copyto(product, s)
+    np.multiply(product, g, out=product)
     np.add(out, product, out=out)
 
 

@@ -92,6 +92,24 @@ class TestHermitePoly:
         g = g / math.sqrt(np.sum(g * g) / L)
         assert hermite_taps(L).taps.tobytes() == g.tobytes()
 
+    @pytest.mark.parametrize("x", [None, [1.0, None], 1j, np.array([0.5, 1j]), "abc",
+                                   True, np.array([True, False])],
+                             ids=["None", "list-with-None", "complex", "complex-array",
+                                  "str", "bool", "bool-array"])
+    def test_refuses_x_that_is_not_real(self, x):
+        # None gave nan, 1j a bare TypeError, "abc" a bare ValueError, and
+        # True was read as 1.0.
+        with pytest.raises(FilterError, match="not real"):
+            hermite_poly(2, x)
+
+    def test_integer_and_float_x_keep_their_values(self):
+        # H_2(x) = 4x^2 - 2
+        for x in (2, np.int64(2), np.uint8(2), 2.0, np.float32(2.0)):
+            value = hermite_poly(2, x)
+            assert type(value) is float and value == 14.0
+        assert hermite_poly(2, [0, 1, 2]).tolist() == [-2.0, 2.0, 14.0]
+        assert hermite_poly(2, np.array([0.5, 2.0], np.float32)).tolist() == [-1.0, 14.0]
+
     def test_order_guard(self):
         with pytest.raises(FilterError):
             hermite_poly(31, 0.0)

@@ -11,7 +11,7 @@ from fbmc_preamble.analysis import papr_samples
 from fbmc_preamble.prototype import hermite_taps, make_filter, phydyas_taps
 from fbmc_preamble.sequences import golay_seed, sparse_golay_preamble
 from fbmc_preamble.waveform import (FrameConfig, FrameError, build_frame, carrier_phase,
-                                    slot_data, synthesize, tap_pairs,
+                                    checked_preamble, slot_data, synthesize, tap_pairs,
                                     transmultiplexer_response)
 from lookup_reference import transmultiplexer_response as reference_response
 
@@ -93,6 +93,25 @@ class TestBuildFrame:
         c = build_frame(cfg, golay_seed(16), trial=6)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("cfg", [small_cfg(), FrameConfig(subcarriers=512, guards=2)],
+                             ids=["small", "M512-G2"])
+    def test_each_slot_sits_where_the_frame_says(self, cfg):
+        m, trial = cfg.subcarriers, 3
+        preamble = np.exp(2j * np.pi * np.random.default_rng(m).random(m))
+        symbols = build_frame(cfg, preamble, trial=trial)
+        assert symbols.shape == (m, cfg.total_slots)
+        data = []
+        for col, slot in enumerate(range(cfg.first_slot, cfg.first_slot + cfg.total_slots)):
+            got = symbols[:, col].tobytes()
+            if slot == cfg.preamble_slot:
+                assert got == checked_preamble(preamble, m).tobytes()
+            elif abs(slot - cfg.preamble_slot) <= cfg.guards:
+                assert got == bytes(16 * m)          # +0.0 in both parts
+            else:
+                assert got == slot_data(cfg, trial, slot).astype(complex).tobytes()
+                data.append(slot)
+        assert data == cfg.data_slots()
+
     def test_rejects_bad_preamble(self):
         cfg = small_cfg()
         with pytest.raises(FrameError):
@@ -121,6 +140,14 @@ class TestBuildFrame:
     def test_slot_data_rejects_bad_out(self, out):
         with pytest.raises(FrameError, match="out"):
             slot_data(small_cfg(), np.arange(3), np.array([[5], [9]]), out=out)
+
+    def test_slot_data_refuses_a_read_only_out_before_drawing(self):
+        # It ended in numpy's bare "output array is read-only", after every draw.
+        out = np.empty((2, 3, 16))
+        out.flags.writeable = False
+        with mock.patch.object(np.random, "Philox", side_effect=AssertionError("drew")):
+            with pytest.raises(FrameError, match="writeable"):
+                slot_data(small_cfg(), np.arange(3), np.array([[5], [9]]), out=out)
 
 
 class TestEmptyCellSet:
@@ -275,7 +302,8 @@ class TestSynthesize:
         symbols = build_frame(cfg, golay_seed(16), trial=3)
         expected = synthesize(symbols, filt, cfg).samples.tobytes()
         # A list ended in AttributeError: 'list' object has no attribute 'ndim'.
-        for grid in (np.asfortranarray(symbols), symbols.tolist()):
+        for grid in (np.asfortranarray(symbols), np.ascontiguousarray(symbols),
+                     symbols.tolist()):
             assert synthesize(grid, filt, cfg).samples.tobytes() == expected
         real = symbols.real.astype(np.int8)
         as_complex = synthesize(real.astype(complex), filt, cfg).samples.tobytes()
